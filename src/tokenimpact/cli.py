@@ -47,13 +47,6 @@ EXIT_POLYCHORIC = 3
 EXIT_FACTOR = 4
 EXIT_GLM = 5
 
-# spotted when five groups have this member-count shape, largest variance
-# first; the default interaction pairs tie the largest group to the second
-# and fourth
-CANONICAL_GROUP_SIZES = (5, 5, 2, 2, 1)
-CANONICAL_INTERACTIONS = ((0, 1), (0, 3))
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Merged command options (config file values overridden by flags)."""
@@ -70,7 +63,7 @@ class RunConfig:
     reps: int = 100
     quantile: float = 0.95
     threshold: float = 0.5
-    interactions: str = "auto"
+    interactions: str = "aic"
     bootstrap: int = 200
     ridge: float = 1e-6
     force_k: int | None = None
@@ -272,16 +265,9 @@ def cmd_timu(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_interactions(text: str, grouping) -> tuple[tuple[int, int], ...]:
+def _parse_interactions(text: str) -> tuple[tuple[int, int], ...]:
     if text == "none":
         return ()
-    if text == "auto":
-        sizes = tuple(len(g.members) for g in grouping.groups)
-        if sizes == CANONICAL_GROUP_SIZES:
-            return CANONICAL_INTERACTIONS
-        return ()
-    if text == "aic":
-        raise AssertionError("aic handled by caller")  # pragma: no cover
     pairs = []
     for chunk in text.split(","):
         a, _, b = chunk.partition(":")
@@ -330,7 +316,7 @@ def _timm_pipeline(ds, cfg: RunConfig, seed: int, want_impact: bool) -> dict:
     if cfg.interactions == "aic":
         pairs = select_interactions_aic(ds, grouping, ridge=cfg.ridge)
     else:
-        pairs = _parse_interactions(cfg.interactions, grouping)
+        pairs = _parse_interactions(cfg.interactions)
     design = build_design(ds, DesignSpec(grouping=grouping, interactions=pairs))
     glm = fit_logistic(design, ridge=cfg.ridge)
     report = impact_report(
@@ -513,7 +499,7 @@ def _add_timm_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threshold", type=float, help="dominant-loading threshold for grouping")
     p.add_argument("--force-k", dest="force_k", type=int, help="override the factor count")
     p.add_argument("--interactions",
-                   help="'auto', 'none', 'aic', or explicit pairs like 1:2,1:4")
+                   help="'aic' (default), 'none', or explicit pairs like 1:2,1:4")
     p.add_argument("--bootstrap", type=int, help="bootstrap resamples for impact CIs")
     p.add_argument("--ridge", type=float, help="ridge penalty for the logistic fit")
 
@@ -604,3 +590,7 @@ def _fail(code: int, stage: str, exc: Exception) -> int:
 
 def entrypoint() -> None:  # console script
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -4,12 +4,16 @@ A group indicator is the OR of its member tokens. The model predicts the
 poor-call label from the indicators plus selected pairwise interactions;
 "fixing" a group zeroes its indicator everywhere (recomputing interactions)
 and the relative drop in the mean predicted poor probability is the group's
-impact.
+impact. A record enters only through its indicators, so every estimator
+works on the distinct indicator patterns and their record and poor counts:
+a grouped-binomial fit (McCullagh & Nelder), bootstrap resamples as pattern
+counts, and a tie-merged ROC.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
+from itertools import combinations
 
 import numpy as np
 from scipy.special import expit
@@ -44,71 +48,82 @@ class DesignSpec:
 
 @dataclass(frozen=True, eq=False)
 class Design:
-    """Materialized design matrix (intercept first) plus its building blocks."""
+    """One ``matrix`` row (intercept first) per distinct indicator pattern,
+    with its record count (``trials``) and poor count (``successes``), plus
+    each record's pattern index and poor label."""
 
     columns: tuple[str, ...]
     matrix: np.ndarray
+    trials: np.ndarray
+    successes: np.ndarray
+    row_pattern: np.ndarray
     response: np.ndarray
-    group_indicators: np.ndarray
     group_names: tuple[str, ...]
     interactions: tuple[tuple[int, int], ...]
 
     @property
     def n_records(self) -> int:
-        return self.matrix.shape[0]
+        return self.row_pattern.size
 
-    def with_groups_fixed(self, fixed) -> "Design":
-        """Counterfactual design: the given group indicators forced to zero."""
+    @property
+    def group_indicators(self) -> np.ndarray:
+        """Group indicators of each pattern (the main-effect columns)."""
+        return self.matrix[:, 1 : 1 + len(self.group_names)]
+
+    def fixed_matrix(self, fixed) -> np.ndarray:
+        """Pattern rows with the given group indicators forced to zero."""
         indicators = self.group_indicators.copy()
-        for g in fixed:
-            indicators[:, g] = 0.0
-        matrix = _assemble(indicators, self.interactions)
-        return Design(
-            columns=self.columns,
-            matrix=matrix,
-            response=self.response,
-            group_indicators=indicators,
-            group_names=self.group_names,
-            interactions=self.interactions,
-        )
+        indicators[:, list(fixed)] = 0.0
+        return _assemble(indicators, self.interactions)
 
 
 def _assemble(indicators: np.ndarray, pairs) -> np.ndarray:
-    n = indicators.shape[0]
-    cols = [np.ones(n)]
+    cols = [np.ones(indicators.shape[0])]
     cols.extend(indicators.T)
     for a, b in pairs:
         cols.append(indicators[:, a] * indicators[:, b])
     return np.column_stack(cols)
 
 
+def _with_interactions(design: Design, pairs) -> Design:
+    names = design.group_names
+    return replace(
+        design,
+        columns=("intercept",) + names + tuple(f"{names[a]}:{names[b]}" for a, b in pairs),
+        matrix=_assemble(design.group_indicators, pairs),
+        interactions=tuple(pairs),
+    )
+
+
 def build_design(ds: SurveyDataset, spec: DesignSpec) -> Design:
-    """Group indicators (OR of member tokens) with interactions; response is
-    the poor-call label."""
+    """Group indicators (OR of member tokens) with interactions, collapsed to
+    distinct patterns; the response is the poor-call label."""
     grouping = spec.grouping
     if not grouping.groups:
         raise GlmError("grouping has no groups")
-    n = ds.n_records
-    indicators = np.zeros((n, len(grouping.groups)))
+    n_groups = len(grouping.groups)
+    if n_groups > 64:  # one bit per group in an int64 pattern code
+        raise GlmError(f"{n_groups} groups; at most 64 are supported")
+    codes = np.zeros(ds.n_records, dtype=np.int64)
     for j, group in enumerate(grouping.groups):
         if not group.members:
             raise GlmError(f"group {group.name} is empty")
         cols = [ds.vocabulary.index(tok) for tok in group.members]
-        indicators[:, j] = ds.token_matrix[:, cols].any(axis=1)
-    names = grouping.group_names
-    columns = (
-        ("intercept",)
-        + names
-        + tuple(f"{names[a]}:{names[b]}" for a, b in spec.interactions)
+        codes |= ds.token_matrix[:, cols].any(axis=1).astype(np.int64) << j
+    patterns, row_pattern = np.unique(codes, return_inverse=True)
+    indicators = (patterns[:, None] >> np.arange(n_groups) & 1).astype(np.float64)
+    response = ds.poor_mask.astype(np.float64)
+    base = Design(
+        columns=(),
+        matrix=_assemble(indicators, ()),
+        trials=np.bincount(row_pattern).astype(np.float64),
+        successes=np.bincount(row_pattern, weights=response),
+        row_pattern=row_pattern,
+        response=response,
+        group_names=grouping.group_names,
+        interactions=(),
     )
-    return Design(
-        columns=columns,
-        matrix=_assemble(indicators, spec.interactions),
-        response=ds.poor_mask.astype(np.float64),
-        group_indicators=indicators,
-        group_names=names,
-        interactions=spec.interactions,
-    )
+    return _with_interactions(base, spec.interactions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,19 +151,18 @@ class LogisticModel:
 
 
 def _unpack(design, response):
+    """Matrix, poor counts and record counts; a raw matrix row is one record."""
     if isinstance(design, Design):
-        matrix = design.matrix
-        y = design.response if response is None else np.asarray(response, np.float64)
-        terms = design.columns
-    else:
-        matrix = np.asarray(design, dtype=np.float64)
-        if response is None:
-            raise GlmError("response required with a raw design matrix")
-        y = np.asarray(response, dtype=np.float64)
-        terms = tuple(f"x{j}" for j in range(matrix.shape[1]))
+        if response is not None:
+            raise GlmError("a Design carries its own response")
+        return design.matrix, design.successes, design.trials, design.columns
+    matrix = np.asarray(design, dtype=np.float64)
+    if response is None:
+        raise GlmError("response required with a raw design matrix")
+    y = np.asarray(response, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != y.shape[0]:
         raise GlmError("design matrix and response shapes do not match")
-    return matrix, y, terms
+    return matrix, y, np.ones(y.shape), tuple(f"x{j}" for j in range(matrix.shape[1]))
 
 
 def fit_logistic(
@@ -160,36 +174,41 @@ def fit_logistic(
 ) -> LogisticModel:
     """Penalized maximum likelihood by iteratively reweighted least squares.
 
+    Each design row is a binomial count (one trial per row of a raw matrix).
     The ridge penalty excludes the intercept (the first column). Newton
     steps are halved whenever they would decrease the penalized likelihood,
     so accepted iterates are monotone. Non-convergence is flagged, not
     fatal; a singular weighted system raises.
     """
-    matrix, y, terms = _unpack(design, response)
-    if not ((y == 0).any() and (y == 1).any()):
+    matrix, successes, trials, terms = _unpack(design, response)
+    n_poor, n = successes.sum(), trials.sum()
+    if not 0 < n_poor < n:
         raise GlmError("response must contain both classes")
-    n, p = matrix.shape
+    p = matrix.shape[1]
     penalized = np.ones(p)
     penalized[0] = 0.0
     beta = np.zeros(p)
-    prevalence = y.mean()
+    prevalence = n_poor / n
     beta[0] = np.log(prevalence / (1.0 - prevalence))
 
+    def loglik(eta: np.ndarray) -> float:
+        return float(successes @ eta - trials @ np.logaddexp(0.0, eta))
+
     def objective(b: np.ndarray) -> float:
-        eta = matrix @ b
-        ll = float(y @ eta - np.logaddexp(0.0, eta).sum())
-        return ll - 0.5 * ridge * float((penalized * b * b).sum())
+        return loglik(matrix @ b) - 0.5 * ridge * float((penalized * b * b).sum())
+
+    def information(mu: np.ndarray) -> np.ndarray:
+        weights = trials * np.clip(mu * (1.0 - mu), 1e-10, None)
+        return (matrix * weights[:, None]).T @ matrix + ridge * np.diag(penalized)
 
     current = objective(beta)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         mu = expit(matrix @ beta)
-        weights = np.clip(mu * (1.0 - mu), 1e-10, None)
-        gradient = matrix.T @ (y - mu) - ridge * penalized * beta
-        hessian = (matrix * weights[:, None]).T @ matrix + ridge * np.diag(penalized)
+        gradient = matrix.T @ (successes - trials * mu) - ridge * penalized * beta
         try:
-            delta = np.linalg.solve(hessian, gradient)
+            delta = np.linalg.solve(information(mu), gradient)
         except np.linalg.LinAlgError:
             raise GlmError("singular weighted system") from None
         step = 1.0
@@ -208,12 +227,8 @@ def fit_logistic(
             converged = True
             break
     eta = matrix @ beta
-    loglik = float(y @ eta - np.logaddexp(0.0, eta).sum())
-    mu = expit(eta)
-    weights = np.clip(mu * (1.0 - mu), 1e-10, None)
-    information = (matrix * weights[:, None]).T @ matrix + ridge * np.diag(penalized)
     try:
-        covariance = np.linalg.inv(information)
+        covariance = np.linalg.inv(information(expit(eta)))
     except np.linalg.LinAlgError:
         raise GlmError("singular information matrix") from None
     return LogisticModel(
@@ -223,65 +238,55 @@ def fit_logistic(
         ridge=ridge,
         converged=converged,
         iterations=iterations,
-        loglik=loglik,
+        loglik=loglik(eta),
     )
-
-
-def auc_score(scores, labels) -> float:
-    """Mann-Whitney AUC with average ranks for ties."""
-    from scipy.stats import rankdata
-
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=bool)
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise GlmError("AUC requires both classes")
-    ranks = rankdata(s)
-    u = ranks[y].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
 
 
 @dataclass(frozen=True, eq=False)
 class RocCurve:
+    """Tie-merged ROC; ``auc`` is its trapezoid area, which is the
+    Mann-Whitney AUC with average ranks for ties."""
+
     fpr: np.ndarray
     tpr: np.ndarray
     thresholds: np.ndarray
+    auc: float
 
     def tpr_at_fpr(self, fpr: float) -> float:
         return float(np.interp(fpr, self.fpr, self.tpr))
 
 
-def roc_curve(scores, labels) -> RocCurve:
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=bool)
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
+def _roc(scores, positives, negatives) -> RocCurve:
+    """ROC of scores weighted by positive and negative counts; integer
+    counts keep the area exact up to one rounding."""
+    distinct, inverse = np.unique(scores, return_inverse=True)
+    tp = np.r_[0.0, np.cumsum(np.bincount(inverse, weights=positives)[::-1])]
+    fp = np.r_[0.0, np.cumsum(np.bincount(inverse, weights=negatives)[::-1])]
+    n_pos, n_neg = tp[-1], fp[-1]
     if n_pos == 0 or n_neg == 0:
-        raise GlmError("ROC requires both classes")
-    order = np.argsort(-s, kind="stable")
-    sorted_scores = s[order]
-    sorted_labels = y[order]
-    distinct = np.r_[np.flatnonzero(np.diff(sorted_scores)), y.size - 1]
-    tp = np.cumsum(sorted_labels)[distinct]
-    fp = np.cumsum(~sorted_labels)[distinct]
-    fpr = np.r_[0.0, fp / n_neg]
-    tpr = np.r_[0.0, tp / n_pos]
-    thresholds = np.r_[np.inf, sorted_scores[distinct]]
-    return RocCurve(fpr=fpr, tpr=tpr, thresholds=thresholds)
+        raise GlmError("ROC and AUC require both classes")
+    return RocCurve(
+        fpr=fp / n_neg,
+        tpr=tp / n_pos,
+        thresholds=np.r_[np.inf, distinct[::-1]],
+        auc=float(np.diff(fp) @ (tp[1:] + tp[:-1])) / (2.0 * n_pos * n_neg),
+    )
 
 
-@dataclass(frozen=True, eq=False)
-class Evaluation:
-    auc: float
-    roc: RocCurve
+def roc_curve(scores, labels) -> RocCurve:
+    y = np.asarray(labels, dtype=bool)
+    return _roc(np.asarray(scores, dtype=np.float64), y * 1.0, ~y * 1.0)
 
 
-def evaluate(model: LogisticModel, design, response=None) -> Evaluation:
-    """AUC (rank statistic, tie-corrected) and the ROC of a fitted model."""
-    matrix, y, _ = _unpack(design, response)
-    scores = model.predict_proba(matrix)
-    return Evaluation(auc=auc_score(scores, y), roc=roc_curve(scores, y))
+def auc_score(scores, labels) -> float:
+    """Mann-Whitney AUC with average ranks for ties."""
+    return roc_curve(scores, labels).auc
+
+
+def evaluate(model: LogisticModel, design, response=None) -> RocCurve:
+    """ROC and AUC of a fitted model's scores."""
+    matrix, successes, trials, _ = _unpack(design, response)
+    return _roc(model.predict_proba(matrix), successes, trials - successes)
 
 
 @dataclass(frozen=True)
@@ -292,16 +297,17 @@ class GroupImpact:
     ci_hi: float
 
     def to_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "reduction": self.reduction,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-        }
+        return asdict(self)
 
 
-def _relative_reduction(p_orig: np.ndarray, p_fix: np.ndarray) -> float:
-    return float(1.0 - p_fix.mean() / p_orig.mean())
+def _relative_reduction(counts, beta, matrix, fixed_matrix) -> float:
+    """Relative drop in the count-weighted mean poor probability."""
+    return float(1.0 - (counts @ expit(fixed_matrix @ beta)) / (counts @ expit(matrix @ beta)))
+
+
+def _descending(reductions) -> list[int]:
+    """Group indices by descending reduction, ties by index."""
+    return sorted(range(len(reductions)), key=lambda g: (-reductions[g], g))
 
 
 def _coefficient_factor(covariance: np.ndarray) -> np.ndarray:
@@ -325,15 +331,13 @@ def group_fix_impact(
 
     Each replicate resamples records with replacement and draws coefficients
     from the fit's asymptotic normal, so the interval carries both sampling
-    and estimation noise without refitting the model. Replicates use
-    per-index RNG streams, making the result independent of evaluation order.
+    and estimation noise without refitting the model. The resampled records
+    enter as counts over the design's patterns. Replicates use per-index RNG
+    streams, making the result independent of evaluation order.
     """
     if not 0 <= group_index < len(design.group_names):
         raise GlmError(f"group index {group_index} out of range")
-    fixed_matrix = design.with_groups_fixed([group_index]).matrix
-    p_orig = model.predict_proba(design.matrix)
-    p_fix = expit(fixed_matrix @ model.coefficients)
-    reduction = _relative_reduction(p_orig, p_fix)
+    fixed_matrix = design.fixed_matrix([group_index])
     n = design.n_records
     factor = _coefficient_factor(model.covariance)
     replicates = np.empty(n_boot)
@@ -341,13 +345,14 @@ def group_fix_impact(
         rng = np.random.default_rng([seed, group_index, b])
         idx = rng.integers(0, n, size=n)
         beta = model.coefficients + factor @ rng.standard_normal(len(model.coefficients))
-        replicates[b] = _relative_reduction(
-            expit(design.matrix[idx] @ beta), expit(fixed_matrix[idx] @ beta)
-        )
+        counts = np.bincount(design.row_pattern[idx], minlength=design.trials.size)
+        replicates[b] = _relative_reduction(counts, beta, design.matrix, fixed_matrix)
     lo, hi = np.percentile(replicates, [2.5, 97.5])
     return GroupImpact(
         group=design.group_names[group_index],
-        reduction=reduction,
+        reduction=_relative_reduction(
+            design.trials, model.coefficients, design.matrix, fixed_matrix
+        ),
         ci_lo=float(lo),
         ci_hi=float(hi),
     )
@@ -360,27 +365,20 @@ def cumulative_impact(
 
     Default order is descending individual reduction (ties by group index).
     """
-    p_orig = model.predict_proba(design.matrix)
     n_groups = len(design.group_names)
+
+    def reduction(fixed) -> float:
+        return _relative_reduction(
+            design.trials, model.coefficients, design.matrix, design.fixed_matrix(fixed)
+        )
+
     if order is None:
-        singles = [
-            _relative_reduction(
-                p_orig, model.predict_proba(design.with_groups_fixed([g]).matrix)
-            )
-            for g in range(n_groups)
-        ]
-        order = sorted(range(n_groups), key=lambda g: (-singles[g], g))
+        order = _descending([reduction([g]) for g in range(n_groups)])
     else:
         order = [int(g) for g in order]
         if sorted(order) != list(range(n_groups)):
             raise GlmError("order must be a permutation of all group indices")
-    out = []
-    fixed: list[int] = []
-    for g in order:
-        fixed.append(g)
-        p_fix = model.predict_proba(design.with_groups_fixed(fixed).matrix)
-        out.append((g, _relative_reduction(p_orig, p_fix)))
-    return tuple(out)
+    return tuple((g, reduction(order[: i + 1])) for i, g in enumerate(order))
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,19 +418,22 @@ def impact_report(
 ) -> ImpactReport:
     """Assemble the full counterfactual report.
 
-    ``baseline_scores`` defaults to the any-group indicator; its false
-    positive rate anchors the reported model TPR so the comparison is at
-    matched operating points.
+    The cumulative order defaults to descending individual reduction.
+    ``baseline_scores`` (one per record) defaults to the any-group
+    indicator; its false positive rate anchors the reported model TPR so
+    the comparison is at matched operating points.
     """
     y = design.response
     individual = tuple(
         group_fix_impact(model, design, g, n_boot=n_boot, seed=seed)
         for g in range(len(design.group_names))
     )
+    if order is None:
+        order = _descending([g.reduction for g in individual])
     cumulative = cumulative_impact(model, design, order=order)
     evaluation = evaluate(model, design)
     if baseline_scores is None:
-        baseline_scores = design.group_indicators.any(axis=1).astype(np.float64)
+        baseline_scores = design.group_indicators.any(axis=1)[design.row_pattern].astype(float)
     else:
         baseline_scores = np.asarray(baseline_scores, dtype=np.float64)
     baseline_auc = auc_score(baseline_scores, y)
@@ -445,7 +446,7 @@ def impact_report(
         cumulative=tuple(r for _, r in cumulative),
         auc=evaluation.auc,
         baseline_auc=baseline_auc,
-        tpr_at_fpr=(baseline_fpr, evaluation.roc.tpr_at_fpr(baseline_fpr)),
+        tpr_at_fpr=(baseline_fpr, evaluation.tpr_at_fpr(baseline_fpr)),
         baseline_pcr=float(y.mean()),
     )
 
@@ -457,15 +458,12 @@ def select_interactions_aic(
     max_pairs: int | None = None,
 ) -> tuple[tuple[int, int], ...]:
     """Greedy forward selection of interaction pairs by AIC."""
-    n_groups = len(grouping.groups)
-    candidates = [
-        (a, b) for a in range(n_groups) for b in range(a + 1, n_groups)
-    ]
+    base = build_design(ds, DesignSpec(grouping=grouping))
+    candidates = list(combinations(range(len(grouping.groups)), 2))
     chosen: list[tuple[int, int]] = []
 
     def aic(pairs) -> float:
-        design = build_design(ds, DesignSpec(grouping=grouping, interactions=tuple(pairs)))
-        model = fit_logistic(design, ridge=ridge)
+        model = fit_logistic(_with_interactions(base, pairs), ridge=ridge)
         return 2.0 * len(model.coefficients) - 2.0 * model.loglik
 
     best = aic(chosen)

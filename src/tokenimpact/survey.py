@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import csv
+import math
 import numpy as np
 
 from .errors import ValidationError
@@ -103,8 +104,9 @@ class CallRecord:
         object.__setattr__(self, "tokens", tuple(bool(t) for t in self.tokens))
         if self.rating not in (1, 2, 3, 4, 5):
             raise ValidationError(f"rating {self.rating!r} outside 1..5")
-        if not (self.duration_s >= 0):
-            raise ValidationError(f"negative duration {self.duration_s!r}")
+        if not 0 <= self.duration_s < math.inf:
+            kind = "negative" if self.duration_s < 0 else "non-finite"
+            raise ValidationError(f"{kind} duration {self.duration_s!r}")
         if self.rating == 5:
             if any(self.tokens):
                 raise ValidationError("tokens present on rating 5")

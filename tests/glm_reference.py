@@ -1,0 +1,114 @@
+"""Record-level reference for the pattern-level estimators in tokenimpact.glm.
+
+Each function works on one design row per record. The property test in
+test_glm.py compares them with the library's estimators, which work on the
+distinct group-indicator patterns, on random designs.
+"""
+
+import numpy as np
+from scipy.special import expit
+from scipy.stats import rankdata
+
+
+def assemble(indicators, pairs, fixed=()):
+    """Record-level design (intercept first); ``fixed`` groups forced to zero."""
+    indicators = np.array(indicators, dtype=np.float64)
+    indicators[:, list(fixed)] = 0.0
+    cols = [np.ones(indicators.shape[0]), *indicators.T]
+    cols += [indicators[:, a] * indicators[:, b] for a, b in pairs]
+    return np.column_stack(cols)
+
+
+def scores(matrix, beta):
+    # a row-wise reduction gives identical records identical scores
+    return expit((matrix * beta).sum(axis=1))
+
+
+def fit(matrix, y, ridge=1e-6, tol=1e-8, max_iter=100):
+    """Penalized IRLS with step halving, one Bernoulli trial per row."""
+    y = np.asarray(y, dtype=np.float64)
+    p = matrix.shape[1]
+    penalized = np.r_[0.0, np.ones(p - 1)]
+    beta = np.zeros(p)
+    beta[0] = np.log(y.mean() / (1.0 - y.mean()))
+
+    def objective(b):
+        eta = matrix @ b
+        return y @ eta - np.logaddexp(0.0, eta).sum() - 0.5 * ridge * (penalized * b * b).sum()
+
+    current = objective(beta)
+    for _ in range(max_iter):
+        mu = expit(matrix @ beta)
+        weights = np.clip(mu * (1.0 - mu), 1e-10, None)
+        gradient = matrix.T @ (y - mu) - ridge * penalized * beta
+        hessian = (matrix * weights[:, None]).T @ matrix + ridge * np.diag(penalized)
+        delta = np.linalg.solve(hessian, gradient)
+        step = 1.0
+        candidate = beta + delta
+        value = objective(candidate)
+        while value < current - 1e-12 and step > 1e-10:
+            step *= 0.5
+            candidate = beta + step * delta
+            value = objective(candidate)
+        if value < current - 1e-12:
+            break
+        change = np.max(np.abs(candidate - beta))
+        beta, current = candidate, value
+        if change < tol:
+            break
+    return beta
+
+
+def reduction(beta, matrix, fixed_matrix):
+    """Relative drop in the mean predicted poor probability over records."""
+    return float(1.0 - scores(fixed_matrix, beta).mean() / scores(matrix, beta).mean())
+
+
+def bootstrap_ci(beta, covariance, matrix, fixed_matrix, group_index, n_boot, seed):
+    """Percentile CI over replicates that resample record rows."""
+    factor = np.linalg.cholesky(covariance)
+    n = matrix.shape[0]
+    replicates = np.empty(n_boot)
+    for b in range(n_boot):
+        rng = np.random.default_rng([seed, group_index, b])
+        idx = rng.integers(0, n, size=n)
+        draw = beta + factor @ rng.standard_normal(len(beta))
+        replicates[b] = reduction(draw, matrix[idx], fixed_matrix[idx])
+    return tuple(np.percentile(replicates, [2.5, 97.5]))
+
+
+def cumulative(beta, indicators, pairs):
+    """Running reduction, groups fixed by descending single reduction."""
+    matrix = assemble(indicators, pairs)
+    n_groups = np.shape(indicators)[1]
+    singles = [
+        reduction(beta, matrix, assemble(indicators, pairs, [g])) for g in range(n_groups)
+    ]
+    order = sorted(range(n_groups), key=lambda g: (-singles[g], g))
+    return [
+        (g, reduction(beta, matrix, assemble(indicators, pairs, order[: i + 1])))
+        for i, g in enumerate(order)
+    ]
+
+
+def auc(score, labels):
+    """Mann-Whitney AUC with average ranks for ties."""
+    y = np.asarray(labels, dtype=bool)
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
+    return float((rankdata(score)[y].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def roc(score, labels):
+    """(fpr, tpr, thresholds) with one point per distinct score, highest first."""
+    y = np.asarray(labels, dtype=bool)
+    order = np.argsort(-score, kind="stable")
+    sorted_scores, sorted_labels = score[order], y[order]
+    distinct = np.r_[np.flatnonzero(np.diff(sorted_scores)), y.size - 1]
+    tp = np.cumsum(sorted_labels)[distinct]
+    fp = np.cumsum(~sorted_labels)[distinct]
+    return (
+        np.r_[0.0, fp / fp[-1]],
+        np.r_[0.0, tp / tp[-1]],
+        np.r_[np.inf, sorted_scores[distinct]],
+    )

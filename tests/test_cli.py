@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tokenimpact
 from tokenimpact.cli import main
 from tokenimpact.survey import write_csv
 
@@ -55,6 +60,20 @@ class TestSimulate:
     def test_spec_and_preset_are_exclusive(self, tmp_path):
         assert run("simulate", "--out", tmp_path / "x.csv") == 2
 
+    @pytest.mark.parametrize("module", ["tokenimpact", "tokenimpact.cli"])
+    def test_module_entry_point_writes_csv(self, tmp_path, module):
+        out = tmp_path / "s.csv"
+        src = str(Path(tokenimpact.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "simulate", "--preset", "default-world",
+             "--n", "300", "--seed", "1", "--out", str(out), "--truth-mc", "100"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text().startswith("call_id,rating,duration_s,ptq_submitted,")
+
     def test_preset_requires_seed(self, tmp_path):
         rc = run("simulate", "--preset", "default-world", "--out", tmp_path / "x.csv")
         assert rc == 2
@@ -81,6 +100,14 @@ class TestDescribe:
         bad = tmp_path / "bad.csv"
         bad.write_text("call_id,rating,duration_s,ptq_submitted,token_a\nc1,9,5,0,0\n")
         assert run("describe", "--input", bad, "--outdir", tmp_path / "o", "--seed", 1) == 2
+
+    def test_non_finite_duration_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("call_id,rating,duration_s,ptq_submitted,token_a\nc1,2,inf,1,1\n")
+        out = tmp_path / "o"
+        assert run("timu", "--input", bad, "--outdir", out, "--seed", 1) == 2
+        assert "line 2: non-finite duration" in capsys.readouterr().err
+        assert not (out / "timu_report.json").exists()
 
     def test_rerun_byte_identical(self, tmp_path, world_csv):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -232,6 +259,11 @@ class TestTimm:
         cfg.write_text(json.dumps({"repz": 20}))
         rc = run("timm", "impact", "--input", world_csv, "--outdir", tmp_path / "o",
                  "--config", cfg, "--seed", 5)
+        assert rc == 2
+
+    def test_auto_interactions_rejected(self, tmp_path, world_csv):
+        rc = run("timm", "impact", "--input", world_csv, "--outdir", tmp_path / "o",
+                 "--seed", 5, "--reps", 20, "--bootstrap", 30, "--interactions", "auto")
         assert rc == 2
 
     def test_explicit_interactions(self, tmp_path, world_csv):

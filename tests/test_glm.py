@@ -1,10 +1,14 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit, logit
 
+import glm_reference as reference
 from tokenimpact.errors import GlmError
 from tokenimpact.glm import (
-    Design,
     DesignSpec,
     LogisticModel,
     auc_score,
@@ -33,20 +37,12 @@ def auc_oracle(scores, labels):
 
 
 def make_design(indicators, y, pairs=()):
-    indicators = np.asarray(indicators, dtype=np.float64)
-    names = tuple(f"group_{j + 1}" for j in range(indicators.shape[1]))
-    cols = [np.ones(indicators.shape[0])]
-    cols.extend(indicators.T)
-    for a, b in pairs:
-        cols.append(indicators[:, a] * indicators[:, b])
-    return Design(
-        columns=("intercept",) + names + tuple(f"{names[a]}:{names[b]}" for a, b in pairs),
-        matrix=np.column_stack(cols),
-        response=np.asarray(y, dtype=np.float64),
-        group_indicators=indicators,
-        group_names=names,
-        interactions=tuple(pairs),
-    )
+    """Design of records whose group j is token j; poor records are rated 1."""
+    indicators = np.asarray(indicators, dtype=bool)
+    rows = [(1 if poor else 4, 60.0, tuple(bits)) for bits, poor in zip(indicators, y)]
+    ds = make_dataset(rows, n_tokens=indicators.shape[1])
+    grouping = grouping_from_partition(ds.vocabulary.names, range(indicators.shape[1]))
+    return build_design(ds, DesignSpec(grouping=grouping, interactions=tuple(pairs)))
 
 
 def make_model(coefficients, terms=None):
@@ -77,9 +73,13 @@ class TestBuildDesign:
         grouping = grouping_from_partition(ds.vocabulary.names, (0, 0, 1, 1))
         design = build_design(ds, DesignSpec(grouping=grouping, interactions=((0, 1),)))
         assert design.columns == ("intercept", "group_1", "group_2", "group_1:group_2")
-        np.testing.assert_array_equal(design.matrix[0], [1, 1, 1, 1])
-        np.testing.assert_array_equal(design.matrix[1], [1, 1, 0, 0])
-        np.testing.assert_array_equal(design.matrix[3], [1, 0, 0, 0])
+        # four records, four distinct patterns, each seen once
+        np.testing.assert_array_equal(
+            design.matrix[design.row_pattern],
+            [[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 0]],
+        )
+        np.testing.assert_array_equal(design.trials, [1, 1, 1, 1])
+        np.testing.assert_array_equal(design.successes[design.row_pattern], [1, 1, 0, 0])
         np.testing.assert_array_equal(design.response, [1, 1, 0, 0])
 
     def test_column_means_equal_prevalences(self):
@@ -88,8 +88,8 @@ class TestBuildDesign:
         design = build_design(ds, DesignSpec(grouping=grouping))
         g1 = ds.token_matrix[:, :2].any(axis=1).mean()
         g2 = ds.token_matrix[:, 2:].any(axis=1).mean()
-        assert design.matrix[:, 1].mean() == g1
-        assert design.matrix[:, 2].mean() == g2
+        assert design.trials @ design.matrix[:, 1] / design.n_records == g1
+        assert design.trials @ design.matrix[:, 2] / design.n_records == g2
 
     def test_empty_group_rejected(self):
         ds = self._dataset()
@@ -100,6 +100,18 @@ class TestBuildDesign:
         )
         with pytest.raises(GlmError, match="empty"):
             build_design(ds, DesignSpec(grouping=bad))
+
+    def test_group_count_limit(self):
+        # 64 groups fill every bit of the int64 pattern code, the sign included
+        rows = [(1, 1.0, [j == 63 for j in range(65)]), (4, 1.0, [j == 0 for j in range(65)])]
+        ds = make_dataset(rows, n_tokens=65)
+        names = ds.vocabulary.names
+        design = build_design(ds, DesignSpec(grouping_from_partition(names[:64], range(64))))
+        indicators = design.group_indicators[design.row_pattern]
+        np.testing.assert_array_equal(indicators[:, [0, 63]], [[0, 1], [1, 0]])
+        assert indicators.sum() == 2
+        with pytest.raises(GlmError, match="at most 64"):
+            build_design(ds, DesignSpec(grouping_from_partition(names, range(65))))
 
     def test_interaction_validation(self):
         ds = self._dataset()
@@ -144,9 +156,8 @@ class TestFitLogistic:
         grouping = grouping_from_partition(ds.vocabulary.names, spec.group_partition)
         design = build_design(ds, DesignSpec(grouping=grouping))
         model = fit_logistic(design)
-        assert model.predict_proba(design.matrix).mean() == pytest.approx(
-            design.response.mean(), abs=1e-4
-        )
+        mean = design.trials @ model.predict_proba(design.matrix) / design.n_records
+        assert mean == pytest.approx(design.response.mean(), abs=1e-4)
         assert ((model.predict_proba(design.matrix) > 0) &
                 (model.predict_proba(design.matrix) < 1)).all()
 
@@ -244,7 +255,7 @@ class TestCounterfactuals:
         model = make_model([-2.0, 1.5, 1.0, 0.8, 0.3])
         p_orig = model.predict_proba(design.matrix)
         for g in range(3):
-            p_fix = model.predict_proba(design.with_groups_fixed([g]).matrix)
+            p_fix = model.predict_proba(design.fixed_matrix([g]))
             assert (p_fix <= p_orig + 1e-12).all()
 
     def test_single_group_cumulative_equals_individual(self):
@@ -262,7 +273,7 @@ class TestCounterfactuals:
         design = make_design(indicators, y, pairs=((0, 1),))
         model = make_model([-1.2, 0.9, 0.7, -0.5])
         cumulative = cumulative_impact(model, design)
-        p_orig = model.predict_proba(design.matrix).mean()
+        p_orig = design.trials @ model.predict_proba(design.matrix) / design.n_records
         expected_final = 1.0 - expit(-1.2) / p_orig
         assert cumulative[-1][1] == pytest.approx(expected_final, abs=1e-12)
 
@@ -326,3 +337,58 @@ class TestImpactReport:
         grouping = grouping_from_partition(ds.vocabulary.names, spec.group_partition)
         chosen = select_interactions_aic(ds, grouping)
         assert (0, 1) in chosen
+
+
+@st.composite
+def indicator_designs(draw):
+    """Random records over 1-4 groups with interactions; many records share
+    each indicator pattern, so scores tie."""
+    n_groups = draw(st.integers(1, 4))
+    all_pairs = list(combinations(range(n_groups), 2))
+    pairs = draw(st.lists(st.sampled_from(all_pairs), unique=True)) if all_pairs else []
+    n = draw(st.integers(20, 250))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    indicators = rng.random((n, n_groups)) < rng.uniform(0.1, 0.6, n_groups)
+    y = rng.random(n) < expit(-1.0 + indicators @ rng.normal(1.0, 0.7, n_groups))
+    # a poor and a good record for every pattern present: no pattern is
+    # separated, so the maximum likelihood fit is interior and well defined
+    patterns = np.unique(indicators, axis=0)
+    indicators = np.r_[indicators, patterns, patterns]
+    y = np.r_[y, np.ones(len(patterns), bool), np.zeros(len(patterns), bool)]
+    return indicators, y, tuple(pairs)
+
+
+class TestPatternPathMatchesRowReference:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(indicator_designs())
+    def test_fit_counterfactuals_and_roc(self, case):
+        indicators, y, pairs = case
+        design = make_design(indicators, y, pairs)
+        rows = reference.assemble(indicators, pairs)
+        model = fit_logistic(design)
+        np.testing.assert_allclose(
+            model.coefficients, reference.fit(rows, y), rtol=0, atol=1e-10
+        )
+        beta = model.coefficients
+        for g in range(indicators.shape[1]):
+            fixed = reference.assemble(indicators, pairs, [g])
+            impact = group_fix_impact(model, design, g, n_boot=25, seed=3)
+            lo, hi = reference.bootstrap_ci(beta, model.covariance, rows, fixed, g, 25, 3)
+            np.testing.assert_allclose(
+                [impact.reduction, impact.ci_lo, impact.ci_hi],
+                [reference.reduction(beta, rows, fixed), lo, hi],
+                rtol=0, atol=1e-12,
+            )
+        got = cumulative_impact(model, design)
+        want = reference.cumulative(beta, indicators, pairs)
+        assert [g for g, _ in got] == [g for g, _ in want]
+        np.testing.assert_allclose(
+            [r for _, r in got], [r for _, r in want], rtol=0, atol=1e-12
+        )
+        scores = reference.scores(rows, beta)
+        roc = evaluate(model, design)
+        assert roc.auc == pytest.approx(reference.auc(scores, y), abs=1e-12)
+        for got_values, want_values in zip(
+            (roc.fpr, roc.tpr, roc.thresholds), reference.roc(scores, y)
+        ):
+            np.testing.assert_allclose(got_values, want_values, rtol=0, atol=1e-12)

@@ -133,6 +133,12 @@ class TestLoadCsv:
         with pytest.raises(ValidationError, match="line 2.*boolean"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text", ["inf", "nan", "Infinity"])
+    def test_non_finite_duration_rejected(self, tmp_path, text):
+        path = _write(tmp_path, f"c1,3,60,0,0,0\nc2,3,{text},0,0,0\n")
+        with pytest.raises(ValidationError, match="line 3: non-finite duration"):
+            load_csv(path)
+
     def test_unknown_token_column_rejected(self, tmp_path):
         vocab = TokenVocabulary(names=("a",))
         path = _write(tmp_path, "c1,3,60,0,0,0\n")
