@@ -36,7 +36,14 @@ from .factors import (
 )
 from .glm import DesignSpec, build_design, fit_logistic, impact_report, select_interactions_aic
 from .polychoric import polychoric_matrix
-from .survey import balance_resample, clean_uninformative, load_csv, restrict_tokened_poor, write_csv
+from .survey import (
+    SurveyDataset,
+    balance_resample,
+    clean_uninformative,
+    load_csv,
+    restrict_tokened_poor,
+    write_csv,
+)
 from .synthetic import GeneratorSpec, default_world_spec, generate
 from .timu import Metric, MetricSpec, rank_tokens, resolve_fix_value
 
@@ -110,7 +117,7 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _provenance(cfg: RunConfig, input_path: Path, lineage: tuple[str, ...]) -> dict:
+def _provenance(cfg: RunConfig, source: dict, lineage: tuple[str, ...]) -> dict:
     # analysis parameters only; file locations and execution details (thread
     # count) must not leak into artifacts or byte-identical regeneration
     # across directories and worker counts breaks
@@ -120,8 +127,7 @@ def _provenance(cfg: RunConfig, input_path: Path, lineage: tuple[str, ...]) -> d
         if k not in ("input", "outdir", "threads") and getattr(cfg, k) is not None
     }
     return {
-        "input": str(input_path),
-        "input_sha256": _sha256(input_path),
+        **source,
         "config": config,
         "seed": cfg.seed,
         "version": __version__,
@@ -130,9 +136,14 @@ def _provenance(cfg: RunConfig, input_path: Path, lineage: tuple[str, ...]) -> d
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    # serialize before opening, so a refused payload leaves no partial file
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"{path.name} would contain a non-finite number: {exc}") from None
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
 
 
@@ -151,12 +162,13 @@ def _write_matrix_csv(path: Path, tokens: tuple[str, ...], values: np.ndarray) -
     _write_rows(path, ["token"] + list(tokens), rows)
 
 
-def _load_input(cfg: RunConfig) -> tuple[Path, "object"]:
+def _load_input(cfg: RunConfig) -> tuple[dict, SurveyDataset]:
+    """Provenance fields of the input CSV (path and SHA-256) and its dataset."""
     if not cfg.input:
         raise ValidationError("an --input CSV is required")
     path = Path(cfg.input)
     ds = load_csv(path)
-    return path, ds
+    return {"input": str(path), "input_sha256": _sha256(path)}, ds
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -177,12 +189,21 @@ def _ig_entry(x: np.ndarray, y: np.ndarray) -> dict:
     }
 
 
-def cmd_describe(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, ("input", "outdir", "seed", "threads"))
-    seed = cfg.require_seed()
-    path, ds = _load_input(cfg)
-    out = _outdir(cfg)
+_DESCRIBE_KEYS = ("input", "outdir", "seed", "threads")
+_TIMU_KEYS = ("input", "outdir", "seed", "metric", "fix_value", "strict_delta", "restrict")
 
+
+def cmd_describe(args: argparse.Namespace) -> int:
+    cfg = _merge_config(args, _DESCRIBE_KEYS)
+    seed = cfg.require_seed()
+    source, ds = _load_input(cfg)
+    _write_describe(_outdir(cfg), cfg, source, ds, seed)
+    return 0
+
+
+def _write_describe(
+    out: Path, cfg: RunConfig, source: dict, ds: SurveyDataset, seed: int
+) -> None:
     report = token_frequencies(ds)
     jac = jaccard_matrix(ds)
     any_token = ds.any_token_mask
@@ -195,7 +216,7 @@ def cmd_describe(args: argparse.Namespace) -> int:
         ig["balanced"] = None
 
     payload = {
-        "provenance": _provenance(cfg, path, ds.provenance),
+        "provenance": _provenance(cfg, source, ds.provenance),
         "frequencies": report.to_dict(),
         "information_gain": ig,
         "jaccard": jac.to_dict(),
@@ -210,7 +231,6 @@ def cmd_describe(args: argparse.Namespace) -> int:
     _write_rows(out / "token_rates.csv", ["token", "population", "rate"], rate_rows)
     _write_matrix_csv(out / "jaccard.csv", jac.tokens, jac.values)
     log.info("describe: %d records, %d tokens", ds.n_records, len(ds.vocabulary))
-    return 0
 
 
 def _restricted(ds, cfg: RunConfig, seed: int):
@@ -220,15 +240,15 @@ def _restricted(ds, cfg: RunConfig, seed: int):
 
 
 def cmd_timu(args: argparse.Namespace) -> int:
-    cfg = _merge_config(
-        args,
-        ("input", "outdir", "seed", "metric", "fix_value", "strict_delta", "restrict"),
-    )
+    cfg = _merge_config(args, _TIMU_KEYS)
     seed = cfg.require_seed()
-    path, ds = _load_input(cfg)
+    source, ds = _load_input(cfg)
     out = _outdir(cfg)
-    ds = _restricted(ds, cfg, seed)
+    _write_timu(out, cfg, source, _restricted(ds, cfg, seed))
+    return 0
 
+
+def _write_timu(out: Path, cfg: RunConfig, source: dict, ds: SurveyDataset) -> None:
     metrics: dict[str, MetricSpec] = {}
     if cfg.metric in ("pcr", "both"):
         metrics["pcr"] = MetricSpec(Metric.POOR_INDICATOR, fix_value=cfg.fix_value)
@@ -251,7 +271,7 @@ def cmd_timu(args: argparse.Namespace) -> int:
                 [name, r.token_or_set, repr(r.mean_impact), repr(r.ci95_halfwidth)]
             )
     payload = {
-        "provenance": _provenance(cfg, path, ds.provenance),
+        "provenance": _provenance(cfg, source, ds.provenance),
         "strict_delta": cfg.strict_delta,
         "fix_values": fix_values,
         "rankings": rankings,
@@ -262,7 +282,6 @@ def cmd_timu(args: argparse.Namespace) -> int:
         ["metric", "token", "impact", "ci95_halfwidth"],
         plot_rows,
     )
-    return 0
 
 
 def _parse_interactions(text: str) -> tuple[tuple[int, int], ...]:
@@ -337,7 +356,7 @@ _TIMM_KEYS = (
 )
 
 
-def _write_factor_artifacts(out: Path, cfg: RunConfig, path: Path, art: dict) -> None:
+def _write_factor_artifacts(out: Path, cfg: RunConfig, source: dict, art: dict) -> None:
     ds = art["dataset"]
     corr = art["corr"]
     model = art["model"]
@@ -354,19 +373,21 @@ def _write_factor_artifacts(out: Path, cfg: RunConfig, path: Path, art: dict) ->
     _write_json(
         out / "grouping.json",
         {
-            "provenance": _provenance(cfg, path, ds.provenance),
+            "provenance": _provenance(cfg, source, ds.provenance),
             "grouping": art["grouping"].to_dict(),
         },
     )
     _write_json(
         out / "factors_report.json",
         {
-            "provenance": _provenance(cfg, path, ds.provenance),
+            "provenance": _provenance(cfg, source, ds.provenance),
             "removed_tokens": list(art["removed"]),
             "parallel_analysis": art["pa"].to_dict(),
             "n_factors": art["k"],
             "psd_repaired": corr.psd_repaired,
             "min_eigenvalue_before": corr.min_eigenvalue_before,
+            "corrected_pairs": [list(pair) for pair in corr.corrected_pairs],
+            "unconverged_pairs": [list(pair) for pair in corr.unconverged_pairs],
             "factor_model": model.to_dict(),
         },
     )
@@ -375,27 +396,32 @@ def _write_factor_artifacts(out: Path, cfg: RunConfig, path: Path, art: dict) ->
 def cmd_timm_factors(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, _TIMM_KEYS)
     seed = cfg.require_seed()
-    path, ds = _load_input(cfg)
+    source, ds = _load_input(cfg)
     out = _outdir(cfg)
-    ds = _restricted(ds, cfg, seed)
-    art = _timm_pipeline(ds, cfg, seed, want_impact=False)
-    _write_factor_artifacts(out, cfg, path, art)
+    art = _timm_pipeline(_restricted(ds, cfg, seed), cfg, seed, want_impact=False)
+    _write_factor_artifacts(out, cfg, source, art)
     return 0
 
 
 def cmd_timm_impact(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, _TIMM_KEYS)
     seed = cfg.require_seed()
-    path, ds = _load_input(cfg)
+    source, ds = _load_input(cfg)
     out = _outdir(cfg)
-    ds = _restricted(ds, cfg, seed)
+    _write_timm_impact(out, cfg, source, _restricted(ds, cfg, seed), seed)
+    return 0
+
+
+def _write_timm_impact(
+    out: Path, cfg: RunConfig, source: dict, ds: SurveyDataset, seed: int
+) -> None:
     art = _timm_pipeline(ds, cfg, seed, want_impact=True)
-    _write_factor_artifacts(out, cfg, path, art)
+    _write_factor_artifacts(out, cfg, source, art)
     report = art["impact"]
     _write_json(
         out / "impact_report.json",
         {
-            "provenance": _provenance(cfg, path, art["dataset"].provenance),
+            "provenance": _provenance(cfg, source, art["dataset"].provenance),
             "interactions": [list(p) for p in art["pairs"]],
             "glm": art["glm"].to_dict(),
             "impact": report.to_dict(),
@@ -420,7 +446,6 @@ def cmd_timm_impact(args: argparse.Namespace) -> int:
         ["group", "individual", "cumulative", "ci_lo", "ci_hi"],
         rows,
     )
-    return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -449,13 +474,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    rc = cmd_describe(args)
-    rc = rc or cmd_timu(args)
-    rc = rc or cmd_timm_impact(args)
-    if rc:
-        return rc
+    """describe, timu and timm impact on one load and one restriction.
+
+    Each stage keeps its own merged options, so its artifacts are the ones
+    the stand-alone command writes.
+    """
+    describe_cfg = _merge_config(args, _DESCRIBE_KEYS)
+    timu_cfg = _merge_config(args, _TIMU_KEYS)
     cfg = _merge_config(args, _TIMM_KEYS)
+    seed = cfg.require_seed()
+    source, ds = _load_input(cfg)
     out = _outdir(cfg)
+    _write_describe(out, describe_cfg, source, ds, seed)
+    restricted = _restricted(ds, cfg, seed)
+    _write_timu(out, timu_cfg, source, restricted)
+    _write_timm_impact(out, cfg, source, restricted, seed)
     _write_json(
         out / "summary.json",
         {

@@ -24,7 +24,9 @@ class FactorModel:
 
     variance_explained is per factor, as a fraction of total (token count)
     variance; factors are ordered by it, descending. Heywood tokens had
-    their communality clamped to 1 during extraction.
+    their communality clamped to 1 during extraction. ``converged`` and
+    ``n_iter`` describe the extraction; ``rotation_converged`` and
+    ``rotation_iterations`` the varimax rotation (0 sweeps when none ran).
     """
 
     tokens: tuple[str, ...]
@@ -35,6 +37,8 @@ class FactorModel:
     converged: bool
     n_iter: int
     heywood_tokens: tuple[str, ...] = ()
+    rotation_iterations: int = 0
+    rotation_converged: bool = True
 
     @property
     def n_factors(self) -> int:
@@ -50,6 +54,8 @@ class FactorModel:
             "converged": self.converged,
             "n_iter": self.n_iter,
             "heywood_tokens": list(self.heywood_tokens),
+            "rotation_iterations": self.rotation_iterations,
+            "rotation_converged": self.rotation_converged,
         }
 
 
@@ -113,7 +119,7 @@ def _reference_eigenvalues(
 ) -> np.ndarray:
     rng = np.random.default_rng([seed, rep])
     x = rng.random((n, prevalences.size)) < prevalences
-    values, _, _ = _matrix_values(x)
+    values = _matrix_values(x)[0]
     return np.sort(np.linalg.eigvalsh(values))[::-1]
 
 
@@ -282,16 +288,18 @@ def varimax_criterion(loadings: np.ndarray, normalize: bool = False) -> float:
 
 def _varimax_rotation(
     lam: np.ndarray, tol: float, max_iter: int
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, bool]:
     """Orthogonal rotation maximizing the varimax criterion (SVD updates).
 
     The singular-value sum is the objective surrogate and is non-decreasing
-    across sweeps.
+    across sweeps. Returns the rotation, the sweeps run and whether the
+    objective stopped rising by more than ``tol`` before ``max_iter``.
     """
     p, k = lam.shape
     rotation = np.eye(k)
     objective = 0.0
     it = 0
+    converged = False
     for it in range(1, max_iter + 1):
         basis = lam @ rotation
         gradient = lam.T @ (
@@ -301,9 +309,10 @@ def _varimax_rotation(
         rotation = u @ vt
         new_objective = s.sum()
         if new_objective <= objective * (1.0 + tol):
+            converged = True
             break
         objective = new_objective
-    return rotation, it
+    return rotation, it, converged
 
 
 def varimax(model: FactorModel, tol: float = 1e-8, max_iter: int = 1000) -> FactorModel:
@@ -316,13 +325,14 @@ def varimax(model: FactorModel, tol: float = 1e-8, max_iter: int = 1000) -> Fact
     """
     lam = model.loadings
     p, k = lam.shape
+    sweeps, rotation_converged = 0, True
     if k == 1:
         rotated = lam.copy()
     else:
         h = np.sqrt((lam**2).sum(axis=1))
         h_safe = np.where(h > 0, h, 1.0)
         normalized = lam / h_safe[:, None]
-        rotation, _ = _varimax_rotation(normalized, tol, max_iter)
+        rotation, sweeps, rotation_converged = _varimax_rotation(normalized, tol, max_iter)
         rotated = (normalized @ rotation) * h_safe[:, None]
     rotated = _sign_fix(rotated)
     explained = (rotated**2).sum(axis=0) / p
@@ -338,6 +348,8 @@ def varimax(model: FactorModel, tol: float = 1e-8, max_iter: int = 1000) -> Fact
         converged=model.converged,
         n_iter=model.n_iter,
         heywood_tokens=model.heywood_tokens,
+        rotation_iterations=sweeps,
+        rotation_converged=rotation_converged,
     )
 
 

@@ -2,13 +2,21 @@
 
 Each token is modelled as a dichotomised continuous trait: the pair of traits
 is standard bivariate normal and a token fires when its trait exceeds a
-threshold. The threshold is recovered from the marginal selection rate and
-the correlation by maximum likelihood over the observed 2x2 table.
+threshold. The two-step estimator (Olsson 1979) takes each threshold from the
+table's own marginal rate and then fits rho by maximum likelihood over the
+observed 2x2 table.
+
+With the thresholds fixed at the marginals, the four model cells can match
+the observed proportions exactly, so the likelihood's maximum is the unique
+root of ``p11(rho) = n11 / N``. ``p11`` rises strictly in rho with slope
+equal to the bivariate-normal density at the thresholds (Plackett's
+identity), and the root is found by a bracketed Newton iteration.
 
 The numerical kernel is a fixed-order Gauss-Legendre scheme for the upper
 orthant probability of the bivariate normal (Drezner-Wesolowsky integral for
 moderate correlation, a singularity-subtracted expansion near |rho| = 1),
-accurate to well below 1e-7 absolute error.
+accurate to well below 1e-7 absolute error. It works element by element, so
+a table's estimate does not depend on the other tables in its batch.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ _PROB_FLOOR = 1e-300
 
 _RHO_BOUND = 1.0 - 1e-12
 _DEFAULT_TOL = 1e-8
+_MAX_ITER = 100
 
 
 def _bvn_moderate(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -40,7 +49,10 @@ def _bvn_moderate(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
     hs = 0.5 * (h * h + k * k)
     sn = np.sin(0.5 * asr[..., None] * (_GL_NODES + 1.0))
     integrand = np.exp((sn * hk[..., None] - hs[..., None]) / (1.0 - sn * sn))
-    return ndtr(-h) * ndtr(-k) + (asr / (4.0 * np.pi)) * (integrand @ _GL_WEIGHTS)
+    # a row sum, not a BLAS product, keeps each table's value independent of
+    # the batch it is evaluated in
+    quadrature = (integrand * _GL_WEIGHTS).sum(axis=-1)
+    return ndtr(-h) * ndtr(-k) + (asr / (4.0 * np.pi)) * quadrature
 
 
 def _bvn_extreme(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -186,40 +198,65 @@ def _loglik_batch(
     return np.sum(cells * np.log(probs), axis=-1)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+def _p11_slope(h: np.ndarray, k: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """d p11 / d theta at rho = sin(theta).
+
+    By Plackett's identity d p11 / d rho is the bivariate-normal density
+    ``phi2(h, k, rho)``; times d rho / d theta = cos(theta) it is
+    ``exp(-Q / 2) / (2 pi)``, which stays finite as |rho| -> 1.
+    """
+    rho = np.sin(theta)
+    quad = (h * h - 2.0 * rho * h * k + k * k) / np.cos(theta) ** 2
+    return np.exp(-0.5 * quad) / (2.0 * math.pi)
+
+
+_THETA_BOUND = math.asin(_RHO_BOUND)
 
 
 def _maximize_rho(
     cells: np.ndarray, px: np.ndarray, py: np.ndarray,
     tx: np.ndarray, ty: np.ndarray, tol: float = _DEFAULT_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section maximum of the table likelihood over rho in (-1, 1).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximum-likelihood rho of each table, with its loglik and convergence.
 
-    Runs lock-step over a batch of tables; the iteration count is fixed by
-    the tolerance, so results are independent of batch composition order.
+    At the marginal thresholds the likelihood peaks where the model's
+    ``p11(rho)`` equals the observed ``n11 / N``, and ``p11`` is strictly
+    increasing in rho. The root is solved in theta = arcsin(rho), where the
+    slope ``phi2(tx, ty, rho) * cos(theta)`` stays bounded as |rho| -> 1, so
+    a small step means a small residual even next to the boundary. Each table
+    starts at rho = 0 inside the bracket ``[-_RHO_BOUND, _RHO_BOUND]`` and
+    takes Newton steps, narrowing the bracket by the sign of the residual and
+    bisecting whenever a step is not finite or leaves the bracket. A table is
+    frozen once its step is below ``tol`` (``converged``), so its rho does not
+    depend on which tables share the batch; one still moving after
+    ``_MAX_ITER`` steps is returned where it stands with ``converged`` False.
     """
     m = cells.shape[0]
-    lo = np.full(m, -_RHO_BOUND)
-    hi = np.full(m, _RHO_BOUND)
-    n_iter = int(math.ceil(math.log(tol / (2.0 * _RHO_BOUND)) / math.log(_GOLDEN)))
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1 = _loglik_batch(cells, px, py, tx, ty, x1)
-    f2 = _loglik_batch(cells, px, py, tx, ty, x2)
-    for _ in range(n_iter):
-        left = f1 > f2
-        hi = np.where(left, x2, hi)
-        lo = np.where(left, lo, x1)
-        x_new = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
-        f_new = _loglik_batch(cells, px, py, tx, ty, x_new)
-        x1_old, f1_old = x1, f1
-        x1 = np.where(left, x_new, x2)
-        f1 = np.where(left, f_new, f2)
-        x2 = np.where(left, x1_old, x_new)
-        f2 = np.where(left, f1_old, f_new)
-    rho = 0.5 * (lo + hi)
+    target = cells[:, 3] / cells.sum(axis=1)
+    theta = np.zeros(m)
+    lo = np.full(m, -_THETA_BOUND)
+    hi = np.full(m, _THETA_BOUND)
+    converged = np.zeros(m, dtype=bool)
+    active = np.arange(m)
+    for _ in range(_MAX_ITER):
+        if active.size == 0:
+            break
+        t, h, k = theta[active], tx[active], ty[active]
+        residual = _bvn_upper(h, k, np.sin(t)) - target[active]
+        below = np.where(residual < 0.0, t, lo[active])
+        above = np.where(residual > 0.0, t, hi[active])
+        lo[active], hi[active] = below, above
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            new = t - residual / _p11_slope(h, k, t)
+        inside = (new >= below) & (new <= above)  # False for a non-finite step
+        new = np.where(inside, new, 0.5 * (below + above))
+        theta[active] = new
+        done = np.abs(new - t) < tol
+        converged[active[done]] = True
+        active = active[~done]
+    rho = np.sin(theta)
     loglik = _loglik_batch(cells, px, py, tx, ty, rho)
-    return rho, loglik
+    return rho, loglik, converged
 
 
 def _prepare_tables(
@@ -246,17 +283,18 @@ def estimate_polychoric(table: ContingencyTable2x2) -> PolychoricEstimate:
     Thresholds come from the inverse normal of the marginal proportions; rho
     maximizes the multinomial likelihood of the four cells at those
     thresholds. Zero cells receive a +0.5 continuity correction (flagged via
-    ``corrected``) since they would otherwise force |rho| = 1.
+    ``corrected``) since they would otherwise force |rho| = 1. ``converged``
+    is the root solve's own flag.
     """
     raw = np.array([[table.n00, table.n01, table.n10, table.n11]], dtype=np.float64)
     cells, px, py, tx, ty, corrected = _prepare_tables(raw)
-    rho, loglik = _maximize_rho(cells, px, py, tx, ty)
+    rho, loglik, converged = _maximize_rho(cells, px, py, tx, ty)
     return PolychoricEstimate(
         rho=float(rho[0]),
         tau_x=float(tx[0]),
         tau_y=float(ty[0]),
         loglik=float(loglik[0]),
-        converged=True,
+        converged=bool(converged[0]),
         corrected=bool(corrected[0]),
     )
 
@@ -268,13 +306,17 @@ class PolychoricMatrix:
     When the pairwise estimates assemble into an indefinite matrix it is
     repaired by eigenvalue clipping and rescaled back to unit diagonal;
     ``psd_repaired`` records that, with the offending eigenvalue kept for
-    the report.
+    the report. ``corrected_pairs`` lists the token pairs whose table had a
+    zero cell continuity-corrected, ``unconverged_pairs`` those whose rho
+    solve did not converge.
     """
 
     tokens: tuple[str, ...]
     values: np.ndarray
     psd_repaired: bool
     min_eigenvalue_before: float
+    corrected_pairs: tuple[tuple[str, str], ...] = ()
+    unconverged_pairs: tuple[tuple[str, str], ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -282,6 +324,8 @@ class PolychoricMatrix:
             "values": [[float(v) for v in row] for row in self.values],
             "psd_repaired": self.psd_repaired,
             "min_eigenvalue_before": self.min_eigenvalue_before,
+            "corrected_pairs": [list(pair) for pair in self.corrected_pairs],
+            "unconverged_pairs": [list(pair) for pair in self.unconverged_pairs],
         }
 
 
@@ -332,16 +376,23 @@ def _pair_cells(token_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cells, pairs
 
 
-def _matrix_values(token_matrix: np.ndarray) -> tuple[np.ndarray, bool, float]:
-    """Pairwise latent correlations for a binary matrix, PSD-repaired."""
+def _matrix_values(
+    token_matrix: np.ndarray,
+) -> tuple[np.ndarray, bool, float, np.ndarray, np.ndarray]:
+    """Pairwise latent correlations for a binary matrix, PSD-repaired.
+
+    Also returns the per-pair ``corrected`` and ``converged`` masks, in the
+    ``np.triu_indices(p, 1)`` order of the pairs.
+    """
     p = token_matrix.shape[1]
     raw_cells, pairs = _pair_cells(token_matrix)
-    cells, px, py, tx, ty, _ = _prepare_tables(raw_cells)
-    rho, _ = _maximize_rho(cells, px, py, tx, ty)
+    cells, px, py, tx, ty, corrected = _prepare_tables(raw_cells)
+    rho, _, converged = _maximize_rho(cells, px, py, tx, ty)
     values = np.eye(p)
     values[pairs[:, 0], pairs[:, 1]] = rho
     values[pairs[:, 1], pairs[:, 0]] = rho
-    return repair_to_psd(values)
+    repaired, was_repaired, min_before = repair_to_psd(values)
+    return repaired, was_repaired, min_before, corrected, converged
 
 
 def polychoric_matrix(ds: SurveyDataset) -> PolychoricMatrix:
@@ -351,7 +402,9 @@ def polychoric_matrix(ds: SurveyDataset) -> PolychoricMatrix:
     if ds.n_records == 0:
         raise PolychoricError("empty dataset")
     try:
-        values, repaired, min_before = _matrix_values(ds.token_matrix)
+        values, repaired, min_before, corrected, converged = _matrix_values(
+            ds.token_matrix
+        )
     except PolychoricError as exc:
         # rerun pairwise to find the offending pair for the message
         raw_cells, pairs = _pair_cells(ds.token_matrix)
@@ -365,9 +418,17 @@ def polychoric_matrix(ds: SurveyDataset) -> PolychoricMatrix:
                 ) from None
         raise exc
     values.setflags(write=False)
+    names = ds.vocabulary.names
+    pairs = list(zip(*np.triu_indices(len(names), k=1)))
+
+    def named(mask: np.ndarray) -> tuple[tuple[str, str], ...]:
+        return tuple((names[i], names[j]) for (i, j), hit in zip(pairs, mask) if hit)
+
     return PolychoricMatrix(
-        tokens=ds.vocabulary.names,
+        tokens=names,
         values=values,
         psd_repaired=repaired,
         min_eigenvalue_before=min_before,
+        corrected_pairs=named(corrected),
+        unconverged_pairs=named(~converged),
     )

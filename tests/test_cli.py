@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tokenimpact
+from tokenimpact import cli
 from tokenimpact.cli import main
 from tokenimpact.survey import write_csv
 
@@ -115,6 +116,15 @@ class TestDescribe:
             assert run("describe", "--input", world_csv, "--outdir", out, "--seed", 3) == 0
         assert snapshot(a) == snapshot(b)
 
+    def test_non_finite_report_value_exits_2(self, tmp_path, world_csv, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "information_gain", lambda x, y: float("nan"))
+        out = tmp_path / "out"
+        assert run("describe", "--input", world_csv, "--outdir", out, "--seed", 3) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ValidationError"
+        assert "describe_report.json" in error["message"]
+        assert not (out / "describe_report.json").exists()
+
     def test_empty_token_dataset_gets_degenerate_flag(self, tmp_path):
         rows = [(1, 60.0, (0, 0))] * 3 + [(4, 60.0, (0, 0))] * 5
         ds = make_dataset(rows, n_tokens=2)
@@ -199,6 +209,9 @@ class TestTimm:
         factors = json.loads((out / "factors_report.json").read_text())
         assert factors["n_factors"] >= 1
         assert len(factors["parallel_analysis"]["observed_eigenvalues"]) == 15
+        assert factors["corrected_pairs"] == [] and factors["unconverged_pairs"] == []
+        model = factors["factor_model"]
+        assert model["rotation_converged"] and model["rotation_iterations"] >= 1
         poly = (out / "polychoric.csv").read_text().splitlines()
         assert poly[0].startswith("token,")
         assert len(poly) == 16
@@ -310,3 +323,23 @@ class TestReport:
         summary = json.loads((out / "summary.json").read_text())
         for name in summary["artifacts"]:
             assert (out / name).exists(), name
+
+    def test_one_load_matches_stand_alone_commands(self, tmp_path, world_csv, monkeypatch):
+        loads = []
+
+        def counting_load(path):
+            loads.append(path)
+            return tokenimpact.survey.load_csv(path)
+
+        options = ("--input", world_csv, "--seed", 5)
+        timm_options = ("--reps", 20, "--bootstrap", 30)
+        report, alone = tmp_path / "report", tmp_path / "alone"
+        monkeypatch.setattr(cli, "load_csv", counting_load)
+        assert run("report", *options, *timm_options, "--outdir", report) == 0
+        assert len(loads) == 1
+        assert run("describe", *options, "--outdir", alone) == 0
+        assert run("timu", *options, "--outdir", alone) == 0
+        assert run("timm", "impact", *options, *timm_options, "--outdir", alone) == 0
+        written = snapshot(report)
+        del written["summary.json"]
+        assert written == snapshot(alone)

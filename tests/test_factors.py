@@ -130,6 +130,16 @@ class TestVarimax:
         rotated = varimax(model)
         assert rotated.rotation == "varimax"
         assert np.allclose(rotated.loadings, model.loadings)
+        assert (rotated.rotation_iterations, rotated.rotation_converged) == (0, True)
+
+    def test_rotation_iterations_reported(self):
+        rng = np.random.default_rng(3)
+        model = model_from_loadings(rng.uniform(-1, 1, size=(12, 4)) * 0.45, rotation="none")
+        rotated = varimax(model)
+        assert rotated.rotation_converged and rotated.rotation_iterations >= 2
+        capped = varimax(model, max_iter=1)
+        assert (capped.rotation_iterations, capped.rotation_converged) == (1, False)
+        assert capped.to_dict()["rotation_converged"] is False
 
     def test_simple_structure_is_fixed_point(self):
         loadings = np.zeros((6, 2))

@@ -2,12 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import ndtr
 from scipy.stats import norm
 
+from tokenimpact import polychoric
 from tokenimpact.errors import PolychoricError
 from tokenimpact.polychoric import (
     ContingencyTable2x2,
+    _bvn_upper,
+    _maximize_rho,
+    _prepare_tables,
     bvn_upper,
     estimate_polychoric,
     polychoric_matrix,
@@ -16,6 +23,7 @@ from tokenimpact.polychoric import (
 from tokenimpact.synthetic import generate
 from tokenimpact.survey import CallRecord, SurveyDataset, TokenVocabulary
 
+import polychoric_reference
 from conftest import block_world, make_dataset
 
 
@@ -128,6 +136,12 @@ class TestEstimate:
         with pytest.raises(PolychoricError):
             ContingencyTable2x2(0.1, 0.1, 0.1, 0.1)
 
+    def test_converged_flag_is_computed(self, monkeypatch):
+        t = ContingencyTable2x2(1200, 300, 500, 900)
+        assert estimate_polychoric(t).converged
+        monkeypatch.setattr(polychoric, "_MAX_ITER", 1)
+        assert not estimate_polychoric(t).converged
+
     def test_consistency_improves_with_n(self):
         taus = (0.3, -0.2)
         errors = {2000: [], 50000: []}
@@ -174,6 +188,19 @@ class TestMatrix:
         assert pm.values[0, 1] > 0.99
         assert np.all(np.diag(pm.values) == 1.0)
         assert np.linalg.eigvalsh(pm.values).min() >= 1e-8
+        # the duplicated pair has two empty off-diagonal cells
+        assert pm.corrected_pairs == (("tok0", "tok1"),)
+        assert pm.unconverged_pairs == ()
+
+    def test_unconverged_pairs_named(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        x = rng.random((500, 3)) < 0.4
+        x[:, 1] |= x[:, 0]  # far from rho = 0, so one Newton step cannot settle it
+        ds = make_dataset([(1, 1.0, tuple(r)) for r in x], n_tokens=3)
+        monkeypatch.setattr(polychoric, "_MAX_ITER", 1)
+        pm = polychoric_matrix(ds)
+        assert ("tok0", "tok1") in pm.unconverged_pairs
+        assert pm.to_dict()["unconverged_pairs"] == [list(p) for p in pm.unconverged_pairs]
 
     def test_repair_on_constructed_singular_matrix(self):
         raw = np.array([[1.0, 1.0, 0.3], [1.0, 1.0, 0.3], [0.3, 0.3, 1.0]])
@@ -229,3 +256,84 @@ class TestMatrix:
         ds = make_dataset([], n_tokens=2)
         with pytest.raises(PolychoricError):
             polychoric_matrix(ds)
+
+
+@st.composite
+def latent_tables(draw, max_total):
+    """2x2 counts of a dichotomised bivariate normal, sometimes with an empty cell.
+
+    One branch draws 0.925 <= |rho| < 1, where the orthant kernel takes its
+    expansion around |rho| = 1.
+    """
+    sign = draw(st.sampled_from((-1.0, 1.0)))
+    rho = draw(st.one_of(
+        st.floats(-0.92, 0.92), st.floats(0.925, 0.9999).map(lambda r: sign * r)
+    ))
+    tau_x, tau_y = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    total = draw(st.integers(20, max_total))
+    p11 = float(_bvn_upper(tau_x, tau_y, rho))
+    px, py = ndtr(-tau_x), ndtr(-tau_y)
+    probs = np.clip([1.0 - px - py + p11, py - p11, px - p11, p11], 0.0, 1.0)
+    cells = np.round(probs * total)
+    empty = draw(st.sampled_from((None, 0, 1, 2, 3)))
+    if empty is not None:
+        cells[empty] = 0.0
+    if cells.sum() < 1.0:
+        cells[3] = 1.0
+    return cells
+
+
+def _solve(raw_rows):
+    cells, px, py, tx, ty, _ = _prepare_tables(np.asarray(raw_rows, dtype=np.float64))
+    return (cells, px, py, tx, ty), _maximize_rho(cells, px, py, tx, ty)
+
+
+def _residual(prepared, rho):
+    cells, _, _, tx, ty = prepared
+    return abs(float(_bvn_upper(tx, ty, rho)[0]) - cells[0, 3] / cells[0].sum())
+
+
+class TestRootSolve:
+    """The Newton root of p11(rho) = n11 / N against the golden-section search.
+
+    The golden search compares log-likelihoods of size ~N near a flat
+    maximum, so its own error grows with N (about 1e-6 at N = 1e5 with a
+    near-empty margin); the rho comparison keeps N <= 5000, where it stays
+    below 5e-7. The residual and log-likelihood checks hold at any N.
+    """
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(latent_tables(max_total=5000))
+    # a Newton step that rounds to zero lands on the bracket edge just set;
+    # bisecting there instead of stopping leaves a residual of 1.3e-9
+    @example(np.array([50.0, 1639.0, 1053.0, 101.0]))
+    def test_matches_golden_section_reference(self, raw):
+        prepared, (rho, loglik, converged) = _solve([raw])
+        ref_rho, ref_loglik = polychoric_reference.maximize_rho(*prepared)
+        assert converged[0]
+        assert _residual(prepared, rho) <= 1e-9
+        assert loglik[0] >= ref_loglik[0] - 1e-9
+        assert abs(rho[0] - ref_rho[0]) <= 1e-6
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(latent_tables(max_total=200_000))
+    def test_root_at_survey_scale(self, raw):
+        prepared, (rho, loglik, converged) = _solve([raw])
+        _, ref_loglik = polychoric_reference.maximize_rho(*prepared)
+        assert converged[0]
+        assert _residual(prepared, rho) <= 1e-9
+        assert loglik[0] >= ref_loglik[0] - 1e-9
+
+    def test_batch_does_not_change_a_table(self):
+        rng = np.random.default_rng(21)
+        extreme = rng.choice([-1.0, 1.0], 40) * rng.uniform(0.93, 0.9999, 40)
+        rho = np.r_[rng.uniform(-0.9, 0.9, 60), extreme]
+        tau = rng.uniform(-2.0, 2.0, (100, 2))
+        p11 = _bvn_upper(tau[:, 0], tau[:, 1], rho)
+        px, py = ndtr(-tau[:, 0]), ndtr(-tau[:, 1])
+        probs = np.stack([1.0 - px - py + p11, py - p11, px - p11, p11], axis=1)
+        raw = np.round(np.clip(probs, 0.0, 1.0) * rng.integers(50, 50_000, (100, 1)))
+        raw[::7, 1] = 0.0
+        _, (batch, _, _) = _solve(raw)
+        alone = np.array([_solve(raw[i : i + 1])[1][0][0] for i in range(100)])
+        assert np.array_equal(alone, batch)
