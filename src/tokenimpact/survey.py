@@ -4,16 +4,24 @@ A survey row is one rated call: an opinion score (1..5), the call duration,
 and a bitvector of problem tokens collected from the end-of-call problem
 questionnaire. The questionnaire is never shown for calls rated 5, so a
 5-rated record can carry neither tokens nor a submission flag.
+
+A ``SurveyDataset`` stores its rows as columns: call ids, ratings,
+durations, submission flags and a boolean token matrix. Those arrays are
+the data. Construction checks every row against the survey rules in one
+vectorized pass, and every transform here slices the arrays. ``CallRecord``
+is a per-row view of the same data, built on first access to
+``SurveyDataset.records``, for per-record predicates and tests.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import cached_property
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import csv
-import math
 import numpy as np
 
 from .errors import ValidationError
@@ -44,6 +52,15 @@ DEFAULT_TOKENS = (
 )
 
 _DEFAULT_DISPLAY = dict(DEFAULT_TOKENS)
+
+_RATINGS = (1, 2, 3, 4, 5)
+# CSV rows are parsed and written this many at a time
+_BLOCK_ROWS = 4096
+# boolean cell text accepted as is; other cells are stripped and lowercased
+_BOOL_TEXT = {"0": 0, "1": 1, "false": 0, "true": 1}
+_NOT_BOOL = 2
+# characters that make csv.writer quote a field
+_QUOTED_CHARS = (",", '"', "\r", "\n")
 
 
 @dataclass(frozen=True)
@@ -90,6 +107,38 @@ def default_vocabulary() -> TokenVocabulary:
     return TokenVocabulary(names=names, display_text=display)
 
 
+def _first_violation(
+    ratings: np.ndarray, durations: np.ndarray, ptq: np.ndarray, tokens: np.ndarray
+) -> tuple[int, str] | None:
+    """Index and message of the first row that breaks a survey rule, or None.
+
+    The message names the first rule that row breaks, in this order: rating
+    in 1..5, finite non-negative duration, neither tokens nor a submission
+    on a rating of 5, and tokens only with a submission.
+    """
+    any_token = tokens.any(axis=1)
+    five = ratings == 5
+    rules = (
+        (~np.isin(ratings, _RATINGS), "rating"),
+        (~((durations >= 0) & (durations < np.inf)), "duration"),
+        (five & any_token, "tokens present on rating 5"),
+        (five & ptq, "ptq_submitted on rating 5"),
+        (any_token & ~ptq, "tokens present without ptq_submitted"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in rules])
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    message = next(message for mask, message in rules if mask[i])
+    if message == "rating":
+        message = f"rating {ratings[i : i + 1].tolist()[0]!r} outside 1..5"
+    elif message == "duration":
+        duration = durations[i : i + 1].tolist()[0]
+        kind = "negative" if duration < 0 else "non-finite"
+        message = f"{kind} duration {duration!r}"
+    return i, message
+
+
 @dataclass(frozen=True)
 class CallRecord:
     """One rated call. Invariants are enforced at construction."""
@@ -101,19 +150,16 @@ class CallRecord:
     ptq_submitted: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(bool(t) for t in self.tokens))
-        if self.rating not in (1, 2, 3, 4, 5):
-            raise ValidationError(f"rating {self.rating!r} outside 1..5")
-        if not 0 <= self.duration_s < math.inf:
-            kind = "negative" if self.duration_s < 0 else "non-finite"
-            raise ValidationError(f"{kind} duration {self.duration_s!r}")
-        if self.rating == 5:
-            if any(self.tokens):
-                raise ValidationError("tokens present on rating 5")
-            if self.ptq_submitted:
-                raise ValidationError("ptq_submitted on rating 5")
-        if any(self.tokens) and not self.ptq_submitted:
-            raise ValidationError("tokens present without ptq_submitted")
+        tokens = tuple(bool(t) for t in self.tokens)
+        object.__setattr__(self, "tokens", tokens)
+        bad = _first_violation(
+            np.array([self.rating], dtype=object),
+            np.array([self.duration_s], dtype=np.float64),
+            np.array([bool(self.ptq_submitted)]),
+            np.array([tokens], dtype=bool),
+        )
+        if bad is not None:
+            raise ValidationError(bad[1])
 
 
 def poor_call(record: CallRecord) -> bool:
@@ -125,97 +171,300 @@ def any_token_reported(record: CallRecord) -> bool:
     return any(record.tokens)
 
 
+def _column(values, dtype, n: int, name: str) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    if arr.shape != (n,):
+        raise ValidationError(f"{name} has shape {arr.shape}, expected ({n},)")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class SurveyDataset:
-    """Immutable collection of call records sharing one vocabulary.
+    """Immutable columns of rated calls sharing one vocabulary.
 
-    Labels such as poor_call are always derived from the record, never
-    stored. Columnar views are cached at construction and exposed as
-    read-only arrays.
+    ``call_ids``, ``ratings``, ``durations``, ``ptq_submitted`` (one entry
+    per call) and ``token_matrix`` (one row per call, one column per
+    vocabulary token) are the data. Construction copies them into read-only
+    arrays and rejects the first row that breaks a survey rule. ``records``
+    is a view of the same rows as ``CallRecord`` objects, built on first
+    access. Labels such as poor_call are always derived, never stored.
     """
 
     vocabulary: TokenVocabulary
-    records: tuple[CallRecord, ...]
+    call_ids: np.ndarray
+    ratings: np.ndarray
+    durations: np.ndarray
+    ptq_submitted: np.ndarray
+    token_matrix: np.ndarray
     provenance: tuple[str, ...] = ()
 
     def __post_init__(self):
-        records = tuple(self.records)
-        object.__setattr__(self, "records", records)
         object.__setattr__(self, "provenance", tuple(self.provenance))
+        raw_ratings = np.asarray(self.ratings)
+        n = len(raw_ratings)
         p = len(self.vocabulary)
+        call_ids = _column(self.call_ids, object, n, "call_ids")
+        durations = _column(self.durations, np.float64, n, "durations")
+        ptq = _column(self.ptq_submitted, bool, n, "ptq_submitted")
+        tokens = np.array(self.token_matrix, dtype=bool)
+        if tokens.shape != (n, p):
+            raise ValidationError(
+                f"token_matrix has shape {tokens.shape}, expected ({n}, {p})"
+            )
+        bad = _first_violation(raw_ratings, durations, ptq, tokens)
+        if bad is not None:
+            i, message = bad
+            raise ValidationError(f"record {call_ids[i]!r}: {message}")
+        ratings = _column(raw_ratings, np.int64, n, "ratings")
+        for name, arr in (
+            ("call_ids", call_ids),
+            ("ratings", ratings),
+            ("durations", durations),
+            ("ptq_submitted", ptq),
+            ("token_matrix", tokens),
+        ):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_records(
+        cls,
+        vocabulary: TokenVocabulary,
+        records: Iterable[CallRecord],
+        provenance: Sequence[str] = (),
+    ) -> "SurveyDataset":
+        """Columns of the given records, in order."""
+        records = tuple(records)
+        p = len(vocabulary)
         for r in records:
             if len(r.tokens) != p:
                 raise ValidationError(
                     f"record {r.call_id!r} has {len(r.tokens)} token bits, expected {p}"
                 )
-        n = len(records)
-        tokens = np.zeros((n, p), dtype=bool)
-        ratings = np.zeros(n, dtype=np.int64)
-        durations = np.zeros(n, dtype=np.float64)
-        ptq = np.zeros(n, dtype=bool)
-        for i, r in enumerate(records):
-            tokens[i] = r.tokens
-            ratings[i] = r.rating
-            durations[i] = r.duration_s
-            ptq[i] = r.ptq_submitted
-        for arr in (tokens, ratings, durations, ptq):
-            arr.setflags(write=False)
-        object.__setattr__(self, "_tokens", tokens)
-        object.__setattr__(self, "_ratings", ratings)
-        object.__setattr__(self, "_durations", durations)
-        object.__setattr__(self, "_ptq", ptq)
+        return cls(
+            vocabulary=vocabulary,
+            call_ids=[r.call_id for r in records],
+            ratings=[r.rating for r in records],
+            durations=[r.duration_s for r in records],
+            ptq_submitted=[r.ptq_submitted for r in records],
+            token_matrix=np.array([r.tokens for r in records], dtype=bool).reshape(-1, p),
+            provenance=provenance,
+        )
+
+    @cached_property
+    def records(self) -> tuple[CallRecord, ...]:
+        """The rows as ``CallRecord`` objects, built on first access.
+
+        Construction checked every row, so the view skips the per-record
+        check that ``CallRecord`` runs on values from elsewhere.
+        """
+        names = [f.name for f in fields(CallRecord)]
+        rows = zip(
+            self.call_ids.tolist(),
+            self.ratings.tolist(),
+            self.durations.tolist(),
+            map(tuple, self.token_matrix.tolist()),
+            self.ptq_submitted.tolist(),
+        )
+        records = []
+        for row in rows:
+            record = object.__new__(CallRecord)
+            record.__dict__.update(zip(names, row))
+            records.append(record)
+        return tuple(records)
 
     @property
     def n_records(self) -> int:
-        return len(self.records)
-
-    @property
-    def token_matrix(self) -> np.ndarray:
-        """Boolean matrix, one row per record, one column per vocabulary token."""
-        return self._tokens
-
-    @property
-    def ratings(self) -> np.ndarray:
-        return self._ratings
-
-    @property
-    def durations(self) -> np.ndarray:
-        return self._durations
-
-    @property
-    def ptq_submitted(self) -> np.ndarray:
-        return self._ptq
+        return len(self.ratings)
 
     @property
     def poor_mask(self) -> np.ndarray:
-        return self._ratings <= POOR_RATING_MAX
+        return self.ratings <= POOR_RATING_MAX
 
     @property
     def any_token_mask(self) -> np.ndarray:
-        return self._tokens.any(axis=1)
+        return self.token_matrix.any(axis=1)
 
     def pcr(self) -> float:
         """Poor call rate: share of calls rated 1 or 2."""
-        if not self.records:
+        if self.n_records == 0:
             raise ValidationError("PCR undefined on empty dataset")
         return float(self.poor_mask.mean())
 
     def select(self, indices: Iterable[int], note: str) -> "SurveyDataset":
         """Subset by record index, preserving order; never invents records."""
+        if not isinstance(indices, np.ndarray):
+            indices = list(indices)
+        idx = np.asarray(indices, dtype=np.intp)
+        return self._subset(idx, self.vocabulary, slice(None), note)
+
+    def _subset(self, rows, vocabulary, columns, note: str) -> "SurveyDataset":
         return SurveyDataset(
-            vocabulary=self.vocabulary,
-            records=tuple(self.records[i] for i in indices),
+            vocabulary=vocabulary,
+            call_ids=self.call_ids[rows],
+            ratings=self.ratings[rows],
+            durations=self.durations[rows],
+            ptq_submitted=self.ptq_submitted[rows],
+            token_matrix=self.token_matrix[rows][:, columns],
             provenance=self.provenance + (note,),
         )
 
 
-def _parse_bool(text: str, line_no: int, column: str) -> bool:
-    v = text.strip().lower()
-    if v in ("1", "true"):
-        return True
-    if v in ("0", "false"):
-        return False
-    raise ValidationError(f"line {line_no}: bad boolean {text!r} in column {column}")
+def _parse_bools(cells: Sequence[str]) -> np.ndarray:
+    """0/1 flags of boolean cell text; ValueError names the first bad cell."""
+    flags = np.fromiter(
+        map(_BOOL_TEXT.get, cells, repeat(_NOT_BOOL)), dtype=np.uint8, count=len(cells)
+    )
+    for i in np.flatnonzero(flags == _NOT_BOOL).tolist():
+        value = _BOOL_TEXT.get(cells[i].strip().lower())
+        if value is None:
+            raise ValueError(cells[i])
+        flags[i] = value
+    return flags.view(bool)
+
+
+def _row_error(row: list[str], n_fields: int, token_src, names) -> str | None:
+    """Message of the first check that one CSV row fails, or None."""
+    if len(row) != n_fields:
+        return f"expected {n_fields} fields, got {len(row)}"
+    try:
+        rating = int(row[1])
+    except ValueError:
+        return f"bad rating {row[1]!r}"
+    try:
+        duration = float(row[2])
+    except ValueError:
+        return f"bad duration {row[2]!r}"
+    try:
+        ptq = _parse_bools(row[3:4])
+    except ValueError:
+        return f"bad boolean {row[3]!r} in column ptq_submitted"
+    tokens = np.zeros((1, len(names)), dtype=bool)
+    for j, (name, src) in enumerate(zip(names, token_src)):
+        column = TOKEN_COLUMN_PREFIX + name
+        if src is None:
+            if ptq[0]:
+                return f"token column {column} missing but ptq_submitted is true"
+            continue
+        text = row[len(FIXED_COLUMNS) + src]
+        try:
+            tokens[0, j] = _parse_bools([text])[0]
+        except ValueError:
+            return f"bad boolean {text!r} in column {column}"
+    bad = _first_violation(
+        np.array([rating], dtype=object), np.array([duration]), ptq, tokens
+    )
+    return None if bad is None else bad[1]
+
+
+def _empty_columns(p: int) -> tuple[np.ndarray, ...]:
+    return (
+        np.empty(0, dtype=object),
+        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.float64),
+        np.empty(0, dtype=bool),
+        np.empty((0, p), dtype=bool),
+    )
+
+
+def _block_columns(rows: list[list[str]], n_fields: int, token_src, p: int):
+    """Columns of a block of CSV rows, or None when some row is invalid."""
+    if set(map(len, rows)) != {n_fields}:
+        return None
+    n = len(rows)
+    cols = list(zip(*rows))
+    try:
+        ratings = np.fromiter(map(int, cols[1]), dtype=np.int64, count=n)
+        durations = np.fromiter(map(float, cols[2]), dtype=np.float64, count=n)
+        ptq = _parse_bools(cols[3])
+        file_tokens = _parse_bools(list(chain.from_iterable(cols[len(FIXED_COLUMNS) :])))
+    except (ValueError, OverflowError):
+        return None
+    file_tokens = file_tokens.reshape(-1, n)
+    tokens = np.zeros((n, p), dtype=bool)
+    for j, src in enumerate(token_src):
+        if src is not None:
+            tokens[:, j] = file_tokens[src]
+        elif ptq.any():
+            return None
+    if _first_violation(ratings, durations, ptq, tokens) is not None:
+        return None
+    return np.array(cols[0], dtype=object), ratings, durations, ptq, tokens
+
+
+def _read_survey(reader, path: Path, vocabulary: TokenVocabulary | None) -> SurveyDataset:
+    header = next(reader, None)
+    if header is None:
+        raise ValidationError("line 1: missing header row")
+    if tuple(header[: len(FIXED_COLUMNS)]) != FIXED_COLUMNS:
+        raise ValidationError(
+            f"line 1: header must start with {','.join(FIXED_COLUMNS)}"
+        )
+    token_cols = header[len(FIXED_COLUMNS) :]
+    for c in token_cols:
+        if not c.startswith(TOKEN_COLUMN_PREFIX):
+            raise ValidationError(f"line 1: unexpected column {c!r}")
+    file_slugs = [c[len(TOKEN_COLUMN_PREFIX) :] for c in token_cols]
+    if len(set(file_slugs)) != len(file_slugs):
+        raise ValidationError("line 1: duplicate token columns")
+    if vocabulary is None:
+        if file_slugs:
+            vocabulary = TokenVocabulary(names=tuple(file_slugs))
+        else:
+            raise ValidationError("line 1: no token columns and no vocabulary given")
+    else:
+        unknown = [s for s in file_slugs if s not in vocabulary.names]
+        if unknown:
+            raise ValidationError(f"line 1: unknown token columns {unknown}")
+    # column position of each vocabulary token, None when absent
+    pos = {s: i for i, s in enumerate(file_slugs)}
+    token_src = [pos.get(name) for name in vocabulary.names]
+    n_fields = len(header)
+    p = len(vocabulary)
+
+    blocks = [_empty_columns(p)]
+    line_no = 2
+    while rows := list(islice(reader, _BLOCK_ROWS)):
+        block = _block_columns(rows, n_fields, token_src, p)
+        if block is None:
+            for offset, row in enumerate(rows):
+                message = _row_error(row, n_fields, token_src, vocabulary.names)
+                if message is not None:
+                    raise ValidationError(f"line {line_no + offset}: {message}")
+            raise RuntimeError(f"rows from line {line_no} rejected without a reason")
+        blocks.append(block)
+        line_no += len(rows)
+        del rows, block  # free this block's strings before reading the next
+    call_ids, ratings, durations, ptq, tokens = map(np.concatenate, zip(*blocks))
+    del blocks
+
+    if len(set(call_ids.tolist())) < len(call_ids):
+        first: dict[str, int] = {}
+        for i, call_id in enumerate(call_ids.tolist()):
+            j = first.setdefault(call_id, i)
+            if j != i:
+                raise ValidationError(
+                    f"line {i + 2}: duplicate call_id {call_id!r}, first on line {j + 2}"
+                )
+    return SurveyDataset(
+        vocabulary=vocabulary,
+        call_ids=call_ids,
+        ratings=ratings,
+        durations=durations,
+        ptq_submitted=ptq,
+        token_matrix=tokens,
+        provenance=(f"load_csv({path}, rows={len(ratings)})",),
+    )
+
+
+def _undecodable_line(path: Path) -> int | None:
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    return None
 
 
 def load_csv(path: str | Path, vocabulary: TokenVocabulary | None = None) -> SurveyDataset:
@@ -224,106 +473,61 @@ def load_csv(path: str | Path, vocabulary: TokenVocabulary | None = None) -> Sur
     Expected header: ``call_id,rating,duration_s,ptq_submitted,token_<slug>...``.
     Unknown token columns are rejected. A token column missing from the file
     is filled false, but only for rows that did not submit the questionnaire.
+    Booleans are ``0``/``1`` or ``true``/``false`` in any case, with
+    surrounding blanks allowed. Rows are parsed column-wise in blocks; the
+    first invalid row raises ``ValidationError`` naming its line and the first
+    check it fails. Call ids must be unique.
     """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError("line 1: missing header row")
-        if tuple(header[: len(FIXED_COLUMNS)]) != FIXED_COLUMNS:
-            raise ValidationError(
-                f"line 1: header must start with {','.join(FIXED_COLUMNS)}"
-            )
-        token_cols = header[len(FIXED_COLUMNS) :]
-        for c in token_cols:
-            if not c.startswith(TOKEN_COLUMN_PREFIX):
-                raise ValidationError(f"line 1: unexpected column {c!r}")
-        file_slugs = [c[len(TOKEN_COLUMN_PREFIX) :] for c in token_cols]
-        if len(set(file_slugs)) != len(file_slugs):
-            raise ValidationError("line 1: duplicate token columns")
-        if vocabulary is None:
-            if file_slugs:
-                vocabulary = TokenVocabulary(names=tuple(file_slugs))
-            else:
-                raise ValidationError("line 1: no token columns and no vocabulary given")
-        else:
-            unknown = [s for s in file_slugs if s not in vocabulary.names]
-            if unknown:
-                raise ValidationError(f"line 1: unknown token columns {unknown}")
-        # column position of each vocabulary token, None when absent
-        pos = {s: i for i, s in enumerate(file_slugs)}
-        token_src = [pos.get(name) for name in vocabulary.names]
-        n_fields = len(header)
-
-        records = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != n_fields:
-                raise ValidationError(
-                    f"line {line_no}: expected {n_fields} fields, got {len(row)}"
-                )
-            call_id = row[0]
-            try:
-                rating = int(row[1])
-            except ValueError:
-                raise ValidationError(f"line {line_no}: bad rating {row[1]!r}") from None
-            try:
-                duration = float(row[2])
-            except ValueError:
-                raise ValidationError(
-                    f"line {line_no}: bad duration {row[2]!r}"
-                ) from None
-            ptq = _parse_bool(row[3], line_no, "ptq_submitted")
-            raw_tokens = row[len(FIXED_COLUMNS) :]
-            bits = []
-            for name, src in zip(vocabulary.names, token_src):
-                if src is None:
-                    if ptq:
-                        raise ValidationError(
-                            f"line {line_no}: token column "
-                            f"{TOKEN_COLUMN_PREFIX}{name} missing but "
-                            "ptq_submitted is true"
-                        )
-                    bits.append(False)
-                else:
-                    bits.append(
-                        _parse_bool(raw_tokens[src], line_no, TOKEN_COLUMN_PREFIX + name)
-                    )
-            try:
-                records.append(
-                    CallRecord(
-                        call_id=call_id,
-                        rating=rating,
-                        duration_s=duration,
-                        tokens=tuple(bits),
-                        ptq_submitted=ptq,
-                    )
-                )
-            except ValidationError as exc:
-                raise ValidationError(f"line {line_no}: {exc}") from None
-
-    return SurveyDataset(
-        vocabulary=vocabulary,
-        records=tuple(records),
-        provenance=(f"load_csv({path}, rows={len(records)})",),
-    )
+        try:
+            return _read_survey(reader, path, vocabulary)
+        except csv.Error as exc:
+            raise ValidationError(f"line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            line_no = _undecodable_line(path)
+            where = f"line {line_no}: " if line_no is not None else ""
+            raise ValidationError(f"{where}not UTF-8 text ({exc.reason})") from None
 
 
 def write_csv(ds: SurveyDataset, path: str | Path) -> None:
-    """Write a dataset in the canonical CSV schema (booleans as 0/1)."""
+    """Write a dataset in the canonical CSV schema (booleans as 0/1).
+
+    The bytes are those ``csv.writer`` writes in its default dialect: rows
+    end in ``\\r\\n``, durations are ``repr(float)``, and a call id holding a
+    comma, a quote or a line break is quoted.
+    """
     path = Path(path)
+    flags = np.column_stack([ds.ptq_submitted, ds.token_matrix]).view(np.uint8)
+    width = 2 * flags.shape[1] - 1
+    text = np.full((ds.n_records, width), ord(","), dtype=np.uint8)
+    text[:, 0::2] = flags + ord("0")
+    flag_text = text.view(f"S{width}").ravel()
+    ids = ds.call_ids.tolist()
+    all_ids = "".join(ids)
+    if any(c in all_ids for c in _QUOTED_CHARS):
+        ids = [
+            '"' + i.replace('"', '""') + '"' if any(c in i for c in _QUOTED_CHARS) else i
+            for i in ids
+        ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
+        csv.writer(fh).writerow(
             list(FIXED_COLUMNS)
             + [TOKEN_COLUMN_PREFIX + n for n in ds.vocabulary.names]
         )
-        for r in ds.records:
-            writer.writerow(
-                [r.call_id, r.rating, repr(float(r.duration_s)), int(r.ptq_submitted)]
-                + [int(b) for b in r.tokens]
+        for start in range(0, ds.n_records, _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            fh.writelines(
+                f"{i},{r},{d!r},{f}\r\n"
+                for i, r, d, f in zip(
+                    ids[start:stop],
+                    ds.ratings[start:stop].tolist(),
+                    ds.durations[start:stop].tolist(),
+                    flag_text[start:stop].astype(f"U{width}").tolist(),
+                )
             )
 
 
@@ -337,36 +541,15 @@ def clean_uninformative(
     """
     n = ds.n_records
     counts = ds.token_matrix.sum(axis=0)
-    keep = [
-        i
-        for i, c in enumerate(counts)
-        if c >= min_positives and (n == 0 or c < n)
-    ]
-    removed = tuple(
-        ds.vocabulary.names[i] for i in range(len(ds.vocabulary)) if i not in set(keep)
-    )
+    informative = (counts >= min_positives) & ((counts < n) | (n == 0))
+    keep = np.flatnonzero(informative).tolist()
+    removed = tuple(n for n, ok in zip(ds.vocabulary.names, informative) if not ok)
     if not keep:
         raise ValidationError("no informative tokens")
     if not removed:
         return ds, ()
-    vocab = ds.vocabulary.subset(keep)
-    records = tuple(
-        CallRecord(
-            call_id=r.call_id,
-            rating=r.rating,
-            duration_s=r.duration_s,
-            tokens=tuple(r.tokens[i] for i in keep),
-            ptq_submitted=r.ptq_submitted,
-        )
-        for r in ds.records
-    )
     note = f"clean_uninformative(min_positives={min_positives}): removed {list(removed)}"
-    return (
-        SurveyDataset(
-            vocabulary=vocab, records=records, provenance=ds.provenance + (note,)
-        ),
-        removed,
-    )
+    return ds._subset(slice(None), ds.vocabulary.subset(keep), keep, note), removed
 
 
 def balance_resample(ds: SurveyDataset, seed: int) -> SurveyDataset:
@@ -386,7 +569,7 @@ def balance_resample(ds: SurveyDataset, seed: int) -> SurveyDataset:
         keep = np.sort(np.concatenate([poor, sampled]))
     m = min(len(poor), len(good))
     note = f"balance_resample(seed={seed}): poor={len(poor)}, good={len(good)} -> {m}/{m}"
-    return ds.select(keep.tolist(), note)
+    return ds.select(keep, note)
 
 
 def restrict_tokened_poor(ds: SurveyDataset, seed: int) -> SurveyDataset:
@@ -414,4 +597,4 @@ def restrict_tokened_poor(ds: SurveyDataset, seed: int) -> SurveyDataset:
         f"restrict_tokened_poor(seed={seed}): poor {len(poor_idx)} -> "
         f"{len(kept_poor)}, good {len(good_idx)} -> {len(kept_good)}"
     )
-    return ds.select(keep.tolist(), note)
+    return ds.select(keep, note)

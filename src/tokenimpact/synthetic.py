@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ValidationError
-from .survey import CallRecord, SurveyDataset, TokenVocabulary, default_vocabulary
+from .survey import SurveyDataset, TokenVocabulary, default_vocabulary
 
 DEFAULT_PARTITION = (0,) * 5 + (1,) * 5 + (2,) * 2 + (3,) * 2 + (4,)
 
@@ -248,26 +248,21 @@ def generate(spec: GeneratorSpec, truth_mc_n: int = 200_000) -> tuple[SurveyData
     noise = np.exp(sigma * rng.standard_normal(n) - 0.5 * sigma * sigma)
     durations = spec.duration.base_mean_s * penalties * noise
 
-    records = tuple(
-        CallRecord(
-            call_id=f"c{i:07d}",
-            rating=int(ratings[i]),
-            duration_s=float(durations[i]),
-            tokens=tuple(bool(b) for b in tokens[i]),
-            ptq_submitted=bool(has_token[i]),
-        )
-        for i in range(n)
-    )
     ds = SurveyDataset(
         vocabulary=spec.vocabulary(),
-        records=records,
+        call_ids=[f"c{i:07d}" for i in range(n)],
+        ratings=ratings,
+        durations=durations,
+        ptq_submitted=has_token,
+        token_matrix=tokens,
         provenance=(f"generate(seed={spec.seed}, n={n})",),
     )
     rho = spec.loadings @ spec.loadings.T
     np.fill_diagonal(rho, 1.0)
+    # one Monte-Carlo draw serves every group's counterfactual
+    indicators_mc, p_orig = _truth_draw(spec, truth_mc_n, spec.seed)
     reductions = tuple(
-        ground_truth_impact(spec, g, n_mc=truth_mc_n, seed=spec.seed)
-        for g in range(spec.n_groups)
+        _fix_impact(spec, indicators_mc, p_orig, g) for g in range(spec.n_groups)
     )
     truth = GroundTruth(
         rho=rho,
@@ -289,10 +284,24 @@ def ground_truth_impact(
     """
     if not 0 <= group_index < spec.n_groups:
         raise ValidationError(f"group index {group_index} out of range")
+    return _fix_impact(spec, *_truth_draw(spec, n_mc, seed), group_index)
+
+
+def _truth_draw(
+    spec: GeneratorSpec, n_mc: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group indicators of ``n_mc`` planted-world draws and their poor probability."""
     rng = np.random.default_rng(seed)
     tokens = _draw_tokens(spec, rng, n_mc)
     indicators = _group_matrix(tokens, spec.group_partition).astype(np.float64)
-    p_orig = expit(_linear_predictor(spec, indicators))
+    return indicators, expit(_linear_predictor(spec, indicators))
+
+
+def _fix_impact(
+    spec: GeneratorSpec, indicators: np.ndarray, p_orig: np.ndarray, group_index: int
+) -> MonteCarloImpact:
+    """Relative reduction, with its delta-method SE, from fixing one group of a draw."""
+    n_mc = len(p_orig)
     fixed = indicators.copy()
     fixed[:, group_index] = 0.0  # equals forcing the member tokens absent
     p_fix = expit(_linear_predictor(spec, fixed))

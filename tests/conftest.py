@@ -26,7 +26,7 @@ def make_dataset(rows, n_tokens: int = 2, vocabulary: TokenVocabulary | None = N
                 ptq_submitted=ptq,
             )
         )
-    return SurveyDataset(vocabulary=vocab, records=tuple(records))
+    return SurveyDataset.from_records(vocab, records)
 
 
 def grouping_from_partition(names, partition) -> ProblemGrouping:

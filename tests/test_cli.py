@@ -110,6 +110,23 @@ class TestDescribe:
         assert "line 2: non-finite duration" in capsys.readouterr().err
         assert not (out / "timu_report.json").exists()
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"c1,2,5,1,1\n" + b"c" * 200_000 + b",2,5,1,1\n", "line 3: field larger"),
+            (b"c1,2,5,1,1\nc\xff,2,5,1,1\n", "line 3: not UTF-8 text"),
+            (b"c1,2,5,1,1\nc2,3,5,0,0\nc1,4,5,0,0\n", "line 4: duplicate call_id 'c1'"),
+        ],
+        ids=["field_limit", "non_utf8", "duplicate_id"],
+    )
+    def test_malformed_file_exits_2(self, tmp_path, capsys, body, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"call_id,rating,duration_s,ptq_submitted,token_a\n" + body)
+        assert run("describe", "--input", bad, "--outdir", tmp_path / "o", "--seed", 1) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ValidationError"
+        assert error["message"].startswith(message)
+
     def test_rerun_byte_identical(self, tmp_path, world_csv):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokenimpact import survey
 from tokenimpact.errors import ValidationError
 from tokenimpact.survey import (
     CallRecord,
+    SurveyDataset,
     TokenVocabulary,
     any_token_reported,
     balance_resample,
@@ -18,6 +20,7 @@ from tokenimpact.survey import (
 )
 
 from conftest import make_dataset, make_vocab
+from survey_reference import write_csv_reference
 
 
 class TestVocabulary:
@@ -299,3 +302,285 @@ class TestProvenance:
         assert any("balance_resample(seed=9)" in note for note in out.provenance)
         out2 = restrict_tokened_poor(out, seed=2)
         assert len(out2.provenance) == 2
+
+
+def _columns(ds):
+    return (
+        ds.call_ids.tolist(),
+        ds.ratings.tolist(),
+        ds.durations.tolist(),
+        ds.ptq_submitted.tolist(),
+        ds.token_matrix.tolist(),
+    )
+
+
+class TestColumnarDataset:
+    def _arrays(self):
+        return dict(
+            call_ids=["a", "b", "c"],
+            ratings=np.array([1, 4, 5]),
+            durations=np.array([10.0, 20.5, 0.0]),
+            ptq_submitted=np.array([True, False, False]),
+            token_matrix=np.array([[True, False], [False, False], [False, False]]),
+        )
+
+    def test_arrays_are_read_only_copies(self):
+        arrays = self._arrays()
+        ds = SurveyDataset(vocabulary=make_vocab(2), **arrays)
+        arrays["ratings"][0] = 2
+        arrays["token_matrix"][0, 0] = False
+        assert ds.ratings.tolist() == [1, 4, 5]
+        assert ds.token_matrix[0, 0]
+        assert ds.ratings.dtype == np.int64 and ds.call_ids.dtype == object
+        for arr in (ds.call_ids, ds.ratings, ds.durations, ds.ptq_submitted, ds.token_matrix):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(ratings=[1, 6, 5]), "record 'b': rating 6 outside 1..5"),
+            (dict(ratings=[1, 2.5, 5]), "record 'b': rating 2.5 outside 1..5"),
+            (dict(durations=[1.0, -2.0, np.inf]), "record 'b': negative duration -2.0"),
+            (dict(durations=[1.0, 2.0, np.nan]), "record 'c': non-finite duration nan"),
+            (dict(ptq_submitted=[True, False, True]), "record 'c': ptq_submitted on rating 5"),
+            (
+                dict(token_matrix=[[True, False], [False, True], [False, False]]),
+                "record 'b': tokens present without ptq_submitted",
+            ),
+            (
+                dict(token_matrix=[[True, False], [False, False], [True, False]]),
+                "record 'c': tokens present on rating 5",
+            ),
+        ],
+    )
+    def test_rules_checked_on_arrays(self, change, message):
+        arrays = {**self._arrays(), **change}
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            SurveyDataset(vocabulary=make_vocab(2), **arrays)
+
+    def test_first_broken_rule_of_first_bad_row_is_named(self):
+        # row b breaks the duration and token rules; row c breaks the rating
+        arrays = {
+            **self._arrays(),
+            "ratings": [1, 3, 7],
+            "durations": [1.0, -1.0, 1.0],
+            "token_matrix": [[True, False], [True, False], [False, False]],
+        }
+        with pytest.raises(ValidationError, match="^record 'b': negative duration"):
+            SurveyDataset(vocabulary=make_vocab(2), **arrays)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(call_ids=["a", "b"]), "call_ids has shape"),
+            (dict(durations=[1.0]), "durations has shape"),
+            (dict(token_matrix=[[True], [False], [False]]), "token_matrix has shape"),
+        ],
+    )
+    def test_shapes_checked(self, change, message):
+        with pytest.raises(ValidationError, match=message):
+            SurveyDataset(vocabulary=make_vocab(2), **{**self._arrays(), **change})
+
+    def test_records_view_matches_from_records(self):
+        records = [
+            CallRecord("a", 1, 10.0, (True, False), True),
+            CallRecord("b", 4, 20.5, (False, False), False),
+            CallRecord("c", 5, 0.0, (False, False), False),
+        ]
+        ds = SurveyDataset.from_records(make_vocab(2), records)
+        assert ds.records == tuple(records)
+        assert ds.records is ds.records  # built once
+        assert _columns(ds) == _columns(SurveyDataset(vocabulary=make_vocab(2), **self._arrays()))
+
+    def test_from_records_checks_token_width(self):
+        with pytest.raises(ValidationError, match="has 1 token bits, expected 2"):
+            SurveyDataset.from_records(make_vocab(2), [CallRecord("a", 3, 1.0, (False,), False)])
+
+    def test_empty_dataset(self):
+        ds = SurveyDataset.from_records(make_vocab(3), [])
+        assert ds.n_records == 0 and ds.token_matrix.shape == (0, 3)
+        assert ds.records == ()
+
+    def test_select_slices_every_column(self):
+        ds = SurveyDataset(vocabulary=make_vocab(2), **self._arrays())
+        out = ds.select(np.array([2, 0, 0]), "pick")
+        assert out.call_ids.tolist() == ["c", "a", "a"]
+        assert out.ratings.tolist() == [5, 1, 1]
+        assert out.durations.tolist() == [0.0, 10.0, 10.0]
+        assert out.ptq_submitted.tolist() == [False, True, True]
+        assert out.token_matrix.tolist() == [[False, False], [True, False], [True, False]]
+        assert out.provenance == ("pick",)
+        assert ds.select(iter([1]), "gen").call_ids.tolist() == ["b"]
+
+
+class TestLoadCsvRowErrors:
+    @pytest.fixture(params=[1, 2, 8192])
+    def block_rows(self, request, monkeypatch):
+        monkeypatch.setattr(survey, "_BLOCK_ROWS", request.param)
+        return request.param
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("c1,3,60,0,0,0\nc2,4,60,0,0,0\nc3,9,60,0,0,0\n", "line 4: rating 9 outside 1..5"),
+            ("c1,3,60,0,0,0\nc2,9,60,0,0,0\nc3,3,60,0,0,bad\n", "line 3: rating 9 outside"),
+            ("c1,3,60,0,0,0\nc2,3,60,0,0,bad\nc3,9,60,0,0,0\n", "line 3: bad boolean 'bad'"),
+            ("c1,x,-1,0,0,0\n", "line 2: bad rating 'x'"),
+            ("c1,3,y,2,0,0\n", "line 2: bad duration 'y'"),
+            ("c1,3,1,2,0,0\n", "line 2: bad boolean '2' in column ptq_submitted"),
+            ("c1,5,-1,1,1,0\n", "line 2: negative duration -1.0"),
+            ("c1,99999999999999999999,1,0,0,0\n", "line 2: rating 99999999999999999999 outside"),
+            ("c1,3,1,0,0,0\nc2,3,1\n", "line 3: expected 6 fields, got 3"),
+            ("c1,3,1,0,1,0\n", "line 2: tokens present without ptq_submitted"),
+        ],
+    )
+    def test_first_bad_row_and_check_named(self, tmp_path, block_rows, body, message):
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            load_csv(_write(tmp_path, body))
+
+    def test_missing_column_and_bad_boolean_in_vocabulary_order(self, tmp_path, block_rows):
+        # the file lacks token_b; with ptq set, the first failing token in
+        # vocabulary order is reported
+        path = _write(tmp_path, "c1,2,60,1,x,0\n")
+        with pytest.raises(ValidationError, match="bad boolean 'x' in column token_a"):
+            load_csv(path, vocabulary=TokenVocabulary(names=("a", "c", "b")))
+        with pytest.raises(ValidationError, match="token_c missing but ptq_submitted"):
+            load_csv(path, vocabulary=TokenVocabulary(names=("c", "a", "b")))
+
+    def test_blocks_concatenate_in_order(self, tmp_path, block_rows):
+        body = "".join(f"c{i},{1 + i % 4},{i}.5,{i % 2},{i % 2},0\n" for i in range(7))
+        ds = load_csv(_write(tmp_path, body))
+        assert ds.call_ids.tolist() == [f"c{i}" for i in range(7)]
+        assert ds.ratings.tolist() == [1 + i % 4 for i in range(7)]
+        assert ds.durations.tolist() == [i + 0.5 for i in range(7)]
+        assert ds.ptq_submitted.tolist() == [bool(i % 2) for i in range(7)]
+        assert ds.token_matrix.tolist() == [[bool(i % 2), False] for i in range(7)]
+
+    def test_duplicate_call_id_names_both_lines(self, tmp_path, block_rows):
+        path = _write(tmp_path, "c1,3,60,0,0,0\nc2,3,60,0,0,0\nc3,3,1,0,0,0\nc2,4,1,0,0,0\n")
+        with pytest.raises(
+            ValidationError, match="^line 5: duplicate call_id 'c2', first on line 3$"
+        ):
+            load_csv(path)
+
+
+class TestLoadCsvMalformedFile:
+    def test_field_over_csv_limit(self, tmp_path):
+        path = _write(tmp_path, "c1,3,60,0,0,0\n" + "c" * 200_000 + ",3,60,0,0,0\n")
+        with pytest.raises(ValidationError, match="^line 3: field larger than field limit"):
+            load_csv(path)
+
+    def test_non_utf8_byte(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(CSV_HEADER.encode() + b"c1,3,60,0,0,0\nc\xe9,3,60,0,0,0\n")
+        with pytest.raises(ValidationError, match="^line 3: not UTF-8 text"):
+            load_csv(path)
+
+
+class TestBenchmarkDialects:
+    """Files written the way other tools write the schema load column for column."""
+
+    def test_lf_endings_two_decimals_and_empty_submissions(self, tmp_path):
+        path = tmp_path / "lf.csv"
+        path.write_bytes(
+            b"call_id,rating,duration_s,ptq_submitted,token_a,token_b\n"
+            b"c0000000,1,283.17,1,1,0\n"
+            b"c0000001,4,51.00,1,0,0\n"
+            b"c0000002,5,300.25,0,0,0\n"
+            b"c0000003,2,7.10,1,0,0\n"
+            b"c0000004,3,0.00,0,0,0\n"
+        )
+        ds = load_csv(path)
+        assert ds.vocabulary.names == ("a", "b")
+        assert ds.call_ids.tolist() == [f"c000000{i}" for i in range(5)]
+        assert ds.ratings.tolist() == [1, 4, 5, 2, 3]
+        assert ds.durations.tolist() == [283.17, 51.0, 300.25, 7.1, 0.0]
+        assert ds.ptq_submitted.tolist() == [True, True, False, True, False]
+        assert ds.token_matrix.tolist() == [[True, False]] + [[False, False]] * 4
+
+    def test_crlf_endings_and_padded_word_booleans(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(
+            b"call_id,rating,duration_s,ptq_submitted,token_a,token_b\r\n"
+            b"x,2,1.5,true,TRUE, FALSE \r\n"
+            b"y,4,2,false,0,False\r\n"
+            b"z,5,3e1, FALSE ,false,0\r\n"
+        )
+        ds = load_csv(path)
+        assert ds.call_ids.tolist() == ["x", "y", "z"]
+        assert ds.ratings.tolist() == [2, 4, 5]
+        assert ds.durations.tolist() == [1.5, 2.0, 30.0]
+        assert ds.ptq_submitted.tolist() == [True, False, False]
+        assert ds.token_matrix.tolist() == [[True, False], [False, False], [False, False]]
+
+
+_ID_TEXT = st.text(alphabet=st.sampled_from('ab,"\r\n é\t'), max_size=6)
+
+
+@st.composite
+def datasets(draw):
+    p = draw(st.integers(1, 4))
+    ids = draw(st.lists(_ID_TEXT, max_size=25, unique=True))
+    records = []
+    for call_id in ids:
+        rating = draw(st.integers(1, 5))
+        duration = draw(st.floats(0, 1e12, allow_nan=False, allow_infinity=False))
+        if rating == 5:
+            tokens, ptq = (False,) * p, False
+        else:
+            tokens = tuple(draw(st.lists(st.booleans(), min_size=p, max_size=p)))
+            ptq = any(tokens) or draw(st.booleans())
+        records.append(CallRecord(call_id, rating, duration, tokens, ptq))
+    return SurveyDataset.from_records(make_vocab(p), records)
+
+
+class TestColumnarIo:
+    @given(datasets())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_write_then_load_is_identity(self, tmp_path_factory, ds):
+        path = tmp_path_factory.mktemp("rt") / "ds.csv"
+        write_csv(ds, path)
+        again = load_csv(path)
+        assert again.vocabulary.names == ds.vocabulary.names
+        assert _columns(again) == _columns(ds)
+        assert again.durations.tobytes() == ds.durations.tobytes()
+
+    def test_quoted_ids_round_trip(self, tmp_path):
+        ds = make_dataset([(3, 1.0, (0,)), (4, 2.0, (0,)), (1, 0.5, (1,))], n_tokens=1)
+        ds = SurveyDataset(
+            vocabulary=ds.vocabulary,
+            call_ids=["a,b", 'q"x', "line\r\nbreak"],
+            ratings=ds.ratings,
+            durations=ds.durations,
+            ptq_submitted=ds.ptq_submitted,
+            token_matrix=ds.token_matrix,
+        )
+        write_csv(ds, tmp_path / "q.csv")
+        assert (tmp_path / "q.csv").read_bytes().splitlines()[1] == b'"a,b",3,1.0,0,0'
+        assert load_csv(tmp_path / "q.csv").call_ids.tolist() == ["a,b", 'q"x', "line\r\nbreak"]
+
+    @given(datasets())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_bytes_equal_csv_writer_reference(self, tmp_path_factory, ds):
+        tmp = tmp_path_factory.mktemp("ref")
+        write_csv(ds, tmp / "fast.csv")
+        write_csv_reference(ds, tmp / "ref.csv")
+        assert (tmp / "fast.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+    @given(
+        st.one_of(
+            st.text(alphabet=st.sampled_from('c0159.-,"\r\n xtrueFALSE'), max_size=200),
+            st.binary(max_size=200),
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_fuzzed_text_raises_only_validation_error(self, tmp_path_factory, body, header):
+        path = tmp_path_factory.mktemp("fuzz") / "f.csv"
+        prefix = CSV_HEADER.encode() if header else b""
+        path.write_bytes(prefix + (body.encode() if isinstance(body, str) else body))
+        try:
+            ds = load_csv(path)
+        except ValidationError:
+            return
+        assert len(ds.call_ids) == ds.n_records == len(set(ds.call_ids.tolist()))

@@ -201,6 +201,14 @@ class TestGroundTruth:
         assert truth.n_factors == 2
         assert all(g.n_mc == 5000 for g in truth.group_reductions)
 
+    def test_shared_truth_draw_equals_single_group_function(self):
+        spec = default_world_spec(n=100, seed=9)
+        _, truth = generate(spec, truth_mc_n=20000)
+        assert truth.group_reductions == tuple(
+            ground_truth_impact(spec, g, n_mc=20000, seed=spec.seed)
+            for g in range(spec.n_groups)
+        )
+
 
 def _fix_both_reduction(spec, n_mc, seed):
     """Joint-fix reduction via the same latent draw as ground_truth_impact."""

@@ -143,9 +143,9 @@ class TestProperties:
     def test_scale_equivariance_of_duration(self):
         rows = [(1, 100.0, (1,)), (3, 200.0, (0,)), (4, 400.0, (0,)), (2, 50.0, (1,))]
         ds = make_dataset(rows, n_tokens=1)
-        scaled = SurveyDataset(
-            vocabulary=ds.vocabulary,
-            records=tuple(
+        scaled = SurveyDataset.from_records(
+            ds.vocabulary,
+            (
                 CallRecord(r.call_id, r.rating, r.duration_s * 3.0, r.tokens, r.ptq_submitted)
                 for r in ds.records
             ),
