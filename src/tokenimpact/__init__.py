@@ -31,7 +31,6 @@ from .factors import (
     ProblemGrouping,
     assign_groups,
     extract_factors,
-    parallel_analysis,
     parallel_analysis_detail,
     varimax,
     varimax_criterion,
@@ -61,15 +60,12 @@ from .polychoric import (
     repair_to_psd,
 )
 from .survey import (
-    CallRecord,
     SurveyDataset,
     TokenVocabulary,
-    any_token_reported,
     balance_resample,
     clean_uninformative,
     default_vocabulary,
     load_csv,
-    poor_call,
     restrict_tokened_poor,
     write_csv,
 )
@@ -87,8 +83,7 @@ from .timu import Metric, MetricSpec, TimuResult, rank_tokens, resolve_fix_value
 __all__ = [
     "__version__",
     # survey
-    "TokenVocabulary", "CallRecord", "SurveyDataset", "default_vocabulary",
-    "poor_call", "any_token_reported", "load_csv", "write_csv",
+    "TokenVocabulary", "SurveyDataset", "default_vocabulary", "load_csv", "write_csv",
     "clean_uninformative", "balance_resample", "restrict_tokened_poor",
     # descriptives
     "FrequencyReport", "JaccardMatrix", "token_frequencies", "entropy_bits",
@@ -99,8 +94,8 @@ __all__ = [
     "ContingencyTable2x2", "PolychoricEstimate", "PolychoricMatrix",
     "bvn_upper", "estimate_polychoric", "polychoric_matrix", "repair_to_psd",
     # factors
-    "FactorModel", "ProblemGroup", "ProblemGrouping", "parallel_analysis",
-    "parallel_analysis_detail", "extract_factors", "varimax",
+    "FactorModel", "ProblemGroup", "ProblemGrouping", "parallel_analysis_detail",
+    "extract_factors", "varimax",
     "varimax_criterion", "assign_groups",
     # glm
     "Design", "DesignSpec", "LogisticModel", "ImpactReport", "build_design",

@@ -24,6 +24,7 @@ from .descriptives import entropy_bits, information_gain, jaccard_matrix, token_
 from .errors import (
     FactorAnalysisError,
     GlmError,
+    NoFactorError,
     PolychoricError,
     TokenImpactError,
     ValidationError,
@@ -315,7 +316,7 @@ def _timm_pipeline(ds, cfg: RunConfig, seed: int, want_impact: bool) -> dict:
     )
     k = cfg.force_k if cfg.force_k is not None else pa.n_factors
     if k == 0 and cfg.force_k is None:
-        raise FactorAnalysisError("no factor exceeds noise floor")
+        raise NoFactorError("no factor exceeds noise floor")
     if not 1 <= k < len(ds.vocabulary):
         raise FactorAnalysisError(f"factor count {k} out of range")
     log.info("extracting %d factors over %d tokens", k, len(ds.vocabulary))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FactorAnalysisError, NoFactorError
+from .errors import FactorAnalysisError
 from .polychoric import PolychoricMatrix, _matrix_values
 from .survey import SurveyDataset
 
@@ -138,7 +138,8 @@ def parallel_analysis_detail(
     prevalences, run through the identical latent-correlation estimator, so
     the noise floor reflects the estimator and not just sampling. The kept
     count is the number of leading observed eigenvalues above the per-rank
-    reference quantile.
+    reference quantile; it is 0 when none is, and the caller decides what
+    that means.
     """
     if reps < 10:
         raise FactorAnalysisError("reps must be at least 10")
@@ -173,23 +174,6 @@ def parallel_analysis_detail(
         reps=reps,
         quantile=quantile,
     )
-
-
-def parallel_analysis(
-    corr: PolychoricMatrix,
-    ds: SurveyDataset,
-    reps: int = 100,
-    quantile: float = 0.95,
-    *,
-    seed: int,
-    threads: int = 1,
-) -> int:
-    result = parallel_analysis_detail(
-        corr, ds, reps=reps, quantile=quantile, seed=seed, threads=threads
-    )
-    if result.n_factors == 0:
-        raise NoFactorError("no factor exceeds noise floor")
-    return result.n_factors
 
 
 def _initial_communalities(values: np.ndarray) -> np.ndarray:

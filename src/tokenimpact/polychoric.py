@@ -214,10 +214,9 @@ _THETA_BOUND = math.asin(_RHO_BOUND)
 
 
 def _maximize_rho(
-    cells: np.ndarray, px: np.ndarray, py: np.ndarray,
-    tx: np.ndarray, ty: np.ndarray, tol: float = _DEFAULT_TOL,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximum-likelihood rho of each table, with its loglik and convergence.
+    cells: np.ndarray, tx: np.ndarray, ty: np.ndarray, tol: float = _DEFAULT_TOL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum-likelihood rho of each table, with its convergence flag.
 
     At the marginal thresholds the likelihood peaks where the model's
     ``p11(rho)`` equals the observed ``n11 / N``, and ``p11`` is strictly
@@ -254,9 +253,7 @@ def _maximize_rho(
         done = np.abs(new - t) < tol
         converged[active[done]] = True
         active = active[~done]
-    rho = np.sin(theta)
-    loglik = _loglik_batch(cells, px, py, tx, ty, rho)
-    return rho, loglik, converged
+    return np.sin(theta), converged
 
 
 def _prepare_tables(
@@ -288,7 +285,8 @@ def estimate_polychoric(table: ContingencyTable2x2) -> PolychoricEstimate:
     """
     raw = np.array([[table.n00, table.n01, table.n10, table.n11]], dtype=np.float64)
     cells, px, py, tx, ty, corrected = _prepare_tables(raw)
-    rho, loglik, converged = _maximize_rho(cells, px, py, tx, ty)
+    rho, converged = _maximize_rho(cells, tx, ty)
+    loglik = _loglik_batch(cells, px, py, tx, ty, rho)
     return PolychoricEstimate(
         rho=float(rho[0]),
         tau_x=float(tx[0]),
@@ -386,8 +384,8 @@ def _matrix_values(
     """
     p = token_matrix.shape[1]
     raw_cells, pairs = _pair_cells(token_matrix)
-    cells, px, py, tx, ty, corrected = _prepare_tables(raw_cells)
-    rho, _, converged = _maximize_rho(cells, px, py, tx, ty)
+    cells, _, _, tx, ty, corrected = _prepare_tables(raw_cells)
+    rho, converged = _maximize_rho(cells, tx, ty)
     values = np.eye(p)
     values[pairs[:, 0], pairs[:, 1]] = rho
     values[pairs[:, 1], pairs[:, 0]] = rho

@@ -3,21 +3,19 @@
 A survey row is one rated call: an opinion score (1..5), the call duration,
 and a bitvector of problem tokens collected from the end-of-call problem
 questionnaire. The questionnaire is never shown for calls rated 5, so a
-5-rated record can carry neither tokens nor a submission flag.
+5-rated call can carry neither tokens nor a submission flag.
 
-A ``SurveyDataset`` stores its rows as columns: call ids, ratings,
-durations, submission flags and a boolean token matrix. Those arrays are
-the data. Construction checks every row against the survey rules in one
-vectorized pass, and every transform here slices the arrays. ``CallRecord``
-is a per-row view of the same data, built on first access to
-``SurveyDataset.records``, for per-record predicates and tests.
+A ``SurveyDataset`` is a table of such rows held as columns: call ids,
+ratings, durations, submission flags and a boolean token matrix. Those
+arrays are the only representation. Construction checks every row against
+the survey rules in one vectorized pass, and every transform here slices
+the arrays; a per-call predicate is a boolean mask over the columns.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, fields
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
 
@@ -139,38 +137,6 @@ def _first_violation(
     return i, message
 
 
-@dataclass(frozen=True)
-class CallRecord:
-    """One rated call. Invariants are enforced at construction."""
-
-    call_id: str
-    rating: int
-    duration_s: float
-    tokens: tuple[bool, ...]
-    ptq_submitted: bool
-
-    def __post_init__(self):
-        tokens = tuple(bool(t) for t in self.tokens)
-        object.__setattr__(self, "tokens", tokens)
-        bad = _first_violation(
-            np.array([self.rating], dtype=object),
-            np.array([self.duration_s], dtype=np.float64),
-            np.array([bool(self.ptq_submitted)]),
-            np.array([tokens], dtype=bool),
-        )
-        if bad is not None:
-            raise ValidationError(bad[1])
-
-
-def poor_call(record: CallRecord) -> bool:
-    """A call is poor when rated 1 or 2."""
-    return record.rating <= POOR_RATING_MAX
-
-
-def any_token_reported(record: CallRecord) -> bool:
-    return any(record.tokens)
-
-
 def _column(values, dtype, n: int, name: str) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     if arr.shape != (n,):
@@ -185,9 +151,8 @@ class SurveyDataset:
     ``call_ids``, ``ratings``, ``durations``, ``ptq_submitted`` (one entry
     per call) and ``token_matrix`` (one row per call, one column per
     vocabulary token) are the data. Construction copies them into read-only
-    arrays and rejects the first row that breaks a survey rule. ``records``
-    is a view of the same rows as ``CallRecord`` objects, built on first
-    access. Labels such as poor_call are always derived, never stored.
+    arrays and rejects the first row that breaks a survey rule. Labels such
+    as ``poor_mask`` are always derived, never stored.
     """
 
     vocabulary: TokenVocabulary
@@ -225,53 +190,6 @@ class SurveyDataset:
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_records(
-        cls,
-        vocabulary: TokenVocabulary,
-        records: Iterable[CallRecord],
-        provenance: Sequence[str] = (),
-    ) -> "SurveyDataset":
-        """Columns of the given records, in order."""
-        records = tuple(records)
-        p = len(vocabulary)
-        for r in records:
-            if len(r.tokens) != p:
-                raise ValidationError(
-                    f"record {r.call_id!r} has {len(r.tokens)} token bits, expected {p}"
-                )
-        return cls(
-            vocabulary=vocabulary,
-            call_ids=[r.call_id for r in records],
-            ratings=[r.rating for r in records],
-            durations=[r.duration_s for r in records],
-            ptq_submitted=[r.ptq_submitted for r in records],
-            token_matrix=np.array([r.tokens for r in records], dtype=bool).reshape(-1, p),
-            provenance=provenance,
-        )
-
-    @cached_property
-    def records(self) -> tuple[CallRecord, ...]:
-        """The rows as ``CallRecord`` objects, built on first access.
-
-        Construction checked every row, so the view skips the per-record
-        check that ``CallRecord`` runs on values from elsewhere.
-        """
-        names = [f.name for f in fields(CallRecord)]
-        rows = zip(
-            self.call_ids.tolist(),
-            self.ratings.tolist(),
-            self.durations.tolist(),
-            map(tuple, self.token_matrix.tolist()),
-            self.ptq_submitted.tolist(),
-        )
-        records = []
-        for row in rows:
-            record = object.__new__(CallRecord)
-            record.__dict__.update(zip(names, row))
-            records.append(record)
-        return tuple(records)
 
     @property
     def n_records(self) -> int:

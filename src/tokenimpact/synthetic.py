@@ -216,7 +216,12 @@ def _draw_tokens(spec: GeneratorSpec, rng: np.random.Generator, n: int) -> np.nd
     residual_scale = np.sqrt(1.0 - (loadings**2).sum(axis=1))
     factors = rng.standard_normal((n, spec.n_factors))
     residuals = rng.standard_normal((n, spec.n_tokens))
-    latent = factors @ loadings.T + residuals * residual_scale
+    # in place, so that the draws are freed as soon as the latent sum is formed
+    residuals *= residual_scale
+    latent = factors @ loadings.T
+    del factors
+    latent += residuals
+    del residuals
     return latent > spec.thresholds
 
 

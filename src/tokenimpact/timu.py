@@ -1,21 +1,24 @@
 """Univariate counterfactual impact of problem selections on a quality metric.
 
-The impact of a problem set is the change in the metric mean when the metric
-is overwritten with a "fix value" on exactly those records, as if the problem
-had not occurred. The uncertainty combines the variances of the original and
-fixed series with their covariance (propagation of errors).
+The impact of a problem set is the improvement of the metric mean when the
+metric is overwritten with a "fix value" on exactly those records, as if the
+problem had not occurred. It is signed: for the poor-call indicator it is
+``mean(original) - mean(fixed)`` (fewer poor calls is better), for durations
+``mean(fixed) - mean(original)`` (longer calls are better), so a fix that
+worsens the metric reads negative. The uncertainty combines the variances of
+the original and fixed series with their covariance (propagation of errors).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import ValidationError
-from .survey import CallRecord, SurveyDataset
+from .survey import SurveyDataset
 
 Z_95 = 1.96
 
@@ -57,12 +60,12 @@ def resolve_fix_value(ds: SurveyDataset, spec: MetricSpec) -> float:
     return float(ds.durations[clean].mean())
 
 
-Selector = str | Sequence[str] | np.ndarray | Callable[[CallRecord], bool]
+Selector = str | Sequence[str] | np.ndarray
 
 
 def selector_mask(ds: SurveyDataset, selector: Selector) -> np.ndarray:
-    """Record mask for a token name, a token set (ANY semantics), an explicit
-    boolean mask, or a per-record predicate."""
+    """Record mask for a token name, a token set (ANY semantics), or an
+    explicit boolean mask such as ``ds.durations < 60``."""
     if isinstance(selector, str):
         return ds.token_matrix[:, ds.vocabulary.index(selector)].copy()
     if isinstance(selector, np.ndarray):
@@ -70,10 +73,6 @@ def selector_mask(ds: SurveyDataset, selector: Selector) -> np.ndarray:
         if mask.shape != (ds.n_records,):
             raise ValidationError("selector mask length must match record count")
         return mask
-    if callable(selector):
-        return np.fromiter(
-            (bool(selector(r)) for r in ds.records), dtype=bool, count=ds.n_records
-        )
     cols = [ds.vocabulary.index(name) for name in selector]
     if not cols:
         return np.zeros(ds.n_records, dtype=bool)
@@ -85,8 +84,6 @@ def selector_label(selector: Selector) -> str:
         return selector
     if isinstance(selector, np.ndarray):
         return f"<mask:{int(np.asarray(selector, bool).sum())} records>"
-    if callable(selector):
-        return getattr(selector, "__name__", "<predicate>")
     return "|".join(selector)
 
 
@@ -112,7 +109,7 @@ def timu(
     metric: MetricSpec,
     strict_delta: bool = False,
 ) -> TimuResult:
-    """Counterfactual impact of a problem set on a metric.
+    """Signed counterfactual improvement of a metric from fixing a problem set.
 
     The combined standard deviation is sqrt(var_orig + var_fix - cov) by
     default; strict_delta uses the textbook variance of a difference of
@@ -126,7 +123,10 @@ def timu(
     mask = selector_mask(ds, problem_set)
     fixed = series.copy()
     fixed[mask] = fix
-    mean_impact = abs(float(series.mean() - fixed.mean()))
+    if metric.kind is Metric.POOR_INDICATOR:
+        mean_impact = float(series.mean() - fixed.mean())
+    else:
+        mean_impact = float(fixed.mean() - series.mean())
     var_orig = float(series.var())
     var_fix = float(fixed.var())
     cov = float(((series - series.mean()) * (fixed - fixed.mean())).mean())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tokenimpact.factors import ProblemGroup, ProblemGrouping
-from tokenimpact.survey import CallRecord, SurveyDataset, TokenVocabulary
+from tokenimpact.survey import SurveyDataset, TokenVocabulary
 from tokenimpact.synthetic import DurationModel, GeneratorSpec
 
 
@@ -13,20 +13,15 @@ def make_vocab(n_tokens: int) -> TokenVocabulary:
 def make_dataset(rows, n_tokens: int = 2, vocabulary: TokenVocabulary | None = None):
     """Rows of (rating, duration, token_bits) or (rating, duration, token_bits, ptq)."""
     vocab = vocabulary or make_vocab(n_tokens)
-    records = []
-    for i, row in enumerate(rows):
-        rating, duration, bits = row[0], row[1], tuple(bool(b) for b in row[2])
-        ptq = row[3] if len(row) > 3 else any(bits)
-        records.append(
-            CallRecord(
-                call_id=f"c{i}",
-                rating=rating,
-                duration_s=duration,
-                tokens=bits,
-                ptq_submitted=ptq,
-            )
-        )
-    return SurveyDataset.from_records(vocab, records)
+    bits = [[bool(b) for b in row[2]] for row in rows]
+    return SurveyDataset(
+        vocabulary=vocab,
+        call_ids=[f"c{i}" for i in range(len(rows))],
+        ratings=[row[0] for row in rows],
+        durations=[row[1] for row in rows],
+        ptq_submitted=[row[3] if len(row) > 3 else any(b) for row, b in zip(rows, bits)],
+        token_matrix=np.array(bits, dtype=bool).reshape(-1, len(vocab)),
+    )
 
 
 def grouping_from_partition(names, partition) -> ProblemGrouping:

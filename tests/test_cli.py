@@ -200,8 +200,9 @@ class TestTimu:
         assert cis["strict"] < cis["default"]
 
     def test_pcr_acd_orders_differ_on_constructed_fixture(self, tmp_path):
+        # fixing tok1 lengthens its short good calls to the 300 s clean mean
         rows = [(1, 300.0, (1, 0))] * 5
-        rows += [(4, 3000.0, (0, 1))] * 5
+        rows += [(4, 30.0, (0, 1))] * 5
         rows += [(4, 300.0, (0, 0))] * 10
         ds = make_dataset(rows, n_tokens=2)
         data = tmp_path / "two.csv"
@@ -255,6 +256,22 @@ class TestTimm:
         rc = run("timm", "factors", "--input", data, "--outdir", tmp_path / "o",
                  "--seed", 2, "--reps", 25, "--no-restrict")
         assert rc == 4
+
+    def test_structure_free_report_fails_with_no_factor_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        rows = [(int(rng.integers(1, 5)), 60.0, tuple(rng.random(4) < 0.2))
+                for _ in range(2500)]
+        data = tmp_path / "indep.csv"
+        write_csv(make_dataset(rows, n_tokens=4), data)
+        rc = run("report", "--input", data, "--outdir", tmp_path / "o",
+                 "--seed", 2, "--reps", 25, "--no-restrict")
+        assert rc == 4
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error == {
+            "error": "NoFactorError",
+            "stage": "factor",
+            "message": "no factor exceeds noise floor",
+        }
 
     def test_force_k_overrides(self, tmp_path, world_csv):
         out = tmp_path / "out"

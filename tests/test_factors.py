@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from tokenimpact.errors import FactorAnalysisError, NoFactorError
+from tokenimpact.errors import FactorAnalysisError
 from tokenimpact.factors import (
     FactorModel,
     assign_groups,
     extract_factors,
-    parallel_analysis,
     parallel_analysis_detail,
     varimax,
     varimax_criterion,
@@ -57,21 +56,20 @@ class TestParallelAnalysis:
         rows = [(1, 1.0, tuple(rng.random(5) < 0.3)) for _ in range(4000)]
         ds = make_dataset(rows, n_tokens=5)
         pm = polychoric_matrix(ds)
-        with pytest.raises(NoFactorError, match="no factor exceeds noise floor"):
-            parallel_analysis(pm, ds, reps=40, seed=1)
+        assert parallel_analysis_detail(pm, ds, reps=40, seed=1).n_factors == 0
 
     def test_planted_single_factor(self):
         spec = block_world(n=8000, seed=2, group_sizes=(5,), loading=0.7, effects=(1.0,))
         ds, _ = generate(spec, truth_mc_n=1000)
         pm = polychoric_matrix(ds)
-        assert parallel_analysis(pm, ds, reps=40, seed=3) == 1
+        assert parallel_analysis_detail(pm, ds, reps=40, seed=3).n_factors == 1
 
     def test_reps_floor(self):
         spec = block_world(n=500, seed=2, group_sizes=(3,), effects=(1.0,))
         ds, _ = generate(spec, truth_mc_n=100)
         pm = polychoric_matrix(ds)
         with pytest.raises(FactorAnalysisError, match="reps"):
-            parallel_analysis(pm, ds, reps=5, seed=0)
+            parallel_analysis_detail(pm, ds, reps=5, seed=0)
 
     def test_threads_do_not_change_result(self):
         spec = block_world(n=3000, seed=7, group_sizes=(3, 3), effects=(1.2, 1.2))
@@ -87,7 +85,7 @@ class TestParallelAnalysis:
         ds, _ = generate(spec, truth_mc_n=100)
         pm = matrix_from(np.eye(3), names=("x", "y", "z"))
         with pytest.raises(FactorAnalysisError, match="match"):
-            parallel_analysis(pm, ds, reps=10, seed=0)
+            parallel_analysis_detail(pm, ds, reps=10, seed=0)
 
 
 class TestExtractFactors:
@@ -225,7 +223,7 @@ class TestPipelineRecovery:
         ds, _ = generate(spec, truth_mc_n=1000)
         ds, _ = clean_uninformative(ds)
         pm = polychoric_matrix(ds)
-        k = parallel_analysis(pm, ds, reps=60, seed=99)
+        k = parallel_analysis_detail(pm, ds, reps=60, seed=99).n_factors
         assert k == 5
         grouping = assign_groups(varimax(extract_factors(pm, k)))
         assert grouping.unassigned == ()

@@ -13,6 +13,7 @@ from tokenimpact.errors import PolychoricError
 from tokenimpact.polychoric import (
     ContingencyTable2x2,
     _bvn_upper,
+    _loglik_batch,
     _maximize_rho,
     _prepare_tables,
     bvn_upper,
@@ -21,7 +22,6 @@ from tokenimpact.polychoric import (
     repair_to_psd,
 )
 from tokenimpact.synthetic import generate
-from tokenimpact.survey import CallRecord, SurveyDataset, TokenVocabulary
 
 import polychoric_reference
 from conftest import block_world, make_dataset
@@ -284,8 +284,11 @@ def latent_tables(draw, max_total):
 
 
 def _solve(raw_rows):
+    """Prepared tables and the solver's (rho, loglik, converged) for them."""
     cells, px, py, tx, ty, _ = _prepare_tables(np.asarray(raw_rows, dtype=np.float64))
-    return (cells, px, py, tx, ty), _maximize_rho(cells, px, py, tx, ty)
+    rho, converged = _maximize_rho(cells, tx, ty)
+    loglik = _loglik_batch(cells, px, py, tx, ty, rho)
+    return (cells, px, py, tx, ty), (rho, loglik, converged)
 
 
 def _residual(prepared, rho):

@@ -6,15 +6,12 @@ from hypothesis import strategies as st
 from tokenimpact import survey
 from tokenimpact.errors import ValidationError
 from tokenimpact.survey import (
-    CallRecord,
     SurveyDataset,
     TokenVocabulary,
-    any_token_reported,
     balance_resample,
     clean_uninformative,
     default_vocabulary,
     load_csv,
-    poor_call,
     restrict_tokened_poor,
     write_csv,
 )
@@ -47,34 +44,6 @@ class TestVocabulary:
             vocab.index("nope")
 
 
-class TestCallRecord:
-    def test_rating_range(self):
-        with pytest.raises(ValidationError):
-            CallRecord("c", 0, 1.0, (False,), False)
-        with pytest.raises(ValidationError):
-            CallRecord("c", 6, 1.0, (False,), False)
-
-    def test_negative_duration(self):
-        with pytest.raises(ValidationError):
-            CallRecord("c", 3, -1.0, (False,), False)
-
-    def test_rating5_excludes_tokens_and_ptq(self):
-        with pytest.raises(ValidationError, match="tokens present on rating 5"):
-            CallRecord("c", 5, 1.0, (True,), True)
-        with pytest.raises(ValidationError, match="ptq_submitted on rating 5"):
-            CallRecord("c", 5, 1.0, (False,), True)
-
-    def test_token_requires_submission(self):
-        with pytest.raises(ValidationError, match="without ptq_submitted"):
-            CallRecord("c", 2, 1.0, (True,), False)
-
-    def test_derived_labels(self):
-        r = CallRecord("c", 2, 1.0, (False, True), True)
-        assert poor_call(r) and any_token_reported(r)
-        r = CallRecord("c", 3, 1.0, (False, False), False)
-        assert not poor_call(r) and not any_token_reported(r)
-
-
 class TestDerivedMasks:
     @given(
         st.lists(
@@ -89,8 +58,8 @@ class TestDerivedMasks:
     @settings(max_examples=50, deadline=None)
     def test_masks_agree_with_per_record_derivation(self, rows):
         ds = make_dataset([(r, d, bits) for r, d, bits in rows], n_tokens=3)
-        brute_poor = [poor_call(r) for r in ds.records]
-        brute_any = [any_token_reported(r) for r in ds.records]
+        brute_poor = [r <= 2 for r, _, _ in rows]
+        brute_any = [any(bits) for _, _, bits in rows]
         assert ds.poor_mask.tolist() == brute_poor
         assert ds.any_token_mask.tolist() == brute_any
 
@@ -113,9 +82,9 @@ class TestLoadCsv:
     def test_basic_rows(self, tmp_path):
         ds = load_csv(_write(tmp_path, "c1,5,60,false,0,0\nc2,1,30.5,1,1,0\n"))
         assert ds.n_records == 2
-        assert ds.records[0].rating == 5 and not any(ds.records[0].tokens)
-        assert ds.records[1].tokens == (True, False)
-        assert ds.records[1].duration_s == 30.5
+        assert ds.ratings.tolist() == [5, 1]
+        assert ds.token_matrix.tolist() == [[False, False], [True, False]]
+        assert ds.durations[1] == 30.5
 
     def test_rating5_with_token_rejected(self, tmp_path):
         path = _write(tmp_path, "c2,5,60,true,1,0\n")
@@ -151,7 +120,7 @@ class TestLoadCsv:
     def test_missing_token_column_filled_false_without_ptq(self, tmp_path):
         vocab = TokenVocabulary(names=("a", "b", "c"))
         ds = load_csv(_write(tmp_path, "c1,4,60,0,0,0\n"), vocabulary=vocab)
-        assert ds.records[0].tokens == (False, False, False)
+        assert ds.token_matrix.tolist() == [[False, False, False]]
 
     def test_missing_token_column_with_ptq_rejected(self, tmp_path):
         vocab = TokenVocabulary(names=("a", "b", "c"))
@@ -174,8 +143,8 @@ class TestLoadCsv:
         path = tmp_path / "r.csv"
         path.write_text(CSV_HEADER + "c1,2,60,1,1,0\n", encoding="utf-8")
         ds = load_csv(path, vocabulary=vocab)
-        # file order is a,b; record bits follow the vocabulary order b,a
-        assert ds.records[0].tokens == (False, True)
+        # file order is a,b; token columns follow the vocabulary order b,a
+        assert ds.token_matrix.tolist() == [[False, True]]
 
     def test_round_trip_is_field_identical(self, tmp_path):
         body = "c1,5,60.25,0,0,0\nc2,1,30.5,1,1,0\nc3,3,0,1,1,1\nc4,4,99,0,0,0\n"
@@ -183,7 +152,7 @@ class TestLoadCsv:
         out = tmp_path / "copy.csv"
         write_csv(ds, out)
         again = load_csv(out)
-        assert again.records == ds.records
+        assert _columns(again) == _columns(ds)
         assert again.vocabulary.names == ds.vocabulary.names
 
 
@@ -234,20 +203,20 @@ class TestBalanceResample:
     def test_already_balanced_is_identity(self):
         ds = self._ds(5, 5)
         out = balance_resample(ds, seed=7)
-        assert out.records == ds.records
+        assert _columns(out) == _columns(ds)
 
     def test_deterministic(self):
         ds = self._ds(100, 40)
         a = balance_resample(ds, seed=42)
         b = balance_resample(ds, seed=42)
-        assert [r.call_id for r in a.records] == [r.call_id for r in b.records]
+        assert a.call_ids.tolist() == b.call_ids.tolist()
 
     def test_subset_of_original(self):
         ds = self._ds(30, 10)
         out = balance_resample(ds, seed=0)
-        ids = {r.call_id for r in ds.records}
-        assert all(r.call_id in ids for r in out.records)
-        assert len({r.call_id for r in out.records}) == out.n_records
+        ids = set(ds.call_ids.tolist())
+        assert set(out.call_ids.tolist()) <= ids
+        assert len(set(out.call_ids.tolist())) == out.n_records
 
     def test_single_class_is_error(self):
         with pytest.raises(ValidationError):
@@ -270,7 +239,7 @@ class TestRestrictTokenedPoor:
         rows = [(1, 1.0, (1,))] * 4 + [(4, 1.0, (0,))] * 6
         ds = make_dataset(rows, n_tokens=1)
         out = restrict_tokened_poor(ds, seed=1)
-        assert out.records == ds.records
+        assert _columns(out) == _columns(ds)
 
     def test_no_tokened_poor_is_error(self):
         rows = [(1, 1.0, (0,), False)] * 3 + [(4, 1.0, (0,))] * 3
@@ -381,25 +350,10 @@ class TestColumnarDataset:
         with pytest.raises(ValidationError, match=message):
             SurveyDataset(vocabulary=make_vocab(2), **{**self._arrays(), **change})
 
-    def test_records_view_matches_from_records(self):
-        records = [
-            CallRecord("a", 1, 10.0, (True, False), True),
-            CallRecord("b", 4, 20.5, (False, False), False),
-            CallRecord("c", 5, 0.0, (False, False), False),
-        ]
-        ds = SurveyDataset.from_records(make_vocab(2), records)
-        assert ds.records == tuple(records)
-        assert ds.records is ds.records  # built once
-        assert _columns(ds) == _columns(SurveyDataset(vocabulary=make_vocab(2), **self._arrays()))
-
-    def test_from_records_checks_token_width(self):
-        with pytest.raises(ValidationError, match="has 1 token bits, expected 2"):
-            SurveyDataset.from_records(make_vocab(2), [CallRecord("a", 3, 1.0, (False,), False)])
-
     def test_empty_dataset(self):
-        ds = SurveyDataset.from_records(make_vocab(3), [])
+        ds = make_dataset([], n_tokens=3)
         assert ds.n_records == 0 and ds.token_matrix.shape == (0, 3)
-        assert ds.records == ()
+        assert _columns(ds) == ([], [], [], [], [])
 
     def test_select_slices_every_column(self):
         ds = SurveyDataset(vocabulary=make_vocab(2), **self._arrays())
@@ -521,17 +475,27 @@ _ID_TEXT = st.text(alphabet=st.sampled_from('ab,"\r\n é\t'), max_size=6)
 def datasets(draw):
     p = draw(st.integers(1, 4))
     ids = draw(st.lists(_ID_TEXT, max_size=25, unique=True))
-    records = []
-    for call_id in ids:
+    ratings, durations, ptq_submitted, token_rows = [], [], [], []
+    for _ in ids:
         rating = draw(st.integers(1, 5))
         duration = draw(st.floats(0, 1e12, allow_nan=False, allow_infinity=False))
         if rating == 5:
-            tokens, ptq = (False,) * p, False
+            tokens, ptq = [False] * p, False
         else:
-            tokens = tuple(draw(st.lists(st.booleans(), min_size=p, max_size=p)))
+            tokens = draw(st.lists(st.booleans(), min_size=p, max_size=p))
             ptq = any(tokens) or draw(st.booleans())
-        records.append(CallRecord(call_id, rating, duration, tokens, ptq))
-    return SurveyDataset.from_records(make_vocab(p), records)
+        ratings.append(rating)
+        durations.append(duration)
+        ptq_submitted.append(ptq)
+        token_rows.append(tokens)
+    return SurveyDataset(
+        vocabulary=make_vocab(p),
+        call_ids=ids,
+        ratings=ratings,
+        durations=durations,
+        ptq_submitted=ptq_submitted,
+        token_matrix=np.array(token_rows, dtype=bool).reshape(-1, p),
+    )
 
 
 class TestColumnarIo:

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tokenimpact.synthetic import (
     DEFAULT_PARTITION,
     DurationModel,
     GeneratorSpec,
+    _draw_tokens,
     default_world_spec,
     generate,
     ground_truth_impact,
@@ -128,13 +130,39 @@ class TestGenerate:
         expected = 0.25 + math.asin(0.64) / (2 * math.pi)
         assert both == pytest.approx(expected, abs=0.01)
 
+    def test_token_draw_equals_one_line_expression(self):
+        class Capture:
+            """Thresholds that keep the latent matrix they are compared with."""
+
+            __array_ufunc__ = None  # `latent > capture` calls capture.__lt__
+
+            def __lt__(self, latent):
+                self.latent = latent
+                return latent > spec.thresholds
+
+        spec = default_world_spec(n=10, seed=4)
+        capture = Capture()
+        view = SimpleNamespace(
+            loadings=spec.loadings, n_factors=spec.n_factors,
+            n_tokens=spec.n_tokens, thresholds=capture,
+        )
+        tokens = _draw_tokens(view, np.random.default_rng(9), 20_000)
+        rng = np.random.default_rng(9)
+        scale = np.sqrt(1.0 - (spec.loadings**2).sum(axis=1))
+        factors = rng.standard_normal((20_000, spec.n_factors))
+        residuals = rng.standard_normal((20_000, spec.n_tokens))
+        latent = factors @ spec.loadings.T + residuals * scale
+        assert capture.latent.tobytes() == latent.tobytes()
+        assert np.array_equal(tokens, latent > spec.thresholds)
+
     def test_records_respect_survey_invariants(self):
         ds, _ = generate(default_world_spec(n=3000, seed=1), truth_mc_n=1000)
-        for r in ds.records:
-            if r.rating == 5:
-                assert not any(r.tokens) and not r.ptq_submitted
-            if any(r.tokens):
-                assert r.ptq_submitted
+        rows = zip(ds.ratings.tolist(), ds.ptq_submitted.tolist(), ds.token_matrix.tolist())
+        for rating, ptq, tokens in rows:
+            if rating == 5:
+                assert not any(tokens) and not ptq
+            if any(tokens):
+                assert ptq
 
     def test_duration_penalties_shift_means(self):
         spec = block_world(n=40000, seed=6, group_sizes=(2,), effects=(1.0,))

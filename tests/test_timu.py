@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tokenimpact.errors import ValidationError
-from tokenimpact.survey import CallRecord, SurveyDataset
+from tokenimpact.survey import SurveyDataset
 from tokenimpact.synthetic import generate
 from tokenimpact.timu import (
     Metric,
@@ -59,8 +59,21 @@ class TestTimuEdges:
     def test_selector_kinds(self, timu_fixture):
         by_name = timu(timu_fixture, "audio.noise", PCR)
         by_set = timu(timu_fixture, ["audio.noise"], PCR)
-        by_pred = timu(timu_fixture, lambda r: r.tokens[0], PCR)
-        assert by_name.mean_impact == by_set.mean_impact == by_pred.mean_impact
+        by_mask = timu(timu_fixture, timu_fixture.token_matrix[:, 0], PCR)
+        assert by_name.mean_impact == by_set.mean_impact == by_mask.mean_impact
+        assert by_mask.token_or_set == "<mask:4 records>"
+
+    def test_worsening_fix_reads_negative(self):
+        # the problem calls are longer than the problem-free mean, and an
+        # explicit poor-indicator fix of 1 makes every fixed call poor
+        rows = [(4, 600.0, (1, 0)), (4, 500.0, (1, 0)), (1, 100.0, (0, 0)), (3, 300.0, (0, 0))]
+        ds = make_dataset(rows, n_tokens=2)
+        acd = timu(ds, "tok0", ACD)
+        assert acd.mean_impact == pytest.approx((2 * 200.0 - 1100.0) / 4, abs=1e-12)
+        worse_pcr = timu(ds, "tok0", MetricSpec(Metric.POOR_INDICATOR, fix_value=1.0))
+        assert worse_pcr.mean_impact == pytest.approx(-0.5, abs=1e-12)
+        # a worsening fix ranks below the never-reported tok1
+        assert [r.token_or_set for r in rank_tokens(ds, ACD)] == ["tok1", "tok0"]
 
     def test_token_set_any_semantics(self, timu_fixture):
         mask = selector_mask(timu_fixture, ["audio.noise", "video.freeze"])
@@ -102,10 +115,10 @@ class TestRanking:
         assert [r.token_or_set for r in ranking] == ["tok0", "tok1"]
 
     def test_pcr_and_acd_orders_differ_on_constructed_dataset(self):
-        # tok0 drives poor ratings at typical durations; tok1 sits on long
-        # good calls, so fixing it moves duration but not the poor rate
+        # tok0 drives poor ratings at typical durations; tok1 sits on short
+        # good calls, so fixing it lengthens calls but leaves the poor rate
         rows = [(1, 300.0, (1, 0))] * 5
-        rows += [(4, 3000.0, (0, 1))] * 5
+        rows += [(4, 30.0, (0, 1))] * 5
         rows += [(4, 300.0, (0, 0))] * 10
         ds = make_dataset(rows, n_tokens=2)
         pcr_order = [r.token_or_set for r in rank_tokens(ds, PCR)]
@@ -143,12 +156,13 @@ class TestProperties:
     def test_scale_equivariance_of_duration(self):
         rows = [(1, 100.0, (1,)), (3, 200.0, (0,)), (4, 400.0, (0,)), (2, 50.0, (1,))]
         ds = make_dataset(rows, n_tokens=1)
-        scaled = SurveyDataset.from_records(
-            ds.vocabulary,
-            (
-                CallRecord(r.call_id, r.rating, r.duration_s * 3.0, r.tokens, r.ptq_submitted)
-                for r in ds.records
-            ),
+        scaled = SurveyDataset(
+            vocabulary=ds.vocabulary,
+            call_ids=ds.call_ids,
+            ratings=ds.ratings,
+            durations=ds.durations * 3.0,
+            ptq_submitted=ds.ptq_submitted,
+            token_matrix=ds.token_matrix,
         )
         base = timu(ds, "tok0", ACD)
         tripled = timu(scaled, "tok0", ACD)
