@@ -389,6 +389,7 @@ def _write_factor_artifacts(out: Path, cfg: RunConfig, source: dict, art: dict) 
             "min_eigenvalue_before": corr.min_eigenvalue_before,
             "corrected_pairs": [list(pair) for pair in corr.corrected_pairs],
             "unconverged_pairs": [list(pair) for pair in corr.unconverged_pairs],
+            "boundary_pairs": [list(pair) for pair in corr.boundary_pairs],
             "factor_model": model.to_dict(),
         },
     )

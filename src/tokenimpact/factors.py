@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FactorAnalysisError
-from .polychoric import PolychoricMatrix, _matrix_values
+from .polychoric import (
+    PolychoricMatrix,
+    _correlation_matrix,
+    _gram_cells,
+    _maximize_rho,
+    _prepare_tables,
+)
 from .survey import SurveyDataset
 
 
@@ -114,13 +120,52 @@ class ParallelAnalysisResult:
         }
 
 
-def _reference_eigenvalues(
-    prevalences: np.ndarray, n: int, seed: int, rep: int
-) -> np.ndarray:
+# Reference tables per root solve: enough to spread the solver's per-call
+# cost, few enough that its transient arrays stay near 1 MB.
+_CHUNK_TABLES = 1024
+# A reference Gram is formed in float32, which counts exactly below this.
+_MAX_REFERENCE_ROWS = 2**24
+
+
+def _reference_draw(prevalences: np.ndarray, n: int, seed: int, rep: int) -> np.ndarray:
+    """One structure-free reference sample: n rows of independent binary
+    columns with the given prevalences.
+
+    Each column takes the next n raw 32-bit words of the rep's own stream
+    and fires where a word is below its prevalence scaled by 2**32, so a
+    prevalence of 0 or 1 draws a constant column.
+    """
     rng = np.random.default_rng([seed, rep])
-    x = rng.random((n, prevalences.size)) < prevalences
-    values = _matrix_values(x)[0]
-    return np.sort(np.linalg.eigvalsh(values))[::-1]
+    size = n * prevalences.size
+    words = rng.bit_generator.random_raw((size + 1) // 2).view(np.uint32)[:size]
+    scaled = np.round(prevalences * 2.0**32).astype(np.uint64)
+    return (words.reshape(prevalences.size, n) < scaled[:, None]).T
+
+
+def _reference_eigenvalues(
+    prevalences: np.ndarray, n: int, seed: int, reps: range
+) -> np.ndarray:
+    """Descending eigenvalues of each rep's reference matrix, one row per rep.
+
+    The tables of all the reps go through one root solve. A table's root
+    does not depend on the batch it is solved in, so neither does a rep's
+    result.
+    """
+    if n >= _MAX_REFERENCE_ROWS:
+        raise FactorAnalysisError(
+            f"{n} rows; parallel analysis supports fewer than {_MAX_REFERENCE_ROWS}"
+        )
+    grams = []
+    for r in reps:
+        x = _reference_draw(prevalences, n, seed, r).astype(np.float32)
+        grams.append(x.T @ x)
+    raw_cells = _gram_cells(np.stack(grams, dtype=np.float64), n).reshape(-1, 4)
+    cells, _, _, tx, ty, _ = _prepare_tables(raw_cells)
+    p = prevalences.size
+    rho = _maximize_rho(cells, tx, ty)[0].reshape(len(reps), p * (p - 1) // 2)
+    return np.stack(
+        [np.sort(np.linalg.eigvalsh(_correlation_matrix(p, r)[0]))[::-1] for r in rho]
+    )
 
 
 def parallel_analysis_detail(
@@ -132,14 +177,17 @@ def parallel_analysis_detail(
     seed: int,
     threads: int = 1,
 ) -> ParallelAnalysisResult:
-    """Factor count plus the eigenvalue evidence behind it.
+    """Factor count plus the eigenvalue evidence behind it (Horn 1965).
 
     References are independent binary columns with the observed marginal
     prevalences, run through the identical latent-correlation estimator, so
-    the noise floor reflects the estimator and not just sampling. The kept
-    count is the number of leading observed eigenvalues above the per-rank
-    reference quantile; it is 0 when none is, and the caller decides what
-    that means.
+    the noise floor reflects the estimator and not just sampling. Rep ``r``
+    draws from its own stream ``[seed, r]``. The reps are solved in chunks
+    of about ``_CHUNK_TABLES`` tables, which ``threads`` workers share; a
+    rep's eigenvalues depend on neither, so neither does the result. The
+    kept count is the number of leading observed eigenvalues above the
+    per-rank reference quantile; it is 0 when none is, and the caller
+    decides what that means.
     """
     if reps < 10:
         raise FactorAnalysisError("reps must be at least 10")
@@ -148,19 +196,19 @@ def parallel_analysis_detail(
     observed = np.sort(np.linalg.eigvalsh(corr.values))[::-1]
     prevalences = ds.token_matrix.mean(axis=0)
     n = ds.n_records
+    pairs = prevalences.size * (prevalences.size - 1) // 2
+    per_chunk = max(1, _CHUNK_TABLES // max(pairs, 1))
+    chunks = [range(r, min(r + per_chunk, reps)) for r in range(0, reps, per_chunk)]
+
+    def solve(chunk: range) -> np.ndarray:
+        return _reference_eigenvalues(prevalences, n, seed, chunk)
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            reference = list(
-                pool.map(
-                    lambda r: _reference_eigenvalues(prevalences, n, seed, r),
-                    range(reps),
-                )
-            )
+            reference = list(pool.map(solve, chunks))
     else:
-        reference = [
-            _reference_eigenvalues(prevalences, n, seed, r) for r in range(reps)
-        ]
-    ref_q = np.quantile(np.stack(reference), quantile, axis=0)
+        reference = [solve(chunk) for chunk in chunks]
+    ref_q = np.quantile(np.concatenate(reference), quantile, axis=0)
     k = 0
     for obs, ref in zip(observed, ref_q):
         if obs > ref:

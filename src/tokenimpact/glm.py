@@ -331,23 +331,24 @@ def group_fix_impact(
 
     Each replicate resamples records with replacement and draws coefficients
     from the fit's asymptotic normal, so the interval carries both sampling
-    and estimation noise without refitting the model. The resampled records
-    enter as counts over the design's patterns. Replicates use per-index RNG
-    streams, making the result independent of evaluation order.
+    and estimation noise without refitting the model. A resample enters only
+    through its record count per pattern, and binning n records drawn with
+    replacement gives Multinomial(n, trials / n) counts (Efron & Tibshirani
+    1993), so those counts are drawn directly. All replicates come from one
+    stream ``[seed, group_index]``, counts first and coefficients second,
+    and are scored together.
     """
     if not 0 <= group_index < len(design.group_names):
         raise GlmError(f"group index {group_index} out of range")
     fixed_matrix = design.fixed_matrix([group_index])
     n = design.n_records
-    factor = _coefficient_factor(model.covariance)
-    replicates = np.empty(n_boot)
-    for b in range(n_boot):
-        rng = np.random.default_rng([seed, group_index, b])
-        idx = rng.integers(0, n, size=n)
-        beta = model.coefficients + factor @ rng.standard_normal(len(model.coefficients))
-        counts = np.bincount(design.row_pattern[idx], minlength=design.trials.size)
-        replicates[b] = _relative_reduction(counts, beta, design.matrix, fixed_matrix)
-    lo, hi = np.percentile(replicates, [2.5, 97.5])
+    rng = np.random.default_rng([seed, group_index])
+    counts = rng.multinomial(n, design.trials / n, size=n_boot)
+    noise = rng.standard_normal((n_boot, model.coefficients.size))
+    betas = model.coefficients + noise @ _coefficient_factor(model.covariance).T
+    fixed = (counts * expit(betas @ fixed_matrix.T)).sum(axis=1)
+    original = (counts * expit(betas @ design.matrix.T)).sum(axis=1)
+    lo, hi = np.percentile(1.0 - fixed / original, [2.5, 97.5])
     return GroupImpact(
         group=design.group_names[group_index],
         reduction=_relative_reduction(
@@ -356,6 +357,16 @@ def group_fix_impact(
         ci_lo=float(lo),
         ci_hi=float(hi),
     )
+
+
+def _separated_groups(design: Design) -> tuple[str, ...]:
+    """Groups whose records with the indicator on are all poor or all good:
+    quasi-complete separation (Albert & Anderson 1984), which leaves the
+    group's coefficient held only by the ridge."""
+    on = design.group_indicators
+    trials, poor = design.trials @ on, design.successes @ on
+    separated = (trials > 0) & ((poor == 0) | (poor == trials))
+    return tuple(name for name, hit in zip(design.group_names, separated) if hit)
 
 
 def cumulative_impact(
@@ -383,7 +394,12 @@ def cumulative_impact(
 
 @dataclass(frozen=True, eq=False)
 class ImpactReport:
-    """Per-group and cumulative counterfactual reductions plus model quality."""
+    """Per-group and cumulative counterfactual reductions plus model quality.
+
+    ``separated_groups`` names the groups whose indicator separates the poor
+    label (see ``_separated_groups``); their reductions rest on a
+    ridge-limited coefficient.
+    """
 
     groups: tuple[str, ...]
     individual: tuple[GroupImpact, ...]
@@ -393,6 +409,7 @@ class ImpactReport:
     baseline_auc: float
     tpr_at_fpr: tuple[float, float]
     baseline_pcr: float
+    separated_groups: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -404,6 +421,7 @@ class ImpactReport:
             "baseline_auc": self.baseline_auc,
             "tpr_at_fpr": list(self.tpr_at_fpr),
             "baseline_pcr": self.baseline_pcr,
+            "separated_groups": list(self.separated_groups),
         }
 
 
@@ -448,6 +466,7 @@ def impact_report(
         baseline_auc=baseline_auc,
         tpr_at_fpr=(baseline_fpr, evaluation.tpr_at_fpr(baseline_fpr)),
         baseline_pcr=float(y.mean()),
+        separated_groups=_separated_groups(design),
     )
 
 

@@ -33,8 +33,8 @@ from .survey import SurveyDataset
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
-# Likelihood cells are clipped here before taking logs; zero cell
-# probabilities only occur at the rho boundary which the optimizer avoids.
+# Likelihood cells are clipped here before taking logs: next to |rho| = 1,
+# where the root solve's bracket ends, a model cell can round to zero.
 _PROB_FLOOR = 1e-300
 
 _RHO_BOUND = 1.0 - 1e-12
@@ -215,8 +215,9 @@ _THETA_BOUND = math.asin(_RHO_BOUND)
 
 def _maximize_rho(
     cells: np.ndarray, tx: np.ndarray, ty: np.ndarray, tol: float = _DEFAULT_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Maximum-likelihood rho of each table, with its convergence flag.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximum-likelihood rho of each table, with its convergence and
+    boundary flags.
 
     At the marginal thresholds the likelihood peaks where the model's
     ``p11(rho)`` equals the observed ``n11 / N``, and ``p11`` is strictly
@@ -229,6 +230,9 @@ def _maximize_rho(
     frozen once its step is below ``tol`` (``converged``), so its rho does not
     depend on which tables share the batch; one still moving after
     ``_MAX_ITER`` steps is returned where it stands with ``converged`` False.
+    A table whose solve ends within ``tol`` of a bracket edge is flagged
+    ``boundary``: its root lies at |rho| = 1 or too close to it to tell
+    apart (Olsson 1979).
     """
     m = cells.shape[0]
     target = cells[:, 3] / cells.sum(axis=1)
@@ -253,7 +257,8 @@ def _maximize_rho(
         done = np.abs(new - t) < tol
         converged[active[done]] = True
         active = active[~done]
-    return np.sin(theta), converged
+    boundary = _THETA_BOUND - np.abs(theta) < tol
+    return np.sin(theta), converged, boundary
 
 
 def _prepare_tables(
@@ -285,7 +290,7 @@ def estimate_polychoric(table: ContingencyTable2x2) -> PolychoricEstimate:
     """
     raw = np.array([[table.n00, table.n01, table.n10, table.n11]], dtype=np.float64)
     cells, px, py, tx, ty, corrected = _prepare_tables(raw)
-    rho, converged = _maximize_rho(cells, tx, ty)
+    rho, converged, _ = _maximize_rho(cells, tx, ty)
     loglik = _loglik_batch(cells, px, py, tx, ty, rho)
     return PolychoricEstimate(
         rho=float(rho[0]),
@@ -306,7 +311,8 @@ class PolychoricMatrix:
     ``psd_repaired`` records that, with the offending eigenvalue kept for
     the report. ``corrected_pairs`` lists the token pairs whose table had a
     zero cell continuity-corrected, ``unconverged_pairs`` those whose rho
-    solve did not converge.
+    solve did not converge and ``boundary_pairs`` those whose rho solve
+    ended at the edge of its bracket, next to |rho| = 1.
     """
 
     tokens: tuple[str, ...]
@@ -315,6 +321,7 @@ class PolychoricMatrix:
     min_eigenvalue_before: float
     corrected_pairs: tuple[tuple[str, str], ...] = ()
     unconverged_pairs: tuple[tuple[str, str], ...] = ()
+    boundary_pairs: tuple[tuple[str, str], ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -324,6 +331,7 @@ class PolychoricMatrix:
             "min_eigenvalue_before": self.min_eigenvalue_before,
             "corrected_pairs": [list(pair) for pair in self.corrected_pairs],
             "unconverged_pairs": [list(pair) for pair in self.unconverged_pairs],
+            "boundary_pairs": [list(pair) for pair in self.boundary_pairs],
         }
 
 
@@ -358,39 +366,50 @@ def repair_to_psd(values: np.ndarray, floor: float = _EIG_FLOOR) -> tuple[np.nda
     raise PolychoricError("positive semidefinite repair did not converge")
 
 
+def _gram_cells(both: np.ndarray, n: int) -> np.ndarray:
+    """2x2 cell counts of every pair (i, j) with i < j, in
+    ``np.triu_indices(p, 1)`` order, from the Gram ``both`` of n rows of 0/1
+    columns. A stack of Grams gives a stack of cell blocks."""
+    counts = np.diagonal(both, axis1=-2, axis2=-1)
+    iu, ju = np.triu_indices(both.shape[-1], k=1)
+    n11 = both[..., iu, ju]
+    n10 = counts[..., iu] - n11
+    n01 = counts[..., ju] - n11
+    n00 = n - counts[..., iu] - counts[..., ju] + n11
+    return np.stack([n00, n01, n10, n11], axis=-1)
+
+
 def _pair_cells(token_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All-pairs 2x2 cell counts, one row per (i, j) pair with i < j."""
     x = token_matrix.astype(np.float64)
-    n = x.shape[0]
-    counts = x.sum(axis=0)
-    both = x.T @ x
-    iu, ju = np.triu_indices(x.shape[1], k=1)
-    n11 = both[iu, ju]
-    n10 = counts[iu] - n11
-    n01 = counts[ju] - n11
-    n00 = n - counts[iu] - counts[ju] + n11
-    cells = np.stack([n00, n01, n10, n11], axis=1)
-    pairs = np.stack([iu, ju], axis=1)
+    cells = _gram_cells(x.T @ x, x.shape[0])
+    pairs = np.stack(np.triu_indices(x.shape[1], k=1), axis=1)
     return cells, pairs
+
+
+def _correlation_matrix(p: int, rho: np.ndarray) -> tuple[np.ndarray, bool, float]:
+    """Unit-diagonal matrix from pair values in ``np.triu_indices(p, 1)``
+    order, PSD-repaired (see ``repair_to_psd``)."""
+    values = np.eye(p)
+    iu, ju = np.triu_indices(p, k=1)
+    values[iu, ju] = rho
+    values[ju, iu] = rho
+    return repair_to_psd(values)
 
 
 def _matrix_values(
     token_matrix: np.ndarray,
-) -> tuple[np.ndarray, bool, float, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, bool, float, np.ndarray, np.ndarray, np.ndarray]:
     """Pairwise latent correlations for a binary matrix, PSD-repaired.
 
-    Also returns the per-pair ``corrected`` and ``converged`` masks, in the
-    ``np.triu_indices(p, 1)`` order of the pairs.
+    Also returns the per-pair ``corrected``, ``converged`` and ``boundary``
+    masks, in the ``np.triu_indices(p, 1)`` order of the pairs.
     """
-    p = token_matrix.shape[1]
-    raw_cells, pairs = _pair_cells(token_matrix)
+    raw_cells, _ = _pair_cells(token_matrix)
     cells, _, _, tx, ty, corrected = _prepare_tables(raw_cells)
-    rho, converged = _maximize_rho(cells, tx, ty)
-    values = np.eye(p)
-    values[pairs[:, 0], pairs[:, 1]] = rho
-    values[pairs[:, 1], pairs[:, 0]] = rho
-    repaired, was_repaired, min_before = repair_to_psd(values)
-    return repaired, was_repaired, min_before, corrected, converged
+    rho, converged, boundary = _maximize_rho(cells, tx, ty)
+    repaired, was_repaired, min_before = _correlation_matrix(token_matrix.shape[1], rho)
+    return repaired, was_repaired, min_before, corrected, converged, boundary
 
 
 def polychoric_matrix(ds: SurveyDataset) -> PolychoricMatrix:
@@ -400,7 +419,7 @@ def polychoric_matrix(ds: SurveyDataset) -> PolychoricMatrix:
     if ds.n_records == 0:
         raise PolychoricError("empty dataset")
     try:
-        values, repaired, min_before, corrected, converged = _matrix_values(
+        values, repaired, min_before, corrected, converged, boundary = _matrix_values(
             ds.token_matrix
         )
     except PolychoricError as exc:
@@ -429,4 +448,5 @@ def polychoric_matrix(ds: SurveyDataset) -> PolychoricMatrix:
         min_eigenvalue_before=min_before,
         corrected_pairs=named(corrected),
         unconverged_pairs=named(~converged),
+        boundary_pairs=named(boundary),
     )

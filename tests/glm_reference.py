@@ -64,16 +64,31 @@ def reduction(beta, matrix, fixed_matrix):
     return float(1.0 - scores(fixed_matrix, beta).mean() / scores(matrix, beta).mean())
 
 
-def bootstrap_ci(beta, covariance, matrix, fixed_matrix, group_index, n_boot, seed):
-    """Percentile CI over replicates that resample record rows."""
-    factor = np.linalg.cholesky(covariance)
+def bootstrap_ci(beta, covariance, indicators, pairs, group_index, n_boot, seed):
+    """Percentile CI over replicates that reweight record rows.
+
+    Each replicate's per-pattern record counts are drawn as the library
+    draws them (Multinomial(n, trials / n), patterns in the design's code
+    order, from the stream ``[seed, group_index]``), then spread evenly over
+    that pattern's rows as record weights.
+    """
+    indicators = np.asarray(indicators, dtype=np.int64)
+    matrix = assemble(indicators, pairs)
+    fixed_matrix = assemble(indicators, pairs, [group_index])
+    codes = (indicators << np.arange(indicators.shape[1])).sum(axis=1)
+    _, pattern = np.unique(codes, return_inverse=True)
+    trials = np.bincount(pattern).astype(np.float64)
     n = matrix.shape[0]
-    replicates = np.empty(n_boot)
-    for b in range(n_boot):
-        rng = np.random.default_rng([seed, group_index, b])
-        idx = rng.integers(0, n, size=n)
-        draw = beta + factor @ rng.standard_normal(len(beta))
-        replicates[b] = reduction(draw, matrix[idx], fixed_matrix[idx])
+    factor = np.linalg.cholesky(covariance)
+    rng = np.random.default_rng([seed, group_index])
+    counts = rng.multinomial(n, trials / n, size=n_boot)
+    noise = rng.standard_normal((n_boot, len(beta)))
+    replicates = []
+    for pattern_counts, z in zip(counts, noise):
+        weights = pattern_counts[pattern] / trials[pattern]
+        draw = beta + factor @ z
+        fixed_mean = weights @ scores(fixed_matrix, draw)
+        replicates.append(1.0 - fixed_mean / (weights @ scores(matrix, draw)))
     return tuple(np.percentile(replicates, [2.5, 97.5]))
 
 

@@ -228,6 +228,7 @@ class TestTimm:
         assert factors["n_factors"] >= 1
         assert len(factors["parallel_analysis"]["observed_eigenvalues"]) == 15
         assert factors["corrected_pairs"] == [] and factors["unconverged_pairs"] == []
+        assert factors["boundary_pairs"] == []
         model = factors["factor_model"]
         assert model["rotation_converged"] and model["rotation_iterations"] >= 1
         poly = (out / "polychoric.csv").read_text().splitlines()
@@ -243,6 +244,7 @@ class TestTimm:
         impact = report["impact"]
         assert impact["auc"] > impact["baseline_auc"]
         assert len(impact["cumulative"]) == len(impact["groups"])
+        assert impact["separated_groups"] == []
         plot = (out / "impact_plot.csv").read_text().splitlines()
         assert plot[0] == "group,individual,cumulative,ci_lo,ci_hi"
 

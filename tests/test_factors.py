@@ -1,9 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import factors_reference
+from tokenimpact import factors
 from tokenimpact.errors import FactorAnalysisError
 from tokenimpact.factors import (
     FactorModel,
+    _reference_draw,
+    _reference_eigenvalues,
     assign_groups,
     extract_factors,
     parallel_analysis_detail,
@@ -71,14 +77,18 @@ class TestParallelAnalysis:
         with pytest.raises(FactorAnalysisError, match="reps"):
             parallel_analysis_detail(pm, ds, reps=5, seed=0)
 
-    def test_threads_do_not_change_result(self):
+    def test_threads_do_not_change_result(self, monkeypatch):
         spec = block_world(n=3000, seed=7, group_sizes=(3, 3), effects=(1.2, 1.2))
         ds, _ = generate(spec, truth_mc_n=100)
         pm = polychoric_matrix(ds)
-        one = parallel_analysis_detail(pm, ds, reps=20, seed=5, threads=1)
-        four = parallel_analysis_detail(pm, ds, reps=20, seed=5, threads=4)
-        assert one.n_factors == four.n_factors
-        assert np.array_equal(one.reference_quantiles, four.reference_quantiles)
+        one = parallel_analysis_detail(pm, ds, reps=23, seed=5, threads=1)
+        # 60 tables are 4 reps of 15 pairs: chunks of 4, 4, 4, 4, 4 and 3 reps
+        for chunk_tables in (factors._CHUNK_TABLES, 60):
+            monkeypatch.setattr(factors, "_CHUNK_TABLES", chunk_tables)
+            for threads in (1, 2, 4):
+                other = parallel_analysis_detail(pm, ds, reps=23, seed=5, threads=threads)
+                assert one.n_factors == other.n_factors
+                assert np.array_equal(one.reference_quantiles, other.reference_quantiles)
 
     def test_token_mismatch_rejected(self):
         spec = block_world(n=500, seed=2, group_sizes=(3,), effects=(1.0,))
@@ -86,6 +96,36 @@ class TestParallelAnalysis:
         pm = matrix_from(np.eye(3), names=("x", "y", "z"))
         with pytest.raises(FactorAnalysisError, match="match"):
             parallel_analysis_detail(pm, ds, reps=10, seed=0)
+
+
+class TestReferenceDraws:
+    def test_chunked_path_matches_per_rep_float64_reference(self):
+        prevalences = np.array([0.05, 0.1, 0.2, 0.3, 0.15, 0.4])
+        n, seed, reps = 3000, 4, range(3, 15)
+        draws = [_reference_draw(prevalences, n, seed, r) for r in reps]
+        got = _reference_eigenvalues(prevalences, n, seed, reps)
+        assert np.array_equal(got, factors_reference.eigenvalues(draws))
+
+    def test_draws_follow_prevalences(self):
+        prevalences = np.array([1.0, 0.0, 0.5, 0.02, 0.3])
+        n = 20000
+        x = _reference_draw(prevalences, n, 0, 0)
+        assert x.shape == (n, 5) and x.dtype == bool
+        assert x[:, 0].all() and not x[:, 1].any()
+        se = np.sqrt(prevalences * (1.0 - prevalences) / n)
+        assert (np.abs(x.mean(axis=0) - prevalences) <= 5.0 * se).all()
+        # each rep has its own stream
+        assert not np.array_equal(x, _reference_draw(prevalences, n, 0, 1))
+
+    def test_row_guard_raises_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FactorAnalysisError, match="rows"):
+                _reference_eigenvalues(np.full(3, 0.5), 2**24, 0, range(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestExtractFactors:

@@ -1,4 +1,7 @@
-from itertools import combinations
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations, product
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -328,6 +331,27 @@ class TestImpactReport:
         fpr, tpr = report.tpr_at_fpr
         assert 0.0 <= fpr <= 1.0 and 0.0 <= tpr <= 1.0
 
+    def test_separated_group_flagged(self):
+        # group_1 is reported only on poor calls, group_3 only on good ones;
+        # group_4 is never reported, which is no evidence of separation
+        indicators = np.array(
+            [[1, 0, 0, 0]] * 6 + [[0, 1, 0, 0]] * 8 + [[0, 0, 1, 0]] * 5 + [[0, 0, 0, 0]] * 11
+        )
+        y = np.r_[np.ones(6), np.ones(3), np.zeros(5), np.zeros(5), np.ones(2), np.zeros(9)]
+        design = make_design(indicators, y)
+        model = make_model([-1.0, 2.0, 0.5, -0.5, 0.0])
+        report = impact_report(model, design, n_boot=20, seed=0)
+        assert report.separated_groups == ("group_1", "group_3")
+        assert report.to_dict()["separated_groups"] == ["group_1", "group_3"]
+
+    def test_no_group_flagged_on_planted_world(self):
+        spec = block_world(n=8000, seed=6, group_sizes=(2, 2), effects=(1.8, 1.2))
+        ds, _ = generate(spec, truth_mc_n=100)
+        grouping = grouping_from_partition(ds.vocabulary.names, spec.group_partition)
+        design = build_design(ds, DesignSpec(grouping=grouping))
+        report = impact_report(fit_logistic(design), design, n_boot=20, seed=5)
+        assert report.separated_groups == ()
+
     def test_aic_selection_finds_planted_interaction(self):
         spec = block_world(
             n=40000, seed=8, group_sizes=(2, 2), intercept=-2.5,
@@ -337,6 +361,28 @@ class TestImpactReport:
         grouping = grouping_from_partition(ds.vocabulary.names, spec.group_partition)
         chosen = select_interactions_aic(ds, grouping)
         assert (0, 1) in chosen
+
+
+class TestMultinomialResampling:
+    @pytest.mark.parametrize("row_pattern", [(0, 1), (0, 0, 1), (0, 1, 1, 2), (0, 0, 1, 2, 2)])
+    def test_binned_index_resamples_follow_the_multinomial_pmf(self, row_pattern):
+        # every one of the n**n equally likely index resamples, binned by pattern
+        row_pattern = np.array(row_pattern)
+        n = row_pattern.size
+        trials = np.bincount(row_pattern)
+        tally = Counter(
+            tuple(np.bincount(row_pattern[list(idx)], minlength=trials.size))
+            for idx in product(range(n), repeat=n)
+        )
+        total = Fraction(0)
+        for counts, hits in tally.items():
+            pmf = Fraction(factorial(n), prod(factorial(c) for c in counts)) * prod(
+                Fraction(int(t), n) ** c for t, c in zip(trials, counts)
+            )
+            assert Fraction(hits, n**n) == pmf
+            total += pmf
+        # so no count vector of positive probability is missing
+        assert total == 1
 
 
 @st.composite
@@ -373,7 +419,7 @@ class TestPatternPathMatchesRowReference:
         for g in range(indicators.shape[1]):
             fixed = reference.assemble(indicators, pairs, [g])
             impact = group_fix_impact(model, design, g, n_boot=25, seed=3)
-            lo, hi = reference.bootstrap_ci(beta, model.covariance, rows, fixed, g, 25, 3)
+            lo, hi = reference.bootstrap_ci(beta, model.covariance, indicators, pairs, g, 25, 3)
             np.testing.assert_allclose(
                 [impact.reduction, impact.ci_lo, impact.ci_hi],
                 [reference.reduction(beta, rows, fixed), lo, hi],

@@ -191,6 +191,19 @@ class TestMatrix:
         # the duplicated pair has two empty off-diagonal cells
         assert pm.corrected_pairs == (("tok0", "tok1"),)
         assert pm.unconverged_pairs == ()
+        # the correction keeps the root inside the bracket
+        assert pm.boundary_pairs == ()
+
+    def test_boundary_pairs_named(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        x = rng.random((500, 3)) < 0.4
+        x[:, 1] = x[:, 0]  # corrected rho ~ 0.999, beyond a bracket narrowed to 0.9
+        ds = make_dataset([(1, 1.0, tuple(r)) for r in x], n_tokens=3)
+        monkeypatch.setattr(polychoric, "_THETA_BOUND", math.asin(0.9))
+        pm = polychoric_matrix(ds)
+        assert pm.boundary_pairs == (("tok0", "tok1"),)
+        assert pm.values[0, 1] == pytest.approx(0.9, abs=1e-8)
+        assert pm.to_dict()["boundary_pairs"] == [["tok0", "tok1"]]
 
     def test_unconverged_pairs_named(self, monkeypatch):
         rng = np.random.default_rng(9)
@@ -286,7 +299,7 @@ def latent_tables(draw, max_total):
 def _solve(raw_rows):
     """Prepared tables and the solver's (rho, loglik, converged) for them."""
     cells, px, py, tx, ty, _ = _prepare_tables(np.asarray(raw_rows, dtype=np.float64))
-    rho, converged = _maximize_rho(cells, tx, ty)
+    rho, converged, _ = _maximize_rho(cells, tx, ty)
     loglik = _loglik_batch(cells, px, py, tx, ty, rho)
     return (cells, px, py, tx, ty), (rho, loglik, converged)
 
@@ -326,6 +339,17 @@ class TestRootSolve:
         assert converged[0]
         assert _residual(prepared, rho) <= 1e-9
         assert loglik[0] >= ref_loglik[0] - 1e-9
+
+    def test_boundary_flag_at_bracket_edge(self):
+        # uncorrected tables at tx = ty = 0: empty off-diagonal cells put the
+        # root at rho = +1 or -1, outside the bracket; a balanced one is interior
+        cells = np.array([[50.0, 0.0, 0.0, 50.0], [0.0, 50.0, 50.0, 0.0], [40.0, 10.0, 10.0, 40.0]])
+        rho, converged, boundary = _maximize_rho(cells, np.zeros(3), np.zeros(3))
+        assert converged.all()
+        assert boundary.tolist() == [True, True, False]
+        assert np.allclose(np.abs(rho[:2]), 1.0, rtol=0.0, atol=2e-12)
+        # p11 = 1/4 + asin(rho) / (2 pi) at zero thresholds
+        assert rho[2] == pytest.approx(math.sin(2.0 * math.pi * (0.4 - 0.25)), abs=1e-9)
 
     def test_batch_does_not_change_a_table(self):
         rng = np.random.default_rng(21)
