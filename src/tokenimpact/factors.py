@@ -15,11 +15,13 @@ import numpy as np
 
 from .errors import FactorAnalysisError
 from .polychoric import (
+    _EIG_FLOOR,
     PolychoricMatrix,
-    _correlation_matrix,
+    _correlation_matrices,
     _gram_cells,
     _maximize_rho,
     _prepare_tables,
+    repair_to_psd,
 )
 from .survey import SurveyDataset
 
@@ -149,7 +151,8 @@ def _reference_eigenvalues(
 
     The tables of all the reps go through one root solve. A table's root
     does not depend on the batch it is solved in, so neither does a rep's
-    result.
+    result. The matrices are decomposed as one stack, and only those with
+    an eigenvalue under ``_EIG_FLOOR`` go through ``repair_to_psd``.
     """
     if n >= _MAX_REFERENCE_ROWS:
         raise FactorAnalysisError(
@@ -160,12 +163,14 @@ def _reference_eigenvalues(
         x = _reference_draw(prevalences, n, seed, r).astype(np.float32)
         grams.append(x.T @ x)
     raw_cells = _gram_cells(np.stack(grams, dtype=np.float64), n).reshape(-1, 4)
-    cells, _, _, tx, ty, _ = _prepare_tables(raw_cells)
+    cells, px, py, tx, ty, _ = _prepare_tables(raw_cells)
     p = prevalences.size
-    rho = _maximize_rho(cells, tx, ty)[0].reshape(len(reps), p * (p - 1) // 2)
-    return np.stack(
-        [np.sort(np.linalg.eigvalsh(_correlation_matrix(p, r)[0]))[::-1] for r in rho]
-    )
+    rho = _maximize_rho(cells, px, py, tx, ty)[0].reshape(len(reps), p * (p - 1) // 2)
+    values = _correlation_matrices(p, rho)
+    eigenvalues = np.linalg.eigvalsh(values)
+    for i in np.flatnonzero(eigenvalues[:, 0] < _EIG_FLOOR):
+        eigenvalues[i] = np.linalg.eigvalsh(repair_to_psd(values[i])[0])
+    return np.sort(eigenvalues, axis=1)[:, ::-1]
 
 
 def parallel_analysis_detail(

@@ -16,10 +16,10 @@ from dataclasses import asdict, dataclass, replace
 from itertools import combinations
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import GlmError
 from .factors import ProblemGrouping
+from .special import expit
 from .survey import SurveyDataset
 
 

@@ -15,8 +15,11 @@ identity), and the root is found by a bracketed Newton iteration.
 The numerical kernel is a fixed-order Gauss-Legendre scheme for the upper
 orthant probability of the bivariate normal (Drezner-Wesolowsky integral for
 moderate correlation, a singularity-subtracted expansion near |rho| = 1),
-accurate to well below 1e-7 absolute error. It works element by element, so
-a table's estimate does not depend on the other tables in its batch.
+accurate to well below 1e-7 absolute error. It takes each table's own
+marginal rates ``P(X > h)`` and ``P(Y > k)`` beside its thresholds, so the
+root solve calls the normal CDF only for the tail term of the expansion
+near |rho| = 1. It works element by element, so a table's estimate does not
+depend on the other tables in its batch.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import PolychoricError
+from .special import ndtr, ndtri
 from .survey import SurveyDataset
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
@@ -42,7 +45,9 @@ _DEFAULT_TOL = 1e-8
 _MAX_ITER = 100
 
 
-def _bvn_moderate(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _bvn_moderate(
+    h: np.ndarray, k: np.ndarray, r: np.ndarray, ph: np.ndarray, pk: np.ndarray,
+) -> np.ndarray:
     """P(X > h, Y > k) for |r| < 0.925 via the arcsine-path integral."""
     asr = np.arcsin(r)
     hk = h * k
@@ -52,10 +57,12 @@ def _bvn_moderate(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
     # a row sum, not a BLAS product, keeps each table's value independent of
     # the batch it is evaluated in
     quadrature = (integrand * _GL_WEIGHTS).sum(axis=-1)
-    return ndtr(-h) * ndtr(-k) + (asr / (4.0 * np.pi)) * quadrature
+    return ph * pk + (asr / (4.0 * np.pi)) * quadrature
 
 
-def _bvn_extreme(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _bvn_extreme(
+    h: np.ndarray, k: np.ndarray, r: np.ndarray, ph: np.ndarray, pk: np.ndarray,
+) -> np.ndarray:
     """P(X > h, Y > k) for 0.925 <= |r| < 1; expansion around the |r| = 1 limit."""
     s = np.sign(r)
     k2 = k * s
@@ -97,16 +104,18 @@ def _bvn_extreme(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
             )
             bvn = bvn + np.where(ok, term, 0.0)
     bvn = -bvn / (2.0 * math.pi)
-    positive = bvn + ndtr(-np.maximum(h, k))
-    negative = -bvn + np.maximum(0.0, ndtr(-h) - ndtr(k))
+    positive = bvn + np.minimum(ph, pk)
+    negative = -bvn + np.maximum(0.0, ph + pk - 1.0)
     return np.where(s > 0, positive, negative)
 
 
-def _bvn_upper(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
-    h, k, r = np.broadcast_arrays(
-        np.asarray(h, dtype=np.float64),
-        np.asarray(k, dtype=np.float64),
-        np.asarray(r, dtype=np.float64),
+def _bvn_upper(
+    h: np.ndarray, k: np.ndarray, r: np.ndarray, ph: np.ndarray, pk: np.ndarray,
+) -> np.ndarray:
+    """P(X > h, Y > k) at correlation r, given the marginals
+    ``ph = P(X > h)`` and ``pk = P(Y > k)``."""
+    h, k, r, ph, pk = np.broadcast_arrays(
+        *(np.asarray(v, dtype=np.float64) for v in (h, k, r, ph, pk))
     )
     out = np.empty(h.shape, dtype=np.float64)
     ar = np.abs(r)
@@ -114,14 +123,13 @@ def _bvn_upper(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
     moderate = ar < 0.925
     extreme = ~moderate & ~boundary
     if boundary.any():
-        hb, kb, rb = h[boundary], k[boundary], r[boundary]
-        upper = ndtr(-np.maximum(hb, kb))  # X = Y
-        lower = np.maximum(0.0, ndtr(-hb) - ndtr(kb))  # X = -Y
-        out[boundary] = np.where(rb > 0, upper, lower)
-    if moderate.any():
-        out[moderate] = _bvn_moderate(h[moderate], k[moderate], r[moderate])
-    if extreme.any():
-        out[extreme] = _bvn_extreme(h[extreme], k[extreme], r[extreme])
+        phb, pkb = ph[boundary], pk[boundary]
+        upper = np.minimum(phb, pkb)  # X = Y
+        lower = np.maximum(0.0, phb + pkb - 1.0)  # X = -Y
+        out[boundary] = np.where(r[boundary] > 0, upper, lower)
+    for branch, kernel in ((moderate, _bvn_moderate), (extreme, _bvn_extreme)):
+        if branch.any():
+            out[branch] = kernel(h[branch], k[branch], r[branch], ph[branch], pk[branch])
     return np.clip(out, 0.0, 1.0)
 
 
@@ -132,7 +140,7 @@ def bvn_upper(tau_x: float, tau_y: float, rho: float) -> float:
     """
     if not abs(rho) <= 1.0:
         raise PolychoricError(f"correlation {rho!r} outside [-1, 1]")
-    return float(_bvn_upper(np.float64(tau_x), np.float64(tau_y), np.float64(rho)))
+    return float(_bvn_upper(tau_x, tau_y, rho, ndtr(-tau_x), ndtr(-tau_y)))
 
 
 @dataclass(frozen=True)
@@ -189,7 +197,7 @@ def _loglik_batch(
     tx: np.ndarray, ty: np.ndarray, rho: np.ndarray,
 ) -> np.ndarray:
     """Multinomial log-likelihood of each table at its candidate rho."""
-    p11 = _bvn_upper(tx, ty, rho)
+    p11 = _bvn_upper(tx, ty, rho, px, py)
     p10 = px - p11
     p01 = py - p11
     p00 = 1.0 - px - py + p11
@@ -214,7 +222,8 @@ _THETA_BOUND = math.asin(_RHO_BOUND)
 
 
 def _maximize_rho(
-    cells: np.ndarray, tx: np.ndarray, ty: np.ndarray, tol: float = _DEFAULT_TOL,
+    cells: np.ndarray, px: np.ndarray, py: np.ndarray,
+    tx: np.ndarray, ty: np.ndarray, tol: float = _DEFAULT_TOL,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximum-likelihood rho of each table, with its convergence and
     boundary flags.
@@ -232,7 +241,8 @@ def _maximize_rho(
     ``_MAX_ITER`` steps is returned where it stands with ``converged`` False.
     A table whose solve ends within ``tol`` of a bracket edge is flagged
     ``boundary``: its root lies at |rho| = 1 or too close to it to tell
-    apart (Olsson 1979).
+    apart (Olsson 1979). ``px`` and ``py`` are the marginal rates that the
+    thresholds ``tx`` and ``ty`` were taken from.
     """
     m = cells.shape[0]
     target = cells[:, 3] / cells.sum(axis=1)
@@ -245,7 +255,7 @@ def _maximize_rho(
         if active.size == 0:
             break
         t, h, k = theta[active], tx[active], ty[active]
-        residual = _bvn_upper(h, k, np.sin(t)) - target[active]
+        residual = _bvn_upper(h, k, np.sin(t), px[active], py[active]) - target[active]
         below = np.where(residual < 0.0, t, lo[active])
         above = np.where(residual > 0.0, t, hi[active])
         lo[active], hi[active] = below, above
@@ -290,7 +300,7 @@ def estimate_polychoric(table: ContingencyTable2x2) -> PolychoricEstimate:
     """
     raw = np.array([[table.n00, table.n01, table.n10, table.n11]], dtype=np.float64)
     cells, px, py, tx, ty, corrected = _prepare_tables(raw)
-    rho, converged, _ = _maximize_rho(cells, tx, ty)
+    rho, converged, _ = _maximize_rho(cells, px, py, tx, ty)
     loglik = _loglik_batch(cells, px, py, tx, ty, rho)
     return PolychoricEstimate(
         rho=float(rho[0]),
@@ -387,14 +397,15 @@ def _pair_cells(token_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cells, pairs
 
 
-def _correlation_matrix(p: int, rho: np.ndarray) -> tuple[np.ndarray, bool, float]:
-    """Unit-diagonal matrix from pair values in ``np.triu_indices(p, 1)``
-    order, PSD-repaired (see ``repair_to_psd``)."""
-    values = np.eye(p)
+def _correlation_matrices(p: int, rho: np.ndarray) -> np.ndarray:
+    """Unit-diagonal symmetric matrices from pair values in
+    ``np.triu_indices(p, 1)`` order; a stack of value rows gives a stack of
+    matrices."""
+    values = np.broadcast_to(np.eye(p), (*rho.shape[:-1], p, p)).copy()
     iu, ju = np.triu_indices(p, k=1)
-    values[iu, ju] = rho
-    values[ju, iu] = rho
-    return repair_to_psd(values)
+    values[..., iu, ju] = rho
+    values[..., ju, iu] = rho
+    return values
 
 
 def _matrix_values(
@@ -406,9 +417,11 @@ def _matrix_values(
     masks, in the ``np.triu_indices(p, 1)`` order of the pairs.
     """
     raw_cells, _ = _pair_cells(token_matrix)
-    cells, _, _, tx, ty, corrected = _prepare_tables(raw_cells)
-    rho, converged, boundary = _maximize_rho(cells, tx, ty)
-    repaired, was_repaired, min_before = _correlation_matrix(token_matrix.shape[1], rho)
+    cells, px, py, tx, ty, corrected = _prepare_tables(raw_cells)
+    rho, converged, boundary = _maximize_rho(cells, px, py, tx, ty)
+    repaired, was_repaired, min_before = repair_to_psd(
+        _correlation_matrices(token_matrix.shape[1], rho)
+    )
     return repaired, was_repaired, min_before, corrected, converged, boundary
 
 

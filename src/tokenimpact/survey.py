@@ -117,7 +117,7 @@ def _first_violation(
     any_token = tokens.any(axis=1)
     five = ratings == 5
     rules = (
-        (~np.isin(ratings, _RATINGS), "rating"),
+        (~np.logical_or.reduce([ratings == r for r in _RATINGS]), "rating"),
         (~((durations >= 0) & (durations < np.inf)), "duration"),
         (five & any_token, "tokens present on rating 5"),
         (five & ptq, "ptq_submitted on rating 5"),

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ValidationError
+from .special import expit
 from .survey import SurveyDataset, TokenVocabulary, default_vocabulary
 
 DEFAULT_PARTITION = (0,) * 5 + (1,) * 5 + (2,) * 2 + (3,) * 2 + (4,)

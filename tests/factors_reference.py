@@ -26,8 +26,8 @@ def eigenvalues(draws):
               (x[:, i] & ~x[:, j]).sum(), (x[:, i] & x[:, j]).sum()] for i, j in pairs],
             dtype=np.float64,
         )
-        cells, _, _, tx, ty, _ = _prepare_tables(raw)
-        rho = _maximize_rho(cells, tx, ty)[0]
+        cells, px, py, tx, ty, _ = _prepare_tables(raw)
+        rho = _maximize_rho(cells, px, py, tx, ty)[0]
         values = np.eye(p)
         for (i, j), r in zip(pairs, rho):
             values[i, j] = values[j, i] = r

@@ -75,6 +75,30 @@ class TestSimulate:
         assert proc.returncode == 0, proc.stderr
         assert out.read_text().startswith("call_id,rating,duration_s,ptq_submitted,")
 
+    def test_commands_run_without_scipy(self, tmp_path):
+        # scipy is a test oracle only: a fresh interpreter running simulate
+        # and report must never import it
+        src = str(Path(tokenimpact.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = (
+            "import sys\n"
+            "from tokenimpact.cli import main\n"
+            "d = sys.argv[1]\n"
+            "assert main(['simulate', '--preset', 'default-world', '--n', '4000', '--seed', '7',\n"
+            "             '--out', d + '/s.csv', '--truth', d + '/t.json', '--truth-mc', '1000']) == 0\n"
+            "assert main(['report', '--input', d + '/s.csv', '--outdir', d + '/out',\n"
+            "             '--seed', '3', '--interactions', 'aic']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "out" / "impact_report.json").exists()
+
     def test_preset_requires_seed(self, tmp_path):
         rc = run("simulate", "--preset", "default-world", "--out", tmp_path / "x.csv")
         assert rc == 2

@@ -106,6 +106,16 @@ class TestReferenceDraws:
         got = _reference_eigenvalues(prevalences, n, seed, reps)
         assert np.array_equal(got, factors_reference.eigenvalues(draws))
 
+    def test_repaired_reps_match_per_rep_reference(self):
+        # at 20 rows the sparse tables give indefinite matrices, so some reps
+        # leave the stacked decomposition for repair_to_psd
+        prevalences = np.array([0.05, 0.1, 0.2, 0.3, 0.15, 0.4])
+        n, seed, reps = 20, 4, range(12)
+        draws = [_reference_draw(prevalences, n, seed, r) for r in reps]
+        got = _reference_eigenvalues(prevalences, n, seed, reps)
+        assert (got[:, -1] < 1e-6).any() and (got[:, -1] > 1e-3).any()
+        assert np.array_equal(got, factors_reference.eigenvalues(draws))
+
     def test_draws_follow_prevalences(self):
         prevalences = np.array([1.0, 0.0, 0.5, 0.02, 0.3])
         n = 20000

@@ -284,8 +284,8 @@ def latent_tables(draw, max_total):
     ))
     tau_x, tau_y = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
     total = draw(st.integers(20, max_total))
-    p11 = float(_bvn_upper(tau_x, tau_y, rho))
     px, py = ndtr(-tau_x), ndtr(-tau_y)
+    p11 = float(_bvn_upper(tau_x, tau_y, rho, px, py))
     probs = np.clip([1.0 - px - py + p11, py - p11, px - p11, p11], 0.0, 1.0)
     cells = np.round(probs * total)
     empty = draw(st.sampled_from((None, 0, 1, 2, 3)))
@@ -299,14 +299,14 @@ def latent_tables(draw, max_total):
 def _solve(raw_rows):
     """Prepared tables and the solver's (rho, loglik, converged) for them."""
     cells, px, py, tx, ty, _ = _prepare_tables(np.asarray(raw_rows, dtype=np.float64))
-    rho, converged, _ = _maximize_rho(cells, tx, ty)
+    rho, converged, _ = _maximize_rho(cells, px, py, tx, ty)
     loglik = _loglik_batch(cells, px, py, tx, ty, rho)
     return (cells, px, py, tx, ty), (rho, loglik, converged)
 
 
 def _residual(prepared, rho):
-    cells, _, _, tx, ty = prepared
-    return abs(float(_bvn_upper(tx, ty, rho)[0]) - cells[0, 3] / cells[0].sum())
+    cells, px, py, tx, ty = prepared
+    return abs(float(_bvn_upper(tx, ty, rho, px, py)[0]) - cells[0, 3] / cells[0].sum())
 
 
 class TestRootSolve:
@@ -344,7 +344,8 @@ class TestRootSolve:
         # uncorrected tables at tx = ty = 0: empty off-diagonal cells put the
         # root at rho = +1 or -1, outside the bracket; a balanced one is interior
         cells = np.array([[50.0, 0.0, 0.0, 50.0], [0.0, 50.0, 50.0, 0.0], [40.0, 10.0, 10.0, 40.0]])
-        rho, converged, boundary = _maximize_rho(cells, np.zeros(3), np.zeros(3))
+        half, zero = np.full(3, 0.5), np.zeros(3)
+        rho, converged, boundary = _maximize_rho(cells, half, half, zero, zero)
         assert converged.all()
         assert boundary.tolist() == [True, True, False]
         assert np.allclose(np.abs(rho[:2]), 1.0, rtol=0.0, atol=2e-12)
@@ -356,8 +357,8 @@ class TestRootSolve:
         extreme = rng.choice([-1.0, 1.0], 40) * rng.uniform(0.93, 0.9999, 40)
         rho = np.r_[rng.uniform(-0.9, 0.9, 60), extreme]
         tau = rng.uniform(-2.0, 2.0, (100, 2))
-        p11 = _bvn_upper(tau[:, 0], tau[:, 1], rho)
         px, py = ndtr(-tau[:, 0]), ndtr(-tau[:, 1])
+        p11 = _bvn_upper(tau[:, 0], tau[:, 1], rho, px, py)
         probs = np.stack([1.0 - px - py + p11, py - p11, px - p11, p11], axis=1)
         raw = np.round(np.clip(probs, 0.0, 1.0) * rng.integers(50, 50_000, (100, 1)))
         raw[::7, 1] = 0.0

@@ -320,6 +320,9 @@ class TestColumnarDataset:
                 dict(token_matrix=[[True, False], [False, False], [True, False]]),
                 "record 'c': tokens present on rating 5",
             ),
+            (dict(ratings=[1, np.nan, 5]), "record 'b': rating nan outside 1..5"),
+            (dict(ratings=[1, None, 5]), "record 'b': rating None outside 1..5"),
+            (dict(ratings=["1", "4", "5"]), "record 'a': rating '1' outside 1..5"),
         ],
     )
     def test_rules_checked_on_arrays(self, change, message):
