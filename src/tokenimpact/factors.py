@@ -23,6 +23,7 @@ from .polychoric import (
     _prepare_tables,
     repair_to_psd,
 )
+from .special import quantile as _quantile
 from .survey import SurveyDataset
 
 
@@ -213,7 +214,7 @@ def parallel_analysis_detail(
             reference = list(pool.map(solve, chunks))
     else:
         reference = [solve(chunk) for chunk in chunks]
-    ref_q = np.quantile(np.concatenate(reference), quantile, axis=0)
+    ref_q = _quantile(np.concatenate(reference), quantile, axis=0)
     k = 0
     for obs, ref in zip(observed, ref_q):
         if obs > ref:

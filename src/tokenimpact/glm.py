@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import GlmError
 from .factors import ProblemGrouping
-from .special import expit
+from .special import expit, quantile
 from .survey import SurveyDataset
 
 
@@ -348,7 +348,7 @@ def group_fix_impact(
     betas = model.coefficients + noise @ _coefficient_factor(model.covariance).T
     fixed = (counts * expit(betas @ fixed_matrix.T)).sum(axis=1)
     original = (counts * expit(betas @ design.matrix.T)).sum(axis=1)
-    lo, hi = np.percentile(1.0 - fixed / original, [2.5, 97.5])
+    lo, hi = quantile(1.0 - fixed / original, (0.025, 0.975))
     return GroupImpact(
         group=design.group_names[group_index],
         reduction=_relative_reduction(

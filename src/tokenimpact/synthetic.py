@@ -86,6 +86,8 @@ class GeneratorSpec:
         groups = self.n_groups
         if sorted(set(self.group_partition)) != list(range(groups)):
             raise ValidationError("group indices must be contiguous from 0")
+        if groups > 64:  # one bit per group in a pattern code
+            raise ValidationError("at most 64 groups")
         if len(self.glm_group_effects) != groups:
             raise ValidationError("one GLM effect per group required")
         if len(self.glm_interaction_effects) != len(self.glm_interactions):
@@ -194,12 +196,10 @@ class GroundTruth:
         }
 
 
-def _group_matrix(tokens: np.ndarray, partition: tuple[int, ...]) -> np.ndarray:
-    groups = max(partition) + 1
-    out = np.zeros((tokens.shape[0], groups), dtype=bool)
-    for j, g in enumerate(partition):
-        out[:, g] |= tokens[:, j]
-    return out
+# latent rows drawn, formed and thresholded at a time
+_DRAW_ROWS = 16_384
+# up to this many groups, patterns are indexed by their code over all 2^G cells
+_DENSE_GROUPS = 16
 
 
 def _linear_predictor(spec: GeneratorSpec, indicators: np.ndarray) -> np.ndarray:
@@ -212,26 +212,81 @@ def _linear_predictor(spec: GeneratorSpec, indicators: np.ndarray) -> np.ndarray
 
 
 def _draw_tokens(spec: GeneratorSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Tokens of ``n`` latent draws: the whole factor matrix, then residuals
+    in row chunks.
+
+    ``standard_normal`` fills its output row by row from the stream, so the
+    chunked residuals are the rows one ``(n, tokens)`` draw would give, and
+    each chunk's latent rows are those of the one-shot product.
+    """
     loadings = spec.loadings
     residual_scale = np.sqrt(1.0 - (loadings**2).sum(axis=1))
     factors = rng.standard_normal((n, spec.n_factors))
-    residuals = rng.standard_normal((n, spec.n_tokens))
-    # in place, so that the draws are freed as soon as the latent sum is formed
-    residuals *= residual_scale
-    latent = factors @ loadings.T
-    del factors
-    latent += residuals
-    del residuals
-    return latent > spec.thresholds
+    tokens = np.empty((n, spec.n_tokens), dtype=bool)
+    start = 0
+    while start < n:
+        # a lone last row would take numpy's matrix-vector product, which
+        # rounds its sums differently, so it joins the chunk before it
+        stop = n if n - start <= _DRAW_ROWS + 1 else start + _DRAW_ROWS
+        residuals = rng.standard_normal((stop - start, spec.n_tokens))
+        residuals *= residual_scale
+        latent = factors[start:stop] @ loadings.T
+        latent += residuals
+        tokens[start:stop] = latent > spec.thresholds
+        start = stop
+    return tokens
+
+
+def _group_patterns(
+    tokens: np.ndarray, partition: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's group-pattern index and the patterns' group indicators.
+
+    Bit g of a row's code is set when any member token of group g fires.
+    Up to ``_DENSE_GROUPS`` groups the index is the code itself, over all
+    2^G patterns; beyond that only the codes that occur are kept.
+    """
+    groups = max(partition) + 1
+    codes = np.zeros(len(tokens), dtype=np.min_scalar_type((1 << groups) - 1))
+    for j, g in enumerate(partition):
+        codes |= tokens[:, j] << codes.dtype.type(g)
+    if groups <= _DENSE_GROUPS:
+        cells = np.arange(1 << groups)
+    else:
+        cells, codes = np.unique(codes, return_inverse=True)
+    bits = np.arange(groups, dtype=np.uint8)
+    indicators = (cells[:, None] >> bits & 1).astype(np.float64)
+    return codes, indicators
+
+
+def _call_ids(start: int, stop: int) -> list[str]:
+    """``f"c{i:07d}"`` for ``i`` in ``range(start, stop)``, from digit arrays."""
+    ids: list[str] = []
+    while start < stop:
+        width = max(7, len(str(start)))
+        end = min(stop, 10**width)
+        rest = np.arange(start, end)
+        text = np.empty((end - start, width + 2), dtype=np.uint8)
+        for k in range(width, 0, -1):
+            rest, text[:, k] = np.divmod(rest, 10)
+        text[:, 1:-1] += ord("0")
+        text[:, 0] = ord("c")
+        text[:, -1] = ord(",")
+        ids += text.tobytes().decode("ascii").split(",")[:-1]
+        start = end
+    return ids
 
 
 def generate(spec: GeneratorSpec, truth_mc_n: int = 200_000) -> tuple[SurveyDataset, GroundTruth]:
     """Draw one survey dataset plus its ground truth, deterministic per seed."""
+    # one Monte-Carlo draw serves every group's counterfactual
+    draw = _truth_draw(spec, truth_mc_n, spec.seed)
+    reductions = tuple(_fix_impact(spec, draw, g) for g in range(spec.n_groups))
     rng = np.random.default_rng(spec.seed)
     n = spec.n
     tokens = _draw_tokens(spec, rng, n)
-    indicators = _group_matrix(tokens, spec.group_partition).astype(np.float64)
-    poor = rng.random(n) < expit(_linear_predictor(spec, indicators))
+    codes, indicators = _group_patterns(tokens, spec.group_partition)
+    poor = rng.random(n) < expit(_linear_predictor(spec, indicators))[codes]
     has_token = tokens.any(axis=1)
 
     ratings = np.empty(n, dtype=np.int64)
@@ -243,7 +298,7 @@ def generate(spec: GeneratorSpec, truth_mc_n: int = 200_000) -> tuple[SurveyData
     ratings[good_tokened] = rng.integers(3, 5, size=int(good_tokened.sum()))
     ratings[good_clean] = rng.integers(3, 6, size=int(good_clean.sum()))
 
-    penalties = np.ones(n)
+    penalties = np.ones(len(indicators))
     if spec.duration.group_penalties:
         penalty_row = np.asarray(spec.duration.group_penalties, dtype=np.float64)
         penalties = np.prod(
@@ -251,11 +306,11 @@ def generate(spec: GeneratorSpec, truth_mc_n: int = 200_000) -> tuple[SurveyData
         )
     sigma = spec.duration.sigma
     noise = np.exp(sigma * rng.standard_normal(n) - 0.5 * sigma * sigma)
-    durations = spec.duration.base_mean_s * penalties * noise
+    durations = spec.duration.base_mean_s * penalties[codes] * noise
 
     ds = SurveyDataset(
         vocabulary=spec.vocabulary(),
-        call_ids=[f"c{i:07d}" for i in range(n)],
+        call_ids=_call_ids(0, n),
         ratings=ratings,
         durations=durations,
         ptq_submitted=has_token,
@@ -264,11 +319,6 @@ def generate(spec: GeneratorSpec, truth_mc_n: int = 200_000) -> tuple[SurveyData
     )
     rho = spec.loadings @ spec.loadings.T
     np.fill_diagonal(rho, 1.0)
-    # one Monte-Carlo draw serves every group's counterfactual
-    indicators_mc, p_orig = _truth_draw(spec, truth_mc_n, spec.seed)
-    reductions = tuple(
-        _fix_impact(spec, indicators_mc, p_orig, g) for g in range(spec.n_groups)
-    )
     truth = GroundTruth(
         rho=rho,
         partition=spec.group_partition,
@@ -289,33 +339,49 @@ def ground_truth_impact(
     """
     if not 0 <= group_index < spec.n_groups:
         raise ValidationError(f"group index {group_index} out of range")
-    return _fix_impact(spec, *_truth_draw(spec, n_mc, seed), group_index)
+    return _fix_impact(spec, _truth_draw(spec, n_mc, seed), group_index)
 
 
 def _truth_draw(
     spec: GeneratorSpec, n_mc: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Group indicators of ``n_mc`` planted-world draws and their poor probability."""
-    rng = np.random.default_rng(seed)
-    tokens = _draw_tokens(spec, rng, n_mc)
-    indicators = _group_matrix(tokens, spec.group_partition).astype(np.float64)
-    return indicators, expit(_linear_predictor(spec, indicators))
+    """Group-indicator patterns of ``n_mc`` planted-world draws and their counts.
+
+    A draw enters the truth only through its pattern, so the counts are
+    sufficient for every group's counterfactual.
+    """
+    if n_mc < 1:
+        raise ValidationError("the Monte-Carlo truth needs at least 1 draw")
+    # its own stream: the bare seed's first draws are the data's
+    rng = np.random.default_rng([seed, 1])
+    codes, indicators = _group_patterns(
+        _draw_tokens(spec, rng, n_mc), spec.group_partition
+    )
+    return indicators, np.bincount(codes, minlength=len(indicators))
 
 
 def _fix_impact(
-    spec: GeneratorSpec, indicators: np.ndarray, p_orig: np.ndarray, group_index: int
+    spec: GeneratorSpec, draw: tuple[np.ndarray, np.ndarray], group_index: int
 ) -> MonteCarloImpact:
-    """Relative reduction, with its delta-method SE, from fixing one group of a draw."""
-    n_mc = len(p_orig)
+    """Relative reduction, with its delta-method SE, from fixing one group of a draw.
+
+    The moments of the per-draw poor probability with and without the group
+    are count-weighted over the draw's patterns, with two-pass deviations.
+    """
+    indicators, counts = draw
+    n_mc = int(counts.sum())
     fixed = indicators.copy()
     fixed[:, group_index] = 0.0  # equals forcing the member tokens absent
+    p_orig = expit(_linear_predictor(spec, indicators))
     p_fix = expit(_linear_predictor(spec, fixed))
-    m0 = float(p_orig.mean())
-    m1 = float(p_fix.mean())
+    m0 = float(counts @ p_orig) / n_mc
+    m1 = float(counts @ p_fix) / n_mc
     reduction = 1.0 - m1 / m0
-    v00 = float(p_orig.var()) / n_mc
-    v11 = float(p_fix.var()) / n_mc
-    v01 = float(np.cov(p_orig, p_fix, ddof=0)[0, 1]) / n_mc
+    d0 = p_orig - m0
+    d1 = p_fix - m1
+    v00 = float(counts @ (d0 * d0)) / n_mc / n_mc
+    v11 = float(counts @ (d1 * d1)) / n_mc / n_mc
+    v01 = float(counts @ (d0 * d1)) / n_mc / n_mc
     var = (m1 / m0**2) ** 2 * v00 + (1.0 / m0) ** 2 * v11 - 2.0 * m1 / m0**3 * v01
     return MonteCarloImpact(
         reduction=reduction, mc_se=float(np.sqrt(max(var, 0.0))), n_mc=n_mc

@@ -77,18 +77,22 @@ class TestSimulate:
 
     def test_commands_run_without_scipy(self, tmp_path):
         # scipy is a test oracle only: a fresh interpreter running simulate
-        # and report must never import it
+        # and report must never import it, nor numpy.ma (about 15 ms)
         src = str(Path(tokenimpact.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         script = (
             "import sys\n"
             "from tokenimpact.cli import main\n"
+            "def loaded():\n"
+            "    print(sorted(m for m in sys.modules\n"
+            "                 if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
             "d = sys.argv[1]\n"
             "assert main(['simulate', '--preset', 'default-world', '--n', '4000', '--seed', '7',\n"
             "             '--out', d + '/s.csv', '--truth', d + '/t.json', '--truth-mc', '1000']) == 0\n"
+            "loaded()\n"
             "assert main(['report', '--input', d + '/s.csv', '--outdir', d + '/out',\n"
             "             '--seed', '3', '--interactions', 'aic']) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "loaded()\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path)],
@@ -96,8 +100,16 @@ class TestSimulate:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.split() == ["[]", "[]"]
         assert (tmp_path / "out" / "impact_report.json").exists()
+
+    @pytest.mark.parametrize("draws", [0, -5])
+    def test_truth_needs_a_draw(self, tmp_path, draws):
+        out = tmp_path / "x.csv"
+        rc = run("simulate", "--preset", "default-world", "--n", 100, "--seed", 1,
+                 "--out", out, "--truth-mc", draws)
+        assert rc == 2
+        assert not out.exists()
 
     def test_preset_requires_seed(self, tmp_path):
         rc = run("simulate", "--preset", "default-world", "--out", tmp_path / "x.csv")

@@ -1,4 +1,4 @@
-"""The numpy-only logistic and normal functions against scipy as the oracle."""
+"""The numpy-only special functions against scipy and numpy as the oracles."""
 
 import math
 import statistics
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from tokenimpact.special import expit, ndtr, ndtri
+from tokenimpact.special import expit, ndtr, ndtri, quantile
 
 
 def test_ndtr_matches_scipy_with_tails():
@@ -63,3 +63,51 @@ def test_shapes_follow_the_input():
     grid = np.linspace(0.1, 0.9, 6).reshape(2, 3)
     assert ndtr(grid).shape == ndtri(grid).shape == expit(grid).shape == (2, 3)
     assert ndtr(ndtri(grid)) == pytest.approx(grid, rel=1e-14)
+
+
+QUANTILES = [0.0, 0.025, 0.95, 0.975, 1.0]
+
+
+def _samples():
+    rng = np.random.default_rng(5)
+    # at n = 11 and 21 some levels fall halfway between two ranks
+    for n in (1, 2, 3, 7, 11, 21, 40, 199, 200, 201, 1000):
+        yield rng.standard_normal(n)
+        yield rng.integers(0, 4, n) / 3.0  # ties
+    # 0.025 of 21 values lies halfway between the two lowest, where numpy
+    # interpolates down from the upper one
+    yield np.r_[-1.303157231604361, 0.33043707618338714, np.arange(2.0, 21.0)]
+    yield np.array([1.0, -np.nan, 2.0])
+
+
+@pytest.mark.parametrize("q", QUANTILES + [QUANTILES])
+def test_quantile_is_numpys_bit_for_bit(q):
+    for x in _samples():
+        want = np.quantile(x, q)
+        got = quantile(x, q)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_percentile_bounds_are_numpys_bit_for_bit():
+    for x in _samples():
+        want = np.percentile(x, [2.5, 97.5])
+        assert quantile(x, (0.025, 0.975)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("axis", [0, 1, None])
+@pytest.mark.parametrize("q", [0.95, QUANTILES])
+def test_quantile_along_an_axis(axis, q):
+    rng = np.random.default_rng(6)
+    nan = rng.standard_normal((21, 4))
+    nan[3, 1] = np.nan
+    for x in (rng.standard_normal((101, 15)), rng.integers(0, 3, (40, 6)) * 0.5, nan):
+        want = np.quantile(x, q, axis=axis)
+        got = quantile(x, q, axis=axis)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_quantile_checks_its_levels():
+    with pytest.raises(ValueError):
+        quantile(np.arange(3.0), 1.5)

@@ -4,20 +4,27 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import expit, ndtr
 
 from tokenimpact.errors import ValidationError
 from tokenimpact.survey import write_csv
 from tokenimpact.synthetic import (
+    _DENSE_GROUPS,
+    _DRAW_ROWS,
     DEFAULT_PARTITION,
     DurationModel,
     GeneratorSpec,
+    _call_ids,
     _draw_tokens,
+    _group_patterns,
     default_world_spec,
     generate,
     ground_truth_impact,
 )
 
+import synthetic_reference
 from conftest import block_world
 
 
@@ -49,6 +56,10 @@ class TestSpecValidation:
     def test_effect_length_must_match_groups(self):
         with pytest.raises(ValidationError, match="one GLM effect per group"):
             block_world(n=10, seed=0, group_sizes=(2, 2), effects=(1.0,))
+
+    def test_at_most_64_groups(self):
+        with pytest.raises(ValidationError, match="at most 64 groups"):
+            block_world(n=10, seed=0, group_sizes=(1,) * 65, effects=(1.0,) * 65)
 
     def test_duration_penalties(self):
         with pytest.raises(ValidationError):
@@ -132,28 +143,50 @@ class TestGenerate:
 
     def test_token_draw_equals_one_line_expression(self):
         class Capture:
-            """Thresholds that keep the latent matrix they are compared with."""
+            """Thresholds that keep every latent block they are compared with."""
 
             __array_ufunc__ = None  # `latent > capture` calls capture.__lt__
 
+            def __init__(self):
+                self.blocks = []
+
             def __lt__(self, latent):
-                self.latent = latent
+                self.blocks.append(latent.copy())
                 return latent > spec.thresholds
 
         spec = default_world_spec(n=10, seed=4)
-        capture = Capture()
-        view = SimpleNamespace(
-            loadings=spec.loadings, n_factors=spec.n_factors,
-            n_tokens=spec.n_tokens, thresholds=capture,
-        )
-        tokens = _draw_tokens(view, np.random.default_rng(9), 20_000)
-        rng = np.random.default_rng(9)
         scale = np.sqrt(1.0 - (spec.loadings**2).sum(axis=1))
-        factors = rng.standard_normal((20_000, spec.n_factors))
-        residuals = rng.standard_normal((20_000, spec.n_tokens))
-        latent = factors @ spec.loadings.T + residuals * scale
-        assert capture.latent.tobytes() == latent.tobytes()
-        assert np.array_equal(tokens, latent > spec.thresholds)
+        for n in (_DRAW_ROWS - 1, _DRAW_ROWS, _DRAW_ROWS + 1, 20_000):
+            capture = Capture()
+            view = SimpleNamespace(
+                loadings=spec.loadings, n_factors=spec.n_factors,
+                n_tokens=spec.n_tokens, thresholds=capture,
+            )
+            tokens = _draw_tokens(view, np.random.default_rng(9), n)
+            rng = np.random.default_rng(9)
+            factors = rng.standard_normal((n, spec.n_factors))
+            residuals = rng.standard_normal((n, spec.n_tokens))
+            latent = factors @ spec.loadings.T + residuals * scale
+            # a lone last row joins the chunk before it
+            assert len(capture.blocks) == (2 if n == 20_000 else 1)
+            assert np.concatenate(capture.blocks).tobytes() == latent.tobytes()
+            assert np.array_equal(tokens, latent > spec.thresholds)
+
+    @pytest.mark.parametrize("groups", [3, _DENSE_GROUPS + 2])
+    def test_group_patterns_index_each_rows_indicators(self, groups):
+        rng = np.random.default_rng(groups)
+        partition = tuple(rng.permutation(np.arange(2 * groups) % groups).tolist())
+        tokens = rng.random((500, 2 * groups)) < 0.2
+        codes, indicators = _group_patterns(tokens, partition)
+        want = synthetic_reference.group_matrix(tokens, partition)
+        assert np.array_equal(indicators[codes], want)
+
+    @pytest.mark.parametrize("i", [0, 9_999_999, 10_000_000, 123_456_789])
+    def test_call_ids_match_the_format(self, i):
+        assert _call_ids(i, i + 1) == [f"c{i:07d}"]
+        assert _call_ids(max(i - 2, 0), i + 3) == [
+            f"c{k:07d}" for k in range(max(i - 2, 0), i + 3)
+        ]
 
     def test_records_respect_survey_invariants(self):
         ds, _ = generate(default_world_spec(n=3000, seed=1), truth_mc_n=1000)
@@ -222,6 +255,58 @@ class TestGroundTruth:
         with pytest.raises(ValidationError):
             ground_truth_impact(spec, 5, n_mc=100, seed=0)
 
+    @pytest.mark.parametrize("n_mc", [0, -5])
+    def test_truth_needs_a_draw(self, n_mc):
+        spec = block_world(n=10, seed=0)
+        with pytest.raises(ValidationError, match="at least 1 draw"):
+            generate(spec, truth_mc_n=n_mc)
+        with pytest.raises(ValidationError, match="at least 1 draw"):
+            ground_truth_impact(spec, 0, n_mc=n_mc, seed=0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        # effects kept off 0, where the SE is rounding noise (see below)
+        effects=st.lists(
+            st.one_of(st.floats(-2.0, -0.2), st.floats(0.2, 2.5)), min_size=4, max_size=4
+        ),
+        interaction=st.one_of(st.none(), st.floats(-1.5, -0.2), st.floats(0.2, 1.5)),
+        n_mc=st.one_of(
+            st.integers(1, 400), st.integers(_DRAW_ROWS - 2, _DRAW_ROWS + 2)
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @example(sizes=[2, 3], effects=[1.5, 0.8, 1, 1], interaction=None,
+             n_mc=_DRAW_ROWS - 1, seed=3)
+    @example(sizes=[3, 1, 2], effects=[1.5, 0.8, 2.0, 1], interaction=-0.6,
+             n_mc=_DRAW_ROWS + 2, seed=4)
+    def test_pattern_counts_match_row_level_reference(
+        self, sizes, effects, interaction, n_mc, seed
+    ):
+        pairs = ((0, len(sizes) - 1),) if interaction is not None and len(sizes) > 1 else ()
+        spec = block_world(
+            n=10, seed=seed, group_sizes=tuple(sizes), threshold=0.6,
+            effects=effects[: len(sizes)], interactions=pairs,
+            interaction_effects=(interaction,) * len(pairs),
+        )
+        indicators, p_orig = synthetic_reference.truth_draw(spec, n_mc, seed)
+        eta = synthetic_reference.linear_predictor(spec, indicators)
+        one_pattern = (indicators == indicators[0]).all()
+        for g in range(len(sizes)):
+            want = synthetic_reference.fix_impact(spec, indicators, p_orig, g)
+            got = ground_truth_impact(spec, g, n_mc=n_mc, seed=seed)
+            assert got.n_mc == want.n_mc == n_mc
+            assert abs(got.reduction - want.reduction) <= 1e-12
+            fixed = indicators.copy()
+            fixed[:, g] = 0.0
+            moved = (synthetic_reference.linear_predictor(spec, fixed) != eta).any()
+            if one_pattern or not moved:
+                # the delta-method variance is 0 but for rounding, which the
+                # square root lifts to about 1e-8: only its scale can agree
+                assert max(got.mc_se, want.mc_se) < 1e-7
+            else:
+                assert got.mc_se == pytest.approx(want.mc_se, rel=1e-10)
+
     def test_generate_attaches_reductions(self):
         spec = block_world(n=200, seed=4)
         _, truth = generate(spec, truth_mc_n=5000)
@@ -240,11 +325,6 @@ class TestGroundTruth:
 
 def _fix_both_reduction(spec, n_mc, seed):
     """Joint-fix reduction via the same latent draw as ground_truth_impact."""
-    from tokenimpact.synthetic import _draw_tokens, _group_matrix, _linear_predictor
-
-    rng = np.random.default_rng(seed)
-    tokens = _draw_tokens(spec, rng, n_mc)
-    ind = _group_matrix(tokens, spec.group_partition).astype(float)
-    p0 = expit(_linear_predictor(spec, ind)).mean()
-    p1 = expit(_linear_predictor(spec, np.zeros_like(ind))).mean()
-    return 1.0 - p1 / p0
+    indicators, p0 = synthetic_reference.truth_draw(spec, n_mc, seed)
+    p1 = expit(synthetic_reference.linear_predictor(spec, np.zeros_like(indicators)))
+    return 1.0 - p1.mean() / p0.mean()
