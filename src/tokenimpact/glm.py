@@ -20,7 +20,7 @@ import numpy as np
 from .errors import GlmError
 from .factors import ProblemGrouping
 from .special import expit, quantile
-from .survey import SurveyDataset
+from .survey import MAX_GROUPS, SurveyDataset, group_patterns
 
 
 @dataclass(frozen=True)
@@ -102,16 +102,15 @@ def build_design(ds: SurveyDataset, spec: DesignSpec) -> Design:
     if not grouping.groups:
         raise GlmError("grouping has no groups")
     n_groups = len(grouping.groups)
-    if n_groups > 64:  # one bit per group in an int64 pattern code
-        raise GlmError(f"{n_groups} groups; at most 64 are supported")
-    codes = np.zeros(ds.n_records, dtype=np.int64)
-    for j, group in enumerate(grouping.groups):
+    if n_groups > MAX_GROUPS:
+        raise GlmError(f"{n_groups} groups; at most {MAX_GROUPS} are supported")
+    for group in grouping.groups:
         if not group.members:
             raise GlmError(f"group {group.name} is empty")
-        cols = [ds.vocabulary.index(tok) for tok in group.members]
-        codes |= ds.token_matrix[:, cols].any(axis=1).astype(np.int64) << j
-    patterns, row_pattern = np.unique(codes, return_inverse=True)
-    indicators = (patterns[:, None] >> np.arange(n_groups) & 1).astype(np.float64)
+    indicators, row_pattern = group_patterns(
+        ds.token_matrix,
+        [[ds.vocabulary.index(tok) for tok in g.members] for g in grouping.groups],
+    )
     response = ds.poor_mask.astype(np.float64)
     base = Design(
         columns=(),

@@ -29,6 +29,9 @@ TOKEN_COLUMN_PREFIX = "token_"
 
 POOR_RATING_MAX = 2
 
+# one bit per group in an int64 group-pattern code
+MAX_GROUPS = 64
+
 # Default questionnaire: 15 problem tokens covering audio quality, video
 # quality, one-way media and reliability (5/5/2/2/1 when grouped).
 DEFAULT_TOKENS = (
@@ -516,3 +519,21 @@ def restrict_tokened_poor(ds: SurveyDataset, seed: int) -> SurveyDataset:
         f"{len(kept_poor)}, good {len(good_idx)} -> {len(kept_good)}"
     )
     return ds.select(keep, note)
+
+
+def group_patterns(
+    tokens: np.ndarray, members: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct group-indicator patterns of a token matrix's rows, and each
+    row's pattern index.
+
+    Bit g of a row's int64 code is set when any token column in
+    ``members[g]`` fires, so at most ``MAX_GROUPS`` groups fit. The patterns
+    are the codes that occur, in ascending order, as float64 indicator rows.
+    """
+    codes = np.zeros(len(tokens), dtype=np.int64)
+    for g, cols in enumerate(members):
+        codes |= tokens[:, cols].any(axis=1).astype(np.int64) << g
+    patterns, row_pattern = np.unique(codes, return_inverse=True)
+    indicators = (patterns[:, None] >> np.arange(len(members)) & 1).astype(np.float64)
+    return indicators, row_pattern

@@ -9,13 +9,20 @@ exact oracle to recover.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
 from .special import expit
-from .survey import SurveyDataset, TokenVocabulary, default_vocabulary
+from .survey import (
+    MAX_GROUPS,
+    SurveyDataset,
+    TokenVocabulary,
+    default_vocabulary,
+    group_patterns,
+)
 
 DEFAULT_PARTITION = (0,) * 5 + (1,) * 5 + (2,) * 2 + (3,) * 2 + (4,)
 
@@ -86,8 +93,8 @@ class GeneratorSpec:
         groups = self.n_groups
         if sorted(set(self.group_partition)) != list(range(groups)):
             raise ValidationError("group indices must be contiguous from 0")
-        if groups > 64:  # one bit per group in a pattern code
-            raise ValidationError("at most 64 groups")
+        if groups > MAX_GROUPS:
+            raise ValidationError(f"at most {MAX_GROUPS} groups")
         if len(self.glm_group_effects) != groups:
             raise ValidationError("one GLM effect per group required")
         if len(self.glm_interaction_effects) != len(self.glm_interactions):
@@ -198,8 +205,6 @@ class GroundTruth:
 
 # latent rows drawn, formed and thresholded at a time
 _DRAW_ROWS = 16_384
-# up to this many groups, patterns are indexed by their code over all 2^G cells
-_DENSE_GROUPS = 16
 
 
 def _linear_predictor(spec: GeneratorSpec, indicators: np.ndarray) -> np.ndarray:
@@ -240,23 +245,11 @@ def _draw_tokens(spec: GeneratorSpec, rng: np.random.Generator, n: int) -> np.nd
 def _group_patterns(
     tokens: np.ndarray, partition: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's group-pattern index and the patterns' group indicators.
-
-    Bit g of a row's code is set when any member token of group g fires.
-    Up to ``_DENSE_GROUPS`` groups the index is the code itself, over all
-    2^G patterns; beyond that only the codes that occur are kept.
-    """
-    groups = max(partition) + 1
-    codes = np.zeros(len(tokens), dtype=np.min_scalar_type((1 << groups) - 1))
+    """``group_patterns`` of the tokens grouped by a token -> group partition."""
+    members = [[] for _ in range(max(partition) + 1)]
     for j, g in enumerate(partition):
-        codes |= tokens[:, j] << codes.dtype.type(g)
-    if groups <= _DENSE_GROUPS:
-        cells = np.arange(1 << groups)
-    else:
-        cells, codes = np.unique(codes, return_inverse=True)
-    bits = np.arange(groups, dtype=np.uint8)
-    indicators = (cells[:, None] >> bits & 1).astype(np.float64)
-    return codes, indicators
+        members[g].append(j)
+    return group_patterns(tokens, members)
 
 
 def _call_ids(start: int, stop: int) -> list[str]:
@@ -285,8 +278,8 @@ def generate(spec: GeneratorSpec, truth_mc_n: int = 200_000) -> tuple[SurveyData
     rng = np.random.default_rng(spec.seed)
     n = spec.n
     tokens = _draw_tokens(spec, rng, n)
-    codes, indicators = _group_patterns(tokens, spec.group_partition)
-    poor = rng.random(n) < expit(_linear_predictor(spec, indicators))[codes]
+    indicators, row_pattern = _group_patterns(tokens, spec.group_partition)
+    poor = rng.random(n) < expit(_linear_predictor(spec, indicators))[row_pattern]
     has_token = tokens.any(axis=1)
 
     ratings = np.empty(n, dtype=np.int64)
@@ -306,7 +299,7 @@ def generate(spec: GeneratorSpec, truth_mc_n: int = 200_000) -> tuple[SurveyData
         )
     sigma = spec.duration.sigma
     noise = np.exp(sigma * rng.standard_normal(n) - 0.5 * sigma * sigma)
-    durations = spec.duration.base_mean_s * penalties[codes] * noise
+    durations = spec.duration.base_mean_s * penalties[row_pattern] * noise
 
     ds = SurveyDataset(
         vocabulary=spec.vocabulary(),
@@ -354,10 +347,10 @@ def _truth_draw(
         raise ValidationError("the Monte-Carlo truth needs at least 1 draw")
     # its own stream: the bare seed's first draws are the data's
     rng = np.random.default_rng([seed, 1])
-    codes, indicators = _group_patterns(
+    indicators, row_pattern = _group_patterns(
         _draw_tokens(spec, rng, n_mc), spec.group_partition
     )
-    return indicators, np.bincount(codes, minlength=len(indicators))
+    return indicators, np.bincount(row_pattern)
 
 
 def _fix_impact(
@@ -365,8 +358,11 @@ def _fix_impact(
 ) -> MonteCarloImpact:
     """Relative reduction, with its delta-method SE, from fixing one group of a draw.
 
-    The moments of the per-draw poor probability with and without the group
-    are count-weighted over the draw's patterns, with two-pass deviations.
+    The means of the per-draw poor probability with and without the group
+    are count-weighted over the draw's patterns. The variance of the ratio
+    is that of its per-draw influence ``e = R * d0 - d1`` over ``m0``, with
+    ``R = m1 / m0`` and two-pass deviations ``d``: one sum of squares, which
+    is exactly 0 when the fix moves no draw.
     """
     indicators, counts = draw
     n_mc = int(counts.sum())
@@ -377,15 +373,9 @@ def _fix_impact(
     m0 = float(counts @ p_orig) / n_mc
     m1 = float(counts @ p_fix) / n_mc
     reduction = 1.0 - m1 / m0
-    d0 = p_orig - m0
-    d1 = p_fix - m1
-    v00 = float(counts @ (d0 * d0)) / n_mc / n_mc
-    v11 = float(counts @ (d1 * d1)) / n_mc / n_mc
-    v01 = float(counts @ (d0 * d1)) / n_mc / n_mc
-    var = (m1 / m0**2) ** 2 * v00 + (1.0 / m0) ** 2 * v11 - 2.0 * m1 / m0**3 * v01
-    return MonteCarloImpact(
-        reduction=reduction, mc_se=float(np.sqrt(max(var, 0.0))), n_mc=n_mc
-    )
+    e = m1 / m0 * (p_orig - m0) - (p_fix - m1)
+    var = float(counts @ (e * e)) / n_mc / n_mc / m0**2
+    return MonteCarloImpact(reduction=reduction, mc_se=math.sqrt(var), n_mc=n_mc)
 
 
 def default_world_spec(

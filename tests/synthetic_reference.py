@@ -41,10 +41,10 @@ def fix_impact(spec, indicators, p_orig, group_index):
     p_fix = expit(linear_predictor(spec, fixed))
     m0 = float(p_orig.mean())
     m1 = float(p_fix.mean())
-    v00 = float(p_orig.var()) / n_mc
-    v11 = float(p_fix.var()) / n_mc
-    v01 = float(np.cov(p_orig, p_fix, ddof=0)[0, 1]) / n_mc
-    var = (m1 / m0**2) ** 2 * v00 + (1.0 / m0) ** 2 * v11 - 2.0 * m1 / m0**3 * v01
+    # the ratio's per-draw influence; its mean square over n_mc is the
+    # delta-method variance, without the cancellation of the three-moment form
+    influence = (m1 / m0 * (p_orig - m0) - (p_fix - m1)) / m0
+    var = float(np.mean(influence * influence)) / n_mc
     return MonteCarloImpact(
-        reduction=1.0 - m1 / m0, mc_se=float(np.sqrt(max(var, 0.0))), n_mc=n_mc
+        reduction=1.0 - m1 / m0, mc_se=float(np.sqrt(var)), n_mc=n_mc
     )

@@ -11,7 +11,6 @@ from scipy.special import expit, ndtr
 from tokenimpact.errors import ValidationError
 from tokenimpact.survey import write_csv
 from tokenimpact.synthetic import (
-    _DENSE_GROUPS,
     _DRAW_ROWS,
     DEFAULT_PARTITION,
     DurationModel,
@@ -172,14 +171,14 @@ class TestGenerate:
             assert np.concatenate(capture.blocks).tobytes() == latent.tobytes()
             assert np.array_equal(tokens, latent > spec.thresholds)
 
-    @pytest.mark.parametrize("groups", [3, _DENSE_GROUPS + 2])
+    @pytest.mark.parametrize("groups", [3, 18])
     def test_group_patterns_index_each_rows_indicators(self, groups):
         rng = np.random.default_rng(groups)
         partition = tuple(rng.permutation(np.arange(2 * groups) % groups).tolist())
         tokens = rng.random((500, 2 * groups)) < 0.2
-        codes, indicators = _group_patterns(tokens, partition)
+        indicators, row_pattern = _group_patterns(tokens, partition)
         want = synthetic_reference.group_matrix(tokens, partition)
-        assert np.array_equal(indicators[codes], want)
+        assert np.array_equal(indicators[row_pattern], want)
 
     @pytest.mark.parametrize("i", [0, 9_999_999, 10_000_000, 123_456_789])
     def test_call_ids_match_the_format(self, i):
@@ -266,11 +265,13 @@ class TestGroundTruth:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4),
-        # effects kept off 0, where the SE is rounding noise (see below)
+        # a zero or tiny effect barely moves p, where a cancelling SE formula
+        # would be rounding noise
         effects=st.lists(
-            st.one_of(st.floats(-2.0, -0.2), st.floats(0.2, 2.5)), min_size=4, max_size=4
+            st.one_of(st.floats(-2.0, 2.5), st.sampled_from([0.0, 1e-5, -1e-5])),
+            min_size=4, max_size=4,
         ),
-        interaction=st.one_of(st.none(), st.floats(-1.5, -0.2), st.floats(0.2, 1.5)),
+        interaction=st.one_of(st.none(), st.floats(-1.5, 1.5)),
         n_mc=st.one_of(
             st.integers(1, 400), st.integers(_DRAW_ROWS - 2, _DRAW_ROWS + 2)
         ),
@@ -290,22 +291,14 @@ class TestGroundTruth:
             interaction_effects=(interaction,) * len(pairs),
         )
         indicators, p_orig = synthetic_reference.truth_draw(spec, n_mc, seed)
-        eta = synthetic_reference.linear_predictor(spec, indicators)
-        one_pattern = (indicators == indicators[0]).all()
         for g in range(len(sizes)):
             want = synthetic_reference.fix_impact(spec, indicators, p_orig, g)
             got = ground_truth_impact(spec, g, n_mc=n_mc, seed=seed)
             assert got.n_mc == want.n_mc == n_mc
             assert abs(got.reduction - want.reduction) <= 1e-12
-            fixed = indicators.copy()
-            fixed[:, g] = 0.0
-            moved = (synthetic_reference.linear_predictor(spec, fixed) != eta).any()
-            if one_pattern or not moved:
-                # the delta-method variance is 0 but for rounding, which the
-                # square root lifts to about 1e-8: only its scale can agree
-                assert max(got.mc_se, want.mc_se) < 1e-7
-            else:
-                assert got.mc_se == pytest.approx(want.mc_se, rel=1e-10)
+            # a draw of one pattern has a variance of 0 up to the rounding
+            # of its mean, about 1e-17 here
+            assert got.mc_se == pytest.approx(want.mc_se, rel=1e-10, abs=1e-15)
 
     def test_generate_attaches_reductions(self):
         spec = block_world(n=200, seed=4)
