@@ -1,9 +1,9 @@
 """Command-line orchestration: simulate, describe, rank, group and report.
 
 Every artifact is written under an output directory and is byte-identical
-across reruns with the same input, configuration and seed, at any thread
-count. Structured errors go to stderr as JSON; exit codes are 0 (ok),
-2 (validation), 3 (latent correlation), 4 (factor analysis), 5 (model).
+across reruns with the same input, configuration and seed. Structured
+errors go to stderr as JSON; exit codes are 0 (ok), 2 (validation), 3
+(latent correlation), 4 (factor analysis), 5 (model).
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class RunConfig:
     input: str | None = None
     outdir: str | None = None
     seed: int | None = None
-    threads: int = 1
     metric: str = "both"
     fix_value: float | None = None
     strict_delta: bool = False
@@ -79,8 +78,14 @@ class RunConfig:
     def __post_init__(self):
         if self.seed is not None and self.seed < 0:
             raise ValidationError("seed must be non-negative")
-        if self.threads < 1:
-            raise ValidationError("threads must be at least 1")
+        if not 0.0 <= self.quantile <= 1.0:
+            raise ValidationError("quantile must be in [0, 1]")
+        if self.bootstrap < 1:
+            raise ValidationError("bootstrap must be at least 1")
+        if not 0.0 <= self.ridge < np.inf:
+            raise ValidationError("ridge must be finite and non-negative")
+        if self.min_positives < 1:
+            raise ValidationError("min_positives must be at least 1")
 
     def require_seed(self) -> int:
         if self.seed is None:
@@ -119,13 +124,12 @@ def _sha256(path: Path) -> str:
 
 
 def _provenance(cfg: RunConfig, source: dict, lineage: tuple[str, ...]) -> dict:
-    # analysis parameters only; file locations and execution details (thread
-    # count) must not leak into artifacts or byte-identical regeneration
-    # across directories and worker counts breaks
+    # analysis parameters only; file locations must not leak into artifacts
+    # or byte-identical regeneration across directories breaks
     config = {
         k: getattr(cfg, k)
         for k in RunConfig.__dataclass_fields__
-        if k not in ("input", "outdir", "threads") and getattr(cfg, k) is not None
+        if k not in ("input", "outdir") and getattr(cfg, k) is not None
     }
     return {
         **source,
@@ -190,7 +194,7 @@ def _ig_entry(x: np.ndarray, y: np.ndarray) -> dict:
     }
 
 
-_DESCRIBE_KEYS = ("input", "outdir", "seed", "threads")
+_DESCRIBE_KEYS = ("input", "outdir", "seed")
 _TIMU_KEYS = ("input", "outdir", "seed", "metric", "fix_value", "strict_delta", "restrict")
 
 
@@ -311,9 +315,7 @@ def _timm_pipeline(ds, cfg: RunConfig, seed: int, want_impact: bool) -> dict:
             "correlation matrix repaired (min eigenvalue was %.3g)",
             corr.min_eigenvalue_before,
         )
-    pa = parallel_analysis_detail(
-        corr, ds, reps=cfg.reps, quantile=cfg.quantile, seed=seed, threads=cfg.threads
-    )
+    pa = parallel_analysis_detail(corr, ds, reps=cfg.reps, quantile=cfg.quantile, seed=seed)
     k = cfg.force_k if cfg.force_k is not None else pa.n_factors
     if k == 0 and cfg.force_k is None:
         raise NoFactorError("no factor exceeds noise floor")
@@ -351,7 +353,7 @@ def _timm_pipeline(ds, cfg: RunConfig, seed: int, want_impact: bool) -> dict:
 
 
 _TIMM_KEYS = (
-    "input", "outdir", "seed", "threads", "restrict", "min_positives",
+    "input", "outdir", "seed", "restrict", "min_positives",
     "reps", "quantile", "threshold", "interactions", "bootstrap", "ridge",
     "force_k",
 )
@@ -511,7 +513,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--outdir", help="directory for report artifacts")
     p.add_argument("--seed", type=int, help="seed for every stochastic step")
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--threads", type=int, help="worker threads (results identical for any value)")
 
 
 def _add_restrict(p: argparse.ArgumentParser) -> None:

@@ -143,7 +143,8 @@ class JaccardMatrix:
 def jaccard_matrix(ds: SurveyDataset) -> JaccardMatrix:
     if len(ds.vocabulary) < 2:
         raise ValidationError("at least two tokens required")
-    x = ds.token_matrix.astype(np.int64)
+    # float64 counts exactly below 2**53 and, unlike int64, goes to BLAS
+    x = ds.token_matrix.astype(np.float64)
     inter = x.T @ x
     counts = x.sum(axis=0)
     union = counts[:, None] + counts[None, :] - inter

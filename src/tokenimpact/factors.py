@@ -8,7 +8,6 @@ into problem groups by their dominant rotated loading.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,23 +125,29 @@ class ParallelAnalysisResult:
 # Reference tables per root solve: enough to spread the solver's per-call
 # cost, few enough that its transient arrays stay near 1 MB.
 _CHUNK_TABLES = 1024
-# A reference Gram is formed in float32, which counts exactly below this.
-_MAX_REFERENCE_ROWS = 2**24
 
 
-def _reference_draw(prevalences: np.ndarray, n: int, seed: int, rep: int) -> np.ndarray:
-    """One structure-free reference sample: n rows of independent binary
-    columns with the given prevalences.
+def _reference_counts(
+    prevalences: np.ndarray, n: int, seed: int, rep: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct token patterns (bool rows) and their positive counts in n
+    rows of independent binary columns with the given prevalences.
 
-    Each column takes the next n raw 32-bit words of the rep's own stream
-    and fires where a word is below its prevalence scaled by 2**32, so a
-    prevalence of 0 or 1 draws a constant column.
+    From one cell of n rows, each column splits every cell's count
+    binomially by its prevalence, on the rep's own stream ``[seed, rep]``,
+    and empty cells drop, so at most min(n, 2**p) stay live.
     """
     rng = np.random.default_rng([seed, rep])
-    size = n * prevalences.size
-    words = rng.bit_generator.random_raw((size + 1) // 2).view(np.uint32)[:size]
-    scaled = np.round(prevalences * 2.0**32).astype(np.uint64)
-    return (words.reshape(prevalences.size, n) < scaled[:, None]).T
+    patterns = np.zeros((1, prevalences.size), dtype=bool)
+    counts = np.array([n], dtype=np.int64)
+    for j, q in enumerate(prevalences):
+        fired = rng.binomial(counts, q)
+        patterns = np.concatenate([patterns, patterns])
+        patterns[len(counts):, j] = True
+        counts = np.concatenate([counts - fired, fired])
+        live = counts > 0
+        patterns, counts = patterns[live], counts[live]
+    return patterns, counts
 
 
 def _reference_eigenvalues(
@@ -150,20 +155,19 @@ def _reference_eigenvalues(
 ) -> np.ndarray:
     """Descending eigenvalues of each rep's reference matrix, one row per rep.
 
-    The tables of all the reps go through one root solve. A table's root
-    does not depend on the batch it is solved in, so neither does a rep's
-    result. The matrices are decomposed as one stack, and only those with
-    an eigenvalue under ``_EIG_FLOOR`` go through ``repair_to_psd``.
+    A rep's Gram is formed from its pattern counts in float64, exact below
+    2**53 rows. The tables of all the reps go through one root solve. A
+    table's root does not depend on the batch it is solved in, so neither
+    does a rep's result. The matrices are decomposed as one stack, and only
+    those with an eigenvalue under ``_EIG_FLOOR`` go through
+    ``repair_to_psd``.
     """
-    if n >= _MAX_REFERENCE_ROWS:
-        raise FactorAnalysisError(
-            f"{n} rows; parallel analysis supports fewer than {_MAX_REFERENCE_ROWS}"
-        )
     grams = []
     for r in reps:
-        x = _reference_draw(prevalences, n, seed, r).astype(np.float32)
-        grams.append(x.T @ x)
-    raw_cells = _gram_cells(np.stack(grams, dtype=np.float64), n).reshape(-1, 4)
+        patterns, counts = _reference_counts(prevalences, n, seed, r)
+        x = patterns.astype(np.float64)
+        grams.append((x * counts[:, None]).T @ x)
+    raw_cells = _gram_cells(np.stack(grams), n).reshape(-1, 4)
     cells, px, py, tx, ty, _ = _prepare_tables(raw_cells)
     p = prevalences.size
     rho = _maximize_rho(cells, px, py, tx, ty)[0].reshape(len(reps), p * (p - 1) // 2)
@@ -181,16 +185,15 @@ def parallel_analysis_detail(
     quantile: float = 0.95,
     *,
     seed: int,
-    threads: int = 1,
 ) -> ParallelAnalysisResult:
     """Factor count plus the eigenvalue evidence behind it (Horn 1965).
 
     References are independent binary columns with the observed marginal
     prevalences, run through the identical latent-correlation estimator, so
     the noise floor reflects the estimator and not just sampling. Rep ``r``
-    draws from its own stream ``[seed, r]``. The reps are solved in chunks
-    of about ``_CHUNK_TABLES`` tables, which ``threads`` workers share; a
-    rep's eigenvalues depend on neither, so neither does the result. The
+    draws its token-pattern counts from its own stream ``[seed, r]``. The
+    reps are solved in chunks of about ``_CHUNK_TABLES`` tables; a rep's
+    eigenvalues do not depend on its chunk, so neither does the result. The
     kept count is the number of leading observed eigenvalues above the
     per-rank reference quantile; it is 0 when none is, and the caller
     decides what that means.
@@ -204,16 +207,10 @@ def parallel_analysis_detail(
     n = ds.n_records
     pairs = prevalences.size * (prevalences.size - 1) // 2
     per_chunk = max(1, _CHUNK_TABLES // max(pairs, 1))
-    chunks = [range(r, min(r + per_chunk, reps)) for r in range(0, reps, per_chunk)]
-
-    def solve(chunk: range) -> np.ndarray:
-        return _reference_eigenvalues(prevalences, n, seed, chunk)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reference = list(pool.map(solve, chunks))
-    else:
-        reference = [solve(chunk) for chunk in chunks]
+    reference = [
+        _reference_eigenvalues(prevalences, n, seed, range(r, min(r + per_chunk, reps)))
+        for r in range(0, reps, per_chunk)
+    ]
     ref_q = _quantile(np.concatenate(reference), quantile, axis=0)
     k = 0
     for obs, ref in zip(observed, ref_q):

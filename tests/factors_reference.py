@@ -1,11 +1,11 @@
 """One-rep-at-a-time float64 reference for the parallel-analysis references
 in tokenimpact.factors.
 
-Each rep's draw is cross-tabulated pair by pair with boolean counts, its
-tables are solved on their own, and its matrix is assembled and repaired in
+Each rep's co-occurrence Gram is cross-tabulated pair by pair, its tables
+are solved on their own, and its matrix is assembled and repaired in
 float64. test_factors.py checks that the library's chunked path, which
-counts with a float32 Gram and solves many reps in one batch, gives the same
-eigenvalues for the same draws.
+solves the tables of many reps in one batch and repairs only the reps that
+need it, gives the same eigenvalues for the same Grams.
 """
 
 from itertools import combinations
@@ -15,15 +15,16 @@ import numpy as np
 from tokenimpact.polychoric import _maximize_rho, _prepare_tables, repair_to_psd
 
 
-def eigenvalues(draws):
-    """Descending eigenvalues of each draw's latent-correlation matrix."""
+def eigenvalues(grams, n):
+    """Descending eigenvalues of the latent-correlation matrix of each Gram
+    of n rows of 0/1 columns."""
     out = []
-    for x in draws:
-        p = x.shape[1]
+    for gram in grams:
+        p = gram.shape[0]
         pairs = list(combinations(range(p), 2))
         raw = np.array(
-            [[(~x[:, i] & ~x[:, j]).sum(), (~x[:, i] & x[:, j]).sum(),
-              (x[:, i] & ~x[:, j]).sum(), (x[:, i] & x[:, j]).sum()] for i, j in pairs],
+            [[n - gram[i, i] - gram[j, j] + gram[i, j], gram[j, j] - gram[i, j],
+              gram[i, i] - gram[i, j], gram[i, j]] for i, j in pairs],
             dtype=np.float64,
         )
         cells, px, py, tx, ty, _ = _prepare_tables(raw)

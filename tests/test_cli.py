@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tokenimpact
-from tokenimpact import cli
+from tokenimpact import cli, factors
 from tokenimpact.cli import main
 from tokenimpact.survey import write_csv
 
@@ -77,7 +77,8 @@ class TestSimulate:
 
     def test_commands_run_without_scipy(self, tmp_path):
         # scipy is a test oracle only: a fresh interpreter running simulate
-        # and report must never import it, nor numpy.ma (about 15 ms)
+        # and report must never import it, nor numpy.ma (about 15 ms) or
+        # concurrent.futures (about 5 ms)
         src = str(Path(tokenimpact.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         script = (
@@ -85,7 +86,8 @@ class TestSimulate:
             "from tokenimpact.cli import main\n"
             "def loaded():\n"
             "    print(sorted(m for m in sys.modules\n"
-            "                 if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
+            "                 if m.split('.')[0] in ('scipy', 'concurrent')\n"
+            "                 or m.split('.')[:2] == ['numpy', 'ma']))\n"
             "d = sys.argv[1]\n"
             "assert main(['simulate', '--preset', 'default-world', '--n', '4000', '--seed', '7',\n"
             "             '--out', d + '/s.csv', '--truth', d + '/t.json', '--truth-mc', '1000']) == 0\n"
@@ -319,12 +321,14 @@ class TestTimm:
         factors = json.loads((out / "factors_report.json").read_text())
         assert factors["n_factors"] == 2
 
-    def test_rerun_and_threads_byte_identical(self, tmp_path, world_csv):
+    def test_rerun_and_chunking_byte_identical(self, tmp_path, world_csv, monkeypatch):
         outs = [tmp_path / name for name in ("a", "b", "c")]
-        for out, threads in zip(outs, (1, 1, 4)):
+        # the third run solves the parallel-analysis references in chunks of
+        # 60 tables instead of about 1k
+        for out, chunk_tables in zip(outs, (factors._CHUNK_TABLES,) * 2 + (60,)):
+            monkeypatch.setattr(factors, "_CHUNK_TABLES", chunk_tables)
             rc = run("timm", "impact", "--input", world_csv, "--outdir", out,
-                     "--seed", 5, "--reps", 20, "--bootstrap", 40,
-                     "--threads", threads)
+                     "--seed", 5, "--reps", 20, "--bootstrap", 40)
             assert rc == 0
         assert snapshot(outs[0]) == snapshot(outs[1])
         assert snapshot(outs[0]) == snapshot(outs[2])
@@ -344,6 +348,42 @@ class TestTimm:
         cfg.write_text(json.dumps({"repz": 20}))
         rc = run("timm", "impact", "--input", world_csv, "--outdir", tmp_path / "o",
                  "--config", cfg, "--seed", 5)
+        assert rc == 2
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key, value", [
+        ("quantile", 1.5), ("quantile", -0.1), ("bootstrap", 0), ("bootstrap", -3),
+        ("ridge", -1.0), ("ridge", float("inf")), ("min_positives", -1), ("min_positives", 0),
+    ])
+    def test_out_of_range_option_rejected_before_loading(
+        self, tmp_path, world_csv, monkeypatch, capsys, key, value, source
+    ):
+        def no_load(cfg):
+            raise AssertionError("input loaded before the options were checked")
+
+        monkeypatch.setattr(cli, "_load_input", no_load)
+        if source == "flag":
+            option = ["--" + key.replace("_", "-"), value]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            option = ["--config", cfg]
+        out = tmp_path / "o"
+        rc = run("report", "--input", world_csv, "--outdir", out, "--seed", 5, *option)
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["stage"] == "validation" and key in error["message"]
+        assert not out.exists()
+
+    def test_threads_option_is_gone(self, tmp_path, world_csv):
+        with pytest.raises(SystemExit) as exc:
+            run("report", "--input", world_csv, "--outdir", tmp_path / "o",
+                "--seed", 5, "--threads", 2)
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threads": 2}))
+        rc = run("report", "--input", world_csv, "--outdir", tmp_path / "o",
+                 "--seed", 5, "--config", cfg)
         assert rc == 2
 
     def test_auto_interactions_rejected(self, tmp_path, world_csv):

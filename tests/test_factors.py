@@ -1,4 +1,8 @@
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
+from itertools import product
+from math import factorial, prod, sqrt
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from tokenimpact import factors
 from tokenimpact.errors import FactorAnalysisError
 from tokenimpact.factors import (
     FactorModel,
-    _reference_draw,
+    _reference_counts,
     _reference_eigenvalues,
     assign_groups,
     extract_factors,
@@ -16,7 +20,7 @@ from tokenimpact.factors import (
     varimax,
     varimax_criterion,
 )
-from tokenimpact.polychoric import PolychoricMatrix, polychoric_matrix
+from tokenimpact.polychoric import PolychoricMatrix, _gram_cells, polychoric_matrix
 from tokenimpact.survey import clean_uninformative
 from tokenimpact.synthetic import default_world_spec, generate
 
@@ -77,18 +81,17 @@ class TestParallelAnalysis:
         with pytest.raises(FactorAnalysisError, match="reps"):
             parallel_analysis_detail(pm, ds, reps=5, seed=0)
 
-    def test_threads_do_not_change_result(self, monkeypatch):
+    def test_chunking_does_not_change_result(self, monkeypatch):
         spec = block_world(n=3000, seed=7, group_sizes=(3, 3), effects=(1.2, 1.2))
         ds, _ = generate(spec, truth_mc_n=100)
         pm = polychoric_matrix(ds)
-        one = parallel_analysis_detail(pm, ds, reps=23, seed=5, threads=1)
+        one = parallel_analysis_detail(pm, ds, reps=23, seed=5)
         # 60 tables are 4 reps of 15 pairs: chunks of 4, 4, 4, 4, 4 and 3 reps
         for chunk_tables in (factors._CHUNK_TABLES, 60):
             monkeypatch.setattr(factors, "_CHUNK_TABLES", chunk_tables)
-            for threads in (1, 2, 4):
-                other = parallel_analysis_detail(pm, ds, reps=23, seed=5, threads=threads)
-                assert one.n_factors == other.n_factors
-                assert np.array_equal(one.reference_quantiles, other.reference_quantiles)
+            other = parallel_analysis_detail(pm, ds, reps=23, seed=5)
+            assert one.n_factors == other.n_factors
+            assert np.array_equal(one.reference_quantiles, other.reference_quantiles)
 
     def test_token_mismatch_rejected(self):
         spec = block_world(n=500, seed=2, group_sizes=(3,), effects=(1.0,))
@@ -98,44 +101,107 @@ class TestParallelAnalysis:
             parallel_analysis_detail(pm, ds, reps=10, seed=0)
 
 
+def expanded_grams(prevalences, n, seed, reps):
+    """Each rep's Gram of its pattern counts expanded back to n rows."""
+    grams = []
+    for r in reps:
+        patterns, counts = _reference_counts(prevalences, n, seed, r)
+        x = np.repeat(patterns, counts, axis=0).astype(np.int64)
+        assert x.shape == (n, prevalences.size)
+        grams.append(x.T @ x)
+    return grams
+
+
 class TestReferenceDraws:
     def test_chunked_path_matches_per_rep_float64_reference(self):
         prevalences = np.array([0.05, 0.1, 0.2, 0.3, 0.15, 0.4])
         n, seed, reps = 3000, 4, range(3, 15)
-        draws = [_reference_draw(prevalences, n, seed, r) for r in reps]
         got = _reference_eigenvalues(prevalences, n, seed, reps)
-        assert np.array_equal(got, factors_reference.eigenvalues(draws))
+        grams = expanded_grams(prevalences, n, seed, reps)
+        assert np.array_equal(got, factors_reference.eigenvalues(grams, n))
 
     def test_repaired_reps_match_per_rep_reference(self):
         # at 20 rows the sparse tables give indefinite matrices, so some reps
         # leave the stacked decomposition for repair_to_psd
         prevalences = np.array([0.05, 0.1, 0.2, 0.3, 0.15, 0.4])
         n, seed, reps = 20, 4, range(12)
-        draws = [_reference_draw(prevalences, n, seed, r) for r in reps]
         got = _reference_eigenvalues(prevalences, n, seed, reps)
         assert (got[:, -1] < 1e-6).any() and (got[:, -1] > 1e-3).any()
-        assert np.array_equal(got, factors_reference.eigenvalues(draws))
+        grams = expanded_grams(prevalences, n, seed, reps)
+        assert np.array_equal(got, factors_reference.eigenvalues(grams, n))
+
+    def test_gram_equals_the_expanded_rows_gram(self, monkeypatch):
+        seen = []
+
+        def spy(both, n):
+            seen.append(both.copy())
+            return _gram_cells(both, n)
+
+        monkeypatch.setattr(factors, "_gram_cells", spy)
+        prevalences = np.array([0.05, 0.1, 0.2, 0.3, 0.15, 0.4, 0.0, 1.0])
+        n, seed, reps = 5000, 2, range(7)
+        _reference_eigenvalues(prevalences, n, seed, reps)
+        (stack,) = seen
+        assert stack.dtype == np.float64
+        assert np.array_equal(stack, np.stack(expanded_grams(prevalences, n, seed, reps)))
+
+    @pytest.mark.parametrize("n, prevalences", [
+        (4, (0.4, 0.6)), (2, (0.3, 0.6, 0.5)), (3, (0.4, 0.6, 0.5)),
+    ])
+    def test_counts_follow_the_multinomial_law(self, n, prevalences):
+        prevalences = np.array(prevalences)
+        p = prevalences.size
+        reps = 20_000
+        tally = Counter()
+        for r in range(reps):
+            patterns, counts = _reference_counts(prevalences, n, 9, r)
+            codes = patterns @ (1 << np.arange(p))
+            assert (counts > 0).all() and counts.sum() == n
+            assert np.unique(codes).size == codes.size
+            full = np.zeros(2**p, dtype=np.int64)
+            full[codes] = counts
+            tally[tuple(full.tolist())] += 1
+        q = [Fraction(v) for v in prevalences]
+        cell = [prod(q[j] if c >> j & 1 else 1 - q[j] for j in range(p)) for c in range(2**p)]
+        total = Fraction(0)
+        for k in product(range(n + 1), repeat=2**p):
+            if sum(k) != n:
+                continue
+            pmf = Fraction(factorial(n), prod(factorial(c) for c in k)) * prod(
+                pc**c for pc, c in zip(cell, k)
+            )
+            total += pmf
+            hits = tally.pop(k, 0)
+            # every count vector of positive probability appears, at its rate
+            assert hits > 0
+            se = sqrt(float(pmf * (1 - pmf)) / reps)
+            assert abs(hits / reps - float(pmf)) <= 5.0 * se
+        assert total == 1
+        assert not tally
 
     def test_draws_follow_prevalences(self):
         prevalences = np.array([1.0, 0.0, 0.5, 0.02, 0.3])
-        n = 20000
-        x = _reference_draw(prevalences, n, 0, 0)
-        assert x.shape == (n, 5) and x.dtype == bool
-        assert x[:, 0].all() and not x[:, 1].any()
+        n = 10**7
+        patterns, counts = _reference_counts(prevalences, n, 0, 0)
+        assert patterns.dtype == bool and counts.sum() == n
+        # a prevalence of 0 or 1 draws a constant column
+        assert patterns[:, 0].all() and not patterns[:, 1].any()
+        totals = counts @ patterns
         se = np.sqrt(prevalences * (1.0 - prevalences) / n)
-        assert (np.abs(x.mean(axis=0) - prevalences) <= 5.0 * se).all()
+        assert (np.abs(totals / n - prevalences) <= 5.0 * se).all()
         # each rep has its own stream
-        assert not np.array_equal(x, _reference_draw(prevalences, n, 0, 1))
+        other_patterns, other_counts = _reference_counts(prevalences, n, 0, 1)
+        assert not np.array_equal(totals, other_counts @ other_patterns)
 
-    def test_row_guard_raises_before_allocating(self):
+    def test_memory_does_not_grow_with_rows(self):
         tracemalloc.start()
         try:
-            with pytest.raises(FactorAnalysisError, match="rows"):
-                _reference_eigenvalues(np.full(3, 0.5), 2**24, 0, range(1))
+            got = _reference_eigenvalues(np.full(3, 0.5), 2**24, 0, range(1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 100_000
+        assert got.shape == (1, 3) and np.isfinite(got).all()
+        assert peak < 4_000_000
 
 
 class TestExtractFactors:
