@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,8 +79,12 @@ class RunConfig:
     def __post_init__(self):
         if self.seed is not None and self.seed < 0:
             raise ValidationError("seed must be non-negative")
+        if self.reps < 10:
+            raise ValidationError("reps must be at least 10")
         if not 0.0 <= self.quantile <= 1.0:
             raise ValidationError("quantile must be in [0, 1]")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValidationError("threshold must be in [0, 1]")
         if self.bootstrap < 1:
             raise ValidationError("bootstrap must be at least 1")
         if not 0.0 <= self.ridge < np.inf:
@@ -95,16 +100,40 @@ class RunConfig:
         return int(self.seed)
 
 
+_CONFIG_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _read_config(path: Path) -> dict:
+    """The options of a JSON config file, each of its RunConfig field's type;
+    an integer stands for a float."""
+    if not path.exists():
+        raise ValidationError(f"no such config file: {path}")
+    try:
+        file_cfg = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValidationError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(file_cfg, dict):
+        raise ValidationError(f"config file {path} must hold a JSON object")
+    unknown = set(file_cfg) - set(RunConfig.__dataclass_fields__)
+    if unknown:
+        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in file_cfg.items():
+        allowed = typing.get_args(_CONFIG_TYPES[key]) or (_CONFIG_TYPES[key],)
+        if float in allowed:
+            allowed += (int,)
+        # exact types, so that true and false are not integers
+        if type(value) not in allowed:
+            raise ValidationError(
+                f"config key {key!r} must be {RunConfig.__annotations__[key]}, "
+                f"got {json.dumps(value)}"
+            )
+    return file_cfg
+
+
 def _merge_config(args: argparse.Namespace, keys: tuple[str, ...]) -> RunConfig:
     file_cfg: dict = {}
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise ValidationError(f"no such config file: {path}")
-        file_cfg = json.loads(path.read_text(encoding="utf-8"))
-        unknown = set(file_cfg) - set(RunConfig.__dataclass_fields__)
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        file_cfg = _read_config(Path(args.config))
     values: dict = {}
     for key in keys:
         flag = getattr(args, key, None)

@@ -126,51 +126,65 @@ class ParallelAnalysisResult:
 # cost, few enough that its transient arrays stay near 1 MB.
 _CHUNK_TABLES = 1024
 
+# Reference reps drawn together on one stream: enough to spread each
+# column's binomial call over many cells, few enough that the live cells
+# stay within _DRAW_REPS * min(n, 2**p).
+_DRAW_REPS = 10
 
-def _reference_counts(
-    prevalences: np.ndarray, n: int, seed: int, rep: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct token patterns (bool rows) and their positive counts in n
-    rows of independent binary columns with the given prevalences.
 
-    From one cell of n rows, each column splits every cell's count
-    binomially by its prevalence, on the rep's own stream ``[seed, rep]``,
-    and empty cells drop, so at most min(n, 2**p) stay live.
+def _reference_grams(prevalences: np.ndarray, n: int, seed: int, reps: int) -> np.ndarray:
+    """Float64 co-occurrence Grams (reps x p x p) of reps draws of n rows of
+    independent binary columns with the given prevalences.
+
+    A Gram depends only on the draw's token-pattern counts, so those are
+    drawn directly. Reps go in blocks of ``_DRAW_REPS``, block ``b`` on its
+    own stream ``[seed, b, 1]``; the tag 1 keeps it apart from the bootstrap
+    streams ``[seed, g]`` and must be nonzero, as ``SeedSequence`` drops
+    trailing zero words. From one cell of n rows per rep, each column splits
+    every live cell of the block binomially by its prevalence, in one call;
+    a cell's two children stay next to each other, so each rep's cells stay
+    contiguous, and empty cells drop, so at most min(n, 2**p) per rep stay
+    live. Each rep's Gram ``(X * counts).T @ X`` is formed on its own, in
+    float64, exact below 2**53 rows.
     """
-    rng = np.random.default_rng([seed, rep])
-    patterns = np.zeros((1, prevalences.size), dtype=bool)
-    counts = np.array([n], dtype=np.int64)
-    for j, q in enumerate(prevalences):
-        fired = rng.binomial(counts, q)
-        patterns = np.concatenate([patterns, patterns])
-        patterns[len(counts):, j] = True
-        counts = np.concatenate([counts - fired, fired])
-        live = counts > 0
-        patterns, counts = patterns[live], counts[live]
-    return patterns, counts
-
-
-def _reference_eigenvalues(
-    prevalences: np.ndarray, n: int, seed: int, reps: range
-) -> np.ndarray:
-    """Descending eigenvalues of each rep's reference matrix, one row per rep.
-
-    A rep's Gram is formed from its pattern counts in float64, exact below
-    2**53 rows. The tables of all the reps go through one root solve. A
-    table's root does not depend on the batch it is solved in, so neither
-    does a rep's result. The matrices are decomposed as one stack, and only
-    those with an eigenvalue under ``_EIG_FLOOR`` go through
-    ``repair_to_psd``.
-    """
-    grams = []
-    for r in reps:
-        patterns, counts = _reference_counts(prevalences, n, seed, r)
-        x = patterns.astype(np.float64)
-        grams.append((x * counts[:, None]).T @ x)
-    raw_cells = _gram_cells(np.stack(grams), n).reshape(-1, 4)
-    cells, px, py, tx, ty, _ = _prepare_tables(raw_cells)
     p = prevalences.size
-    rho = _maximize_rho(cells, px, py, tx, ty)[0].reshape(len(reps), p * (p - 1) // 2)
+    grams = np.empty((reps, p, p))
+    for block, start in enumerate(range(0, reps, _DRAW_REPS)):
+        size = min(_DRAW_REPS, reps - start)
+        rng = np.random.default_rng([seed, block, 1])
+        ends = np.arange(1, size + 1)  # one past each rep's last cell
+        counts = np.full(size, n, dtype=np.int64)
+        patterns = np.zeros((size, p), dtype=bool)
+        for j, q in enumerate(prevalences):
+            fired = rng.binomial(counts, q)
+            # child 2c keeps cell c's rows without token j, child 2c + 1 those with it
+            counts = np.stack([counts - fired, fired], axis=1).ravel()
+            live = np.flatnonzero(counts)
+            ends = np.searchsorted(live, 2 * ends)
+            patterns = patterns[live >> 1]
+            patterns[:, j] = live & 1
+            counts = counts[live]
+        starts = np.r_[0, ends[:-1]]
+        for i in range(size):
+            cells = slice(starts[i], ends[i])
+            x = patterns[cells].astype(np.float64)
+            grams[start + i] = (x * counts[cells, None]).T @ x
+    return grams
+
+
+def _reference_eigenvalues(grams: np.ndarray, n: int) -> np.ndarray:
+    """Descending eigenvalues of the reference matrix of each Gram of n rows,
+    one row per Gram.
+
+    The tables of all the Grams go through one root solve. A table's root
+    does not depend on the batch it is solved in, so neither does a Gram's
+    result. The matrices are decomposed as one stack, and only those with an
+    eigenvalue under ``_EIG_FLOOR`` go through ``repair_to_psd``.
+    """
+    raw_cells = _gram_cells(grams, n).reshape(-1, 4)
+    cells, px, py, tx, ty, _ = _prepare_tables(raw_cells)
+    p = grams.shape[-1]
+    rho = _maximize_rho(cells, px, py, tx, ty)[0].reshape(len(grams), p * (p - 1) // 2)
     values = _correlation_matrices(p, rho)
     eigenvalues = np.linalg.eigvalsh(values)
     for i in np.flatnonzero(eigenvalues[:, 0] < _EIG_FLOOR):
@@ -190,10 +204,12 @@ def parallel_analysis_detail(
 
     References are independent binary columns with the observed marginal
     prevalences, run through the identical latent-correlation estimator, so
-    the noise floor reflects the estimator and not just sampling. Rep ``r``
-    draws its token-pattern counts from its own stream ``[seed, r]``. The
-    reps are solved in chunks of about ``_CHUNK_TABLES`` tables; a rep's
-    eigenvalues do not depend on its chunk, so neither does the result. The
+    the noise floor reflects the estimator and not just sampling. The reps'
+    token-pattern counts are drawn in blocks of ``_DRAW_REPS``, block ``b``
+    on its own stream ``[seed, b, 1]`` (see ``_reference_grams``). All the
+    Grams are drawn first and then solved in chunks of about
+    ``_CHUNK_TABLES`` tables; a rep's eigenvalues do not depend on its
+    chunk, so neither does the result. The
     kept count is the number of leading observed eigenvalues above the
     per-rank reference quantile; it is 0 when none is, and the caller
     decides what that means.
@@ -205,10 +221,11 @@ def parallel_analysis_detail(
     observed = np.sort(np.linalg.eigvalsh(corr.values))[::-1]
     prevalences = ds.token_matrix.mean(axis=0)
     n = ds.n_records
+    grams = _reference_grams(prevalences, n, seed, reps)
     pairs = prevalences.size * (prevalences.size - 1) // 2
     per_chunk = max(1, _CHUNK_TABLES // max(pairs, 1))
     reference = [
-        _reference_eigenvalues(prevalences, n, seed, range(r, min(r + per_chunk, reps)))
+        _reference_eigenvalues(grams[r : r + per_chunk], n)
         for r in range(0, reps, per_chunk)
     ]
     ref_q = _quantile(np.concatenate(reference), quantile, axis=0)

@@ -233,7 +233,9 @@ def _maximize_rho(
     increasing in rho. The root is solved in theta = arcsin(rho), where the
     slope ``phi2(tx, ty, rho) * cos(theta)`` stays bounded as |rho| -> 1, so
     a small step means a small residual even next to the boundary. Each table
-    starts at rho = 0 inside the bracket ``[-_RHO_BOUND, _RHO_BOUND]`` and
+    starts at rho = 0 inside the bracket ``[-_RHO_BOUND, _RHO_BOUND]``, where
+    the orthant kernel returns exactly ``px * py`` (its quadrature term is
+    ``asin(0) * q = 0``), so the first residual skips the kernel. It then
     takes Newton steps, narrowing the bracket by the sign of the residual and
     bisecting whenever a step is not finite or leaves the bracket. A table is
     frozen once its step is below ``tol`` (``converged``), so its rho does not
@@ -251,11 +253,14 @@ def _maximize_rho(
     hi = np.full(m, _THETA_BOUND)
     converged = np.zeros(m, dtype=bool)
     active = np.arange(m)
-    for _ in range(_MAX_ITER):
+    # _bvn_upper at rho = 0, bit for bit; no clip is needed, as px and py lie in (0, 1)
+    residual = px * py - target
+    for step in range(_MAX_ITER):
         if active.size == 0:
             break
         t, h, k = theta[active], tx[active], ty[active]
-        residual = _bvn_upper(h, k, np.sin(t), px[active], py[active]) - target[active]
+        if step:
+            residual = _bvn_upper(h, k, np.sin(t), px[active], py[active]) - target[active]
         below = np.where(residual < 0.0, t, lo[active])
         above = np.where(residual > 0.0, t, hi[active])
         lo[active], hi[active] = below, above

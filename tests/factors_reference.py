@@ -5,7 +5,9 @@ Each rep's co-occurrence Gram is cross-tabulated pair by pair, its tables
 are solved on their own, and its matrix is assembled and repaired in
 float64. test_factors.py checks that the library's chunked path, which
 solves the tables of many reps in one batch and repairs only the reps that
-need it, gives the same eigenvalues for the same Grams.
+need it, gives the same eigenvalues for the same Grams. ``bernoulli_grams``
+draws the reference rows one by one, for the check that the library's
+pattern-count draw has the same eigenvalue law.
 """
 
 from itertools import combinations
@@ -34,3 +36,14 @@ def eigenvalues(grams, n):
             values[i, j] = values[j, i] = r
         out.append(np.sort(np.linalg.eigvalsh(repair_to_psd(values)[0]))[::-1])
     return np.stack(out)
+
+
+def bernoulli_grams(prevalences, n, seed, reps):
+    """Int64 Gram of each of reps draws of n rows, each row's tokens drawn
+    from n x p uniforms against the prevalences."""
+    rng = np.random.default_rng(seed)
+    grams = []
+    for _ in range(reps):
+        x = (rng.random((n, len(prevalences))) < prevalences).astype(np.int64)
+        grams.append(x.T @ x)
+    return np.stack(grams)

@@ -3,14 +3,24 @@
 It maximizes each table's multinomial log-likelihood over rho directly,
 without using that the maximum is the root of ``p11(rho) = n11 / N``. The
 property test in test_polychoric.py compares the library's root solve with
-it on random tables.
+it on random tables. ``newton_rho`` is the library's own root solve with the
+orthant kernel run on its first step too, which the library replaces by
+its closed form.
 """
 
 import math
 
 import numpy as np
 
-from tokenimpact.polychoric import _RHO_BOUND, _loglik_batch
+from tokenimpact.polychoric import (
+    _DEFAULT_TOL,
+    _MAX_ITER,
+    _RHO_BOUND,
+    _THETA_BOUND,
+    _bvn_upper,
+    _loglik_batch,
+    _p11_slope,
+)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -42,3 +52,34 @@ def maximize_rho(cells, px, py, tx, ty, tol=1e-8):
         f2 = np.where(left, f1_old, f_new)
     rho = 0.5 * (lo + hi)
     return rho, _loglik_batch(cells, px, py, tx, ty, rho)
+
+
+def newton_rho(cells, px, py, tx, ty, tol=_DEFAULT_TOL):
+    """The library's bracketed Newton root solve with the orthant kernel run
+    on every step, the first (at rho = 0) included; returns (rho, converged,
+    boundary)."""
+    m = cells.shape[0]
+    target = cells[:, 3] / cells.sum(axis=1)
+    theta = np.zeros(m)
+    lo = np.full(m, -_THETA_BOUND)
+    hi = np.full(m, _THETA_BOUND)
+    converged = np.zeros(m, dtype=bool)
+    active = np.arange(m)
+    for _ in range(_MAX_ITER):
+        if active.size == 0:
+            break
+        t, h, k = theta[active], tx[active], ty[active]
+        residual = _bvn_upper(h, k, np.sin(t), px[active], py[active]) - target[active]
+        below = np.where(residual < 0.0, t, lo[active])
+        above = np.where(residual > 0.0, t, hi[active])
+        lo[active], hi[active] = below, above
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            new = t - residual / _p11_slope(h, k, t)
+        inside = (new >= below) & (new <= above)
+        new = np.where(inside, new, 0.5 * (below + above))
+        theta[active] = new
+        done = np.abs(new - t) < tol
+        converged[active[done]] = True
+        active = active[~done]
+    boundary = _THETA_BOUND - np.abs(theta) < tol
+    return np.sin(theta), converged, boundary

@@ -354,6 +354,7 @@ class TestTimm:
     @pytest.mark.parametrize("key, value", [
         ("quantile", 1.5), ("quantile", -0.1), ("bootstrap", 0), ("bootstrap", -3),
         ("ridge", -1.0), ("ridge", float("inf")), ("min_positives", -1), ("min_positives", 0),
+        ("reps", 5), ("reps", 9), ("threshold", 1.5), ("threshold", -1.0),
     ])
     def test_out_of_range_option_rejected_before_loading(
         self, tmp_path, world_csv, monkeypatch, capsys, key, value, source
@@ -374,6 +375,37 @@ class TestTimm:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["stage"] == "validation" and key in error["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("body, message", [
+        ('{"quantile": "0.5"}', "config key 'quantile' must be float"),
+        ('{"reps": true}', "config key 'reps' must be int"),
+        ('{"reps": 20.0}', "config key 'reps' must be int"),
+        ('{"seed": "5"}', "config key 'seed' must be int | None"),
+        ('{"restrict": 0}', "config key 'restrict' must be bool"),
+        ('{"quantile": ', "is not valid JSON"),
+        ("[1, 2]", "must hold a JSON object"),
+    ])
+    def test_mistyped_config_rejected_before_loading(
+        self, tmp_path, world_csv, monkeypatch, capsys, body, message
+    ):
+        def no_load(cfg):
+            raise AssertionError("input loaded before the options were checked")
+
+        monkeypatch.setattr(cli, "_load_input", no_load)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(body)
+        rc = run("report", "--input", world_csv, "--outdir", tmp_path / "o",
+                 "--seed", 5, "--config", cfg)
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["stage"] == "validation" and message in error["message"]
+
+    def test_config_types_follow_the_options(self, tmp_path):
+        # an integer stands for a float, and null for an optional value
+        cfg = tmp_path / "cfg.json"
+        body = {"ridge": 0, "quantile": 1, "force_k": None, "fix_value": 2, "restrict": False}
+        cfg.write_text(json.dumps(body))
+        assert cli._read_config(cfg) == body
 
     def test_threads_option_is_gone(self, tmp_path, world_csv):
         with pytest.raises(SystemExit) as exc:

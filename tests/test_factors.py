@@ -12,15 +12,15 @@ from tokenimpact import factors
 from tokenimpact.errors import FactorAnalysisError
 from tokenimpact.factors import (
     FactorModel,
-    _reference_counts,
     _reference_eigenvalues,
+    _reference_grams,
     assign_groups,
     extract_factors,
     parallel_analysis_detail,
     varimax,
     varimax_criterion,
 )
-from tokenimpact.polychoric import PolychoricMatrix, _gram_cells, polychoric_matrix
+from tokenimpact.polychoric import PolychoricMatrix, polychoric_matrix
 from tokenimpact.survey import clean_uninformative
 from tokenimpact.synthetic import default_world_spec, generate
 
@@ -102,21 +102,78 @@ class TestParallelAnalysis:
 
 
 def expanded_grams(prevalences, n, seed, reps):
-    """Each rep's Gram of its pattern counts expanded back to n rows."""
+    """Each rep's Gram of its n rows, from a cell-by-cell rerun of the block
+    draw: blocks of ``_DRAW_REPS`` reps, block b on stream [seed, b, 1], one
+    binomial call per column over the block's live cells in order, and a
+    cell's two children next to each other. Each rep's cells are expanded
+    back to rows and multiplied in int64."""
     grams = []
-    for r in reps:
-        patterns, counts = _reference_counts(prevalences, n, seed, r)
-        x = np.repeat(patterns, counts, axis=0).astype(np.int64)
-        assert x.shape == (n, prevalences.size)
-        grams.append(x.T @ x)
-    return grams
+    for block, start in enumerate(range(0, reps, factors._DRAW_REPS)):
+        size = min(factors._DRAW_REPS, reps - start)
+        rng = np.random.default_rng([seed, block, 1])
+        cells = [(r, (), n) for r in range(size)]
+        for q in prevalences:
+            fired = rng.binomial([count for _, _, count in cells], q).tolist()
+            cells = [
+                child
+                for (r, bits, count), f in zip(cells, fired)
+                for child in ((r, bits + (0,), count - f), (r, bits + (1,), f))
+                if child[2] > 0
+            ]
+        for r in range(size):
+            mine = [(bits, count) for rr, bits, count in cells if rr == r]
+            x = np.repeat(
+                np.array([bits for bits, _ in mine], dtype=np.int64),
+                [count for _, count in mine],
+                axis=0,
+            )
+            assert x.shape == (n, prevalences.size)
+            grams.append(x.T @ x)
+    return np.stack(grams)
+
+
+def gram_law(prevalences, n):
+    """Exact law of the Gram of n independent rows: the multinomial law of
+    the 2**p pattern counts, pushed through the map to the Gram's upper
+    triangle."""
+    p = len(prevalences)
+    q = [Fraction(v) for v in prevalences]
+    cell = [prod(q[j] if c >> j & 1 else 1 - q[j] for j in range(p)) for c in range(2**p)]
+    law = Counter()
+    for k in product(range(n + 1), repeat=2**p):
+        if sum(k) != n:
+            continue
+        pmf = Fraction(factorial(n), prod(factorial(c) for c in k)) * prod(
+            pc**c for pc, c in zip(cell, k)
+        )
+        key = tuple(
+            sum(kc for c, kc in enumerate(k) if c >> i & 1 and c >> j & 1)
+            for i in range(p) for j in range(i, p)
+        )
+        law[key] += pmf
+    assert sum(law.values()) == 1
+    return law
+
+
+def gram_keys(grams):
+    iu, ju = np.triu_indices(grams.shape[-1])
+    return [tuple(row) for row in grams[:, iu, ju].astype(np.int64).tolist()]
+
+
+def assert_follows(tally, law, draws):
+    """Every outcome's rate within 5 SE of its probability, and no outcome
+    outside the law."""
+    assert set(tally) <= set(law)
+    for key, pmf in law.items():
+        se = sqrt(float(pmf * (1 - pmf)) / draws)
+        assert abs(tally[key] / draws - float(pmf)) <= 5.0 * se
 
 
 class TestReferenceDraws:
     def test_chunked_path_matches_per_rep_float64_reference(self):
         prevalences = np.array([0.05, 0.1, 0.2, 0.3, 0.15, 0.4])
-        n, seed, reps = 3000, 4, range(3, 15)
-        got = _reference_eigenvalues(prevalences, n, seed, reps)
+        n, seed, reps = 3000, 4, 12
+        got = _reference_eigenvalues(_reference_grams(prevalences, n, seed, reps), n)
         grams = expanded_grams(prevalences, n, seed, reps)
         assert np.array_equal(got, factors_reference.eigenvalues(grams, n))
 
@@ -124,84 +181,92 @@ class TestReferenceDraws:
         # at 20 rows the sparse tables give indefinite matrices, so some reps
         # leave the stacked decomposition for repair_to_psd
         prevalences = np.array([0.05, 0.1, 0.2, 0.3, 0.15, 0.4])
-        n, seed, reps = 20, 4, range(12)
-        got = _reference_eigenvalues(prevalences, n, seed, reps)
+        n, seed, reps = 20, 4, 12
+        got = _reference_eigenvalues(_reference_grams(prevalences, n, seed, reps), n)
         assert (got[:, -1] < 1e-6).any() and (got[:, -1] > 1e-3).any()
         grams = expanded_grams(prevalences, n, seed, reps)
         assert np.array_equal(got, factors_reference.eigenvalues(grams, n))
 
-    def test_gram_equals_the_expanded_rows_gram(self, monkeypatch):
-        seen = []
-
-        def spy(both, n):
-            seen.append(both.copy())
-            return _gram_cells(both, n)
-
-        monkeypatch.setattr(factors, "_gram_cells", spy)
+    def test_gram_equals_the_expanded_rows_gram(self):
+        # 23 reps: two full blocks and a partial one
         prevalences = np.array([0.05, 0.1, 0.2, 0.3, 0.15, 0.4, 0.0, 1.0])
-        n, seed, reps = 5000, 2, range(7)
-        _reference_eigenvalues(prevalences, n, seed, reps)
-        (stack,) = seen
-        assert stack.dtype == np.float64
-        assert np.array_equal(stack, np.stack(expanded_grams(prevalences, n, seed, reps)))
+        n, seed, reps = 5000, 2, 23
+        got = _reference_grams(prevalences, n, seed, reps)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, expanded_grams(prevalences, n, seed, reps))
 
     @pytest.mark.parametrize("n, prevalences", [
         (4, (0.4, 0.6)), (2, (0.3, 0.6, 0.5)), (3, (0.4, 0.6, 0.5)),
     ])
     def test_counts_follow_the_multinomial_law(self, n, prevalences):
-        prevalences = np.array(prevalences)
-        p = prevalences.size
+        # seen through the Grams they give, which is all the solve reads
         reps = 20_000
-        tally = Counter()
-        for r in range(reps):
-            patterns, counts = _reference_counts(prevalences, n, 9, r)
-            codes = patterns @ (1 << np.arange(p))
-            assert (counts > 0).all() and counts.sum() == n
-            assert np.unique(codes).size == codes.size
-            full = np.zeros(2**p, dtype=np.int64)
-            full[codes] = counts
-            tally[tuple(full.tolist())] += 1
-        q = [Fraction(v) for v in prevalences]
-        cell = [prod(q[j] if c >> j & 1 else 1 - q[j] for j in range(p)) for c in range(2**p)]
-        total = Fraction(0)
-        for k in product(range(n + 1), repeat=2**p):
-            if sum(k) != n:
-                continue
-            pmf = Fraction(factorial(n), prod(factorial(c) for c in k)) * prod(
-                pc**c for pc, c in zip(cell, k)
-            )
-            total += pmf
-            hits = tally.pop(k, 0)
-            # every count vector of positive probability appears, at its rate
-            assert hits > 0
-            se = sqrt(float(pmf * (1 - pmf)) / reps)
-            assert abs(hits / reps - float(pmf)) <= 5.0 * se
-        assert total == 1
-        assert not tally
+        law = gram_law(prevalences, n)
+        keys = gram_keys(_reference_grams(np.array(prevalences), n, 9, reps))
+        tally = Counter(keys)
+        # every Gram of positive probability appears, at its rate
+        assert set(tally) == set(law)
+        assert_follows(tally, law, reps)
+        # and so at each position in a block
+        for i in range(factors._DRAW_REPS):
+            mine = keys[i :: factors._DRAW_REPS]
+            assert_follows(Counter(mine), law, len(mine))
+
+    def test_reps_of_a_block_are_independent(self):
+        prevalences, n = (0.3, 0.6), 2
+        law = gram_law(prevalences, n)
+        joint = Counter({(a, b): pa * pb for a, pa in law.items() for b, pb in law.items()})
+        keys = gram_keys(_reference_grams(np.array(prevalences), n, 13, 40_000))
+        # neighbours (0, 1), (2, 3), ... within each block of ten
+        pairs = list(zip(keys[0::2], keys[1::2]))
+        assert_follows(Counter(pairs), joint, len(pairs))
 
     def test_draws_follow_prevalences(self):
         prevalences = np.array([1.0, 0.0, 0.5, 0.02, 0.3])
         n = 10**7
-        patterns, counts = _reference_counts(prevalences, n, 0, 0)
-        assert patterns.dtype == bool and counts.sum() == n
+        grams = _reference_grams(prevalences, n, 0, factors._DRAW_REPS + 1)
         # a prevalence of 0 or 1 draws a constant column
-        assert patterns[:, 0].all() and not patterns[:, 1].any()
-        totals = counts @ patterns
+        assert (grams[:, 0, 0] == n).all() and not grams[:, 1].any()
+        totals = np.diagonal(grams, axis1=1, axis2=2)
         se = np.sqrt(prevalences * (1.0 - prevalences) / n)
         assert (np.abs(totals / n - prevalences) <= 5.0 * se).all()
-        # each rep has its own stream
-        other_patterns, other_counts = _reference_counts(prevalences, n, 0, 1)
-        assert not np.array_equal(totals, other_counts @ other_patterns)
+        # the reps of a block, and the blocks, have their own draws
+        assert np.unique(totals[:, 2:], axis=0).shape[0] == totals.shape[0]
+
+    def test_eigenvalue_law_matches_row_level_draws(self):
+        # per rank, the mean and SD of the reference eigenvalues agree with
+        # those of rows drawn one by one; both go through the same solve
+        prevalences = np.array([0.02, 0.05, 0.08, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5])
+        n, reps = 2000, 300
+        got = _reference_eigenvalues(_reference_grams(prevalences, n, 21, reps), n)
+        rows = factors_reference.bernoulli_grams(prevalences, n, 22, reps)
+        want = _reference_eigenvalues(rows.astype(np.float64), n)
+
+        def moments(values):
+            mean, sd = values.mean(axis=0), values.std(axis=0, ddof=1)
+            m4 = ((values - mean) ** 4).mean(axis=0)
+            # delta-method SE of the SD from the fourth central moment
+            return mean, sd, sd**2 / reps, (m4 - sd**4) / (4.0 * sd**2 * reps)
+
+        mean_a, sd_a, var_mean_a, var_sd_a = moments(got)
+        mean_b, sd_b, var_mean_b, var_sd_b = moments(want)
+        assert (np.abs(mean_a - mean_b) <= 4.0 * np.sqrt(var_mean_a + var_mean_b)).all()
+        assert (np.abs(sd_a - sd_b) <= 4.0 * np.sqrt(var_sd_a + var_sd_b)).all()
 
     def test_memory_does_not_grow_with_rows(self):
-        tracemalloc.start()
-        try:
-            got = _reference_eigenvalues(np.full(3, 0.5), 2**24, 0, range(1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert got.shape == (1, 3) and np.isfinite(got).all()
-        assert peak < 4_000_000
+        # a block of reps at 2**24 rows: as booleans, the rows of one rep
+        # would take 2**24 * p bytes, but at most 2**p cells per rep are live
+        n, reps = 2**24, factors._DRAW_REPS
+        for p, bound in ((3, 4_000_000), (15, 24_000_000)):
+            tracemalloc.start()
+            try:
+                grams = _reference_grams(np.full(p, 0.5), n, 0, reps)
+                got = _reference_eigenvalues(grams, n)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert got.shape == (reps, p) and np.isfinite(got).all()
+            assert peak < bound
 
 
 class TestExtractFactors:

@@ -86,6 +86,14 @@ class TestBvnUpper:
         with pytest.raises(PolychoricError):
             bvn_upper(0, 0, 1.5)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)), min_size=1))
+    def test_independence_is_the_product_of_marginals(self, taus):
+        # the root solve's first step relies on this holding bit for bit
+        h, k = np.array(taus).T
+        ph, pk = ndtr(-h), ndtr(-k)
+        assert np.array_equal(_bvn_upper(h, k, 0.0, ph, pk), ph * pk)
+
 
 class TestEstimate:
     def test_exact_independence(self):
@@ -351,6 +359,30 @@ class TestRootSolve:
         assert np.allclose(np.abs(rho[:2]), 1.0, rtol=0.0, atol=2e-12)
         # p11 = 1/4 + asin(rho) / (2 pi) at zero thresholds
         assert rho[2] == pytest.approx(math.sin(2.0 * math.pi * (0.4 - 0.25)), abs=1e-9)
+
+    def test_closed_form_first_step_changes_no_bit(self):
+        rng = np.random.default_rng(8)
+        extreme = rng.choice([-1.0, 1.0], 100) * rng.uniform(0.93, 0.9999, 100)
+        rho = np.r_[rng.uniform(-0.9, 0.9, 300), extreme]
+        tau = rng.uniform(-2.5, 2.5, (400, 2))
+        px, py = ndtr(-tau[:, 0]), ndtr(-tau[:, 1])
+        p11 = _bvn_upper(tau[:, 0], tau[:, 1], rho, px, py)
+        probs = np.stack([1.0 - px - py + p11, py - p11, px - p11, p11], axis=1)
+        raw = np.round(np.clip(probs, 0.0, 1.0) * rng.integers(20, 200_000, (400, 1)))
+        raw[::9, 2] = 0.0
+        spec = block_world(n=3000, seed=4, group_sizes=(4, 3), effects=(1.0, 1.0))
+        ds, _ = generate(spec, truth_mc_n=100)
+        observed, _ = polychoric._pair_cells(ds.token_matrix)
+        prepared = _prepare_tables(np.r_[raw, observed])[:5]
+        # uncorrected tables at zero thresholds with roots at rho = +1 and -1
+        edge = (np.array([[50.0, 0.0, 0.0, 50.0], [0.0, 50.0, 50.0, 0.0]]),
+                np.full(2, 0.5), np.full(2, 0.5), np.zeros(2), np.zeros(2))
+        tables = [np.concatenate(pair) for pair in zip(prepared, edge)]
+        got = _maximize_rho(*tables)
+        want = polychoric_reference.newton_rho(*tables)
+        assert got[2][-2:].all()
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     def test_batch_does_not_change_a_table(self):
         rng = np.random.default_rng(21)
