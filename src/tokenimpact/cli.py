@@ -103,17 +103,23 @@ class RunConfig:
 _CONFIG_TYPES = typing.get_type_hints(RunConfig)
 
 
+def _read_json_object(path: Path, kind: str) -> dict:
+    """The JSON object held by a ``kind`` file (config or spec)."""
+    if not path.exists():
+        raise ValidationError(f"no such {kind} file: {path}")
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValidationError(f"{kind} file {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{kind} file {path} must hold a JSON object")
+    return data
+
+
 def _read_config(path: Path) -> dict:
     """The options of a JSON config file, each of its RunConfig field's type;
     an integer stands for a float."""
-    if not path.exists():
-        raise ValidationError(f"no such config file: {path}")
-    try:
-        file_cfg = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValidationError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(file_cfg, dict):
-        raise ValidationError(f"config file {path} must hold a JSON object")
+    file_cfg = _read_json_object(path, "config")
     unknown = set(file_cfg) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
@@ -485,10 +491,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if bool(args.spec) == bool(args.preset):
         raise ValidationError("exactly one of --spec or --preset is required")
     if args.spec:
-        path = Path(args.spec)
-        if not path.exists():
-            raise ValidationError(f"no such spec file: {path}")
-        spec = GeneratorSpec.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        spec = GeneratorSpec.from_dict(_read_json_object(Path(args.spec), "spec"))
     else:
         if args.preset != "default-world":
             raise ValidationError(f"unknown preset {args.preset!r}")

@@ -164,12 +164,97 @@ def _unpack(design, response):
     return matrix, y, np.ones(y.shape), tuple(f"x{j}" for j in range(matrix.shape[1]))
 
 
+# Newton convergence: largest coefficient step, and the iteration cap
+_TOL = 1e-8
+_MAX_ITER = 100
+
+
+def _irls(
+    matrices: np.ndarray,
+    successes: np.ndarray,
+    trials: np.ndarray,
+    ridge: float,
+    tol: float,
+    max_iter: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Penalized IRLS of a ``(k, patterns, terms)`` stack of designs that
+    share their poor and record counts, in one Newton loop.
+
+    Each member keeps its own step halving and stops on its own: converged
+    once its step is below ``tol``, stalled once no halved step ascends.
+    Returns each member's coefficients, ``converged``, ``iterations``,
+    log-likelihood and covariance; a singular system in any member raises.
+    """
+    n_poor, n = successes.sum(), trials.sum()
+    if not 0 < n_poor < n:
+        raise GlmError("response must contain both classes")
+    k, _, p = matrices.shape
+    penalized = np.ones(p)
+    penalized[0] = 0.0
+    prevalence = n_poor / n
+    beta = np.zeros((k, p))
+    beta[:, 0] = np.log(prevalence / (1.0 - prevalence))
+
+    def linear(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return (x @ b[:, :, None])[:, :, 0]
+
+    def loglik(eta: np.ndarray) -> np.ndarray:
+        return eta @ successes - np.logaddexp(0.0, eta) @ trials
+
+    def objective(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return loglik(linear(x, b)) - 0.5 * ridge * (penalized * b * b).sum(axis=1)
+
+    def information(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        weights = trials * np.clip(mu * (1.0 - mu), 1e-10, None)
+        return (x * weights[:, :, None]).transpose(0, 2, 1) @ x + ridge * np.diag(penalized)
+
+    current = objective(matrices, beta)
+    converged = np.zeros(k, dtype=bool)
+    iterations = np.zeros(k, dtype=np.int64)
+    active = np.arange(k)
+    for iteration in range(1, max_iter + 1):
+        if active.size == 0:
+            break
+        iterations[active] = iteration
+        x, b = matrices[active], beta[active]
+        mu = expit(linear(x, b))
+        residual = successes - trials * mu
+        gradient = (residual[:, None, :] @ x)[:, 0] - ridge * penalized * b
+        try:
+            delta = np.linalg.solve(information(x, mu), gradient[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            raise GlmError("singular weighted system") from None
+        floor = current[active] - 1e-12
+        step = np.ones(active.size)
+        candidate = b + delta
+        value = objective(x, candidate)
+        halve = np.flatnonzero(value < floor)
+        while halve.size:
+            step[halve] *= 0.5
+            candidate[halve] = b[halve] + step[halve, None] * delta[halve]
+            value[halve] = objective(x[halve], candidate[halve])
+            halve = halve[(value[halve] < floor[halve]) & (step[halve] > 1e-10)]
+        # a member with no ascent direction left keeps its best iterate
+        ascended = value >= floor
+        done = ascended & (np.max(np.abs(candidate - b), axis=1) < tol)
+        beta[active[ascended]] = candidate[ascended]
+        current[active[ascended]] = value[ascended]
+        converged[active[done]] = True
+        active = active[ascended & ~done]
+    eta = linear(matrices, beta)
+    try:
+        covariance = np.linalg.inv(information(matrices, expit(eta)))
+    except np.linalg.LinAlgError:
+        raise GlmError("singular information matrix") from None
+    return beta, converged, iterations, loglik(eta), covariance
+
+
 def fit_logistic(
     design,
     response=None,
     ridge: float = 1e-6,
-    tol: float = 1e-8,
-    max_iter: int = 100,
+    tol: float = _TOL,
+    max_iter: int = _MAX_ITER,
 ) -> LogisticModel:
     """Penalized maximum likelihood by iteratively reweighted least squares.
 
@@ -180,64 +265,17 @@ def fit_logistic(
     fatal; a singular weighted system raises.
     """
     matrix, successes, trials, terms = _unpack(design, response)
-    n_poor, n = successes.sum(), trials.sum()
-    if not 0 < n_poor < n:
-        raise GlmError("response must contain both classes")
-    p = matrix.shape[1]
-    penalized = np.ones(p)
-    penalized[0] = 0.0
-    beta = np.zeros(p)
-    prevalence = n_poor / n
-    beta[0] = np.log(prevalence / (1.0 - prevalence))
-
-    def loglik(eta: np.ndarray) -> float:
-        return float(successes @ eta - trials @ np.logaddexp(0.0, eta))
-
-    def objective(b: np.ndarray) -> float:
-        return loglik(matrix @ b) - 0.5 * ridge * float((penalized * b * b).sum())
-
-    def information(mu: np.ndarray) -> np.ndarray:
-        weights = trials * np.clip(mu * (1.0 - mu), 1e-10, None)
-        return (matrix * weights[:, None]).T @ matrix + ridge * np.diag(penalized)
-
-    current = objective(beta)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        mu = expit(matrix @ beta)
-        gradient = matrix.T @ (successes - trials * mu) - ridge * penalized * beta
-        try:
-            delta = np.linalg.solve(information(mu), gradient)
-        except np.linalg.LinAlgError:
-            raise GlmError("singular weighted system") from None
-        step = 1.0
-        candidate = beta + delta
-        value = objective(candidate)
-        while value < current - 1e-12 and step > 1e-10:
-            step *= 0.5
-            candidate = beta + step * delta
-            value = objective(candidate)
-        if value < current - 1e-12:
-            break  # no ascent direction left; report best iterate
-        change = float(np.max(np.abs(candidate - beta)))
-        beta = candidate
-        current = value
-        if change < tol:
-            converged = True
-            break
-    eta = matrix @ beta
-    try:
-        covariance = np.linalg.inv(information(expit(eta)))
-    except np.linalg.LinAlgError:
-        raise GlmError("singular information matrix") from None
+    beta, converged, iterations, loglik, covariance = _irls(
+        matrix[None], successes, trials, ridge, tol, max_iter
+    )
     return LogisticModel(
         terms=terms,
-        coefficients=beta,
-        covariance=covariance,
+        coefficients=beta[0],
+        covariance=covariance[0],
         ridge=ridge,
-        converged=converged,
-        iterations=iterations,
-        loglik=loglik(eta),
+        converged=bool(converged[0]),
+        iterations=int(iterations[0]),
+        loglik=float(loglik[0]),
     )
 
 
@@ -475,22 +513,24 @@ def select_interactions_aic(
     ridge: float = 1e-6,
     max_pairs: int | None = None,
 ) -> tuple[tuple[int, int], ...]:
-    """Greedy forward selection of interaction pairs by AIC."""
+    """Greedy forward selection of interaction pairs by AIC; every candidate
+    of a round is fitted in one stacked IRLS."""
     base = build_design(ds, DesignSpec(grouping=grouping))
+    indicators = base.group_indicators
     candidates = list(combinations(range(len(grouping.groups)), 2))
     chosen: list[tuple[int, int]] = []
 
-    def aic(pairs) -> float:
-        model = fit_logistic(_with_interactions(base, pairs), ridge=ridge)
-        return 2.0 * len(model.coefficients) - 2.0 * model.loglik
+    def aic(stack) -> np.ndarray:
+        matrices = np.stack([_assemble(indicators, pairs) for pairs in stack])
+        loglik = _irls(matrices, base.successes, base.trials, ridge, _TOL, _MAX_ITER)[3]
+        return 2.0 * matrices.shape[2] - 2.0 * loglik
 
-    best = aic(chosen)
+    best = aic([chosen])[0]
     while candidates and (max_pairs is None or len(chosen) < max_pairs):
-        scored = [(aic(chosen + [c]), c) for c in candidates]
-        value, pair = min(scored, key=lambda t: t[0])
-        if value >= best:
+        scores = aic([chosen + [c] for c in candidates])
+        pick = int(np.argmin(scores))
+        if scores[pick] >= best:
             break
-        best = value
-        chosen.append(pair)
-        candidates.remove(pair)
+        best = scores[pick]
+        chosen.append(candidates.pop(pick))
     return tuple(chosen)

@@ -12,10 +12,12 @@ root of ``p11(rho) = n11 / N``. ``p11`` rises strictly in rho with slope
 equal to the bivariate-normal density at the thresholds (Plackett's
 identity), and the root is found by a bracketed Newton iteration.
 
-The numerical kernel is a fixed-order Gauss-Legendre scheme for the upper
+The numerical kernel is Genz's (2004) Gauss-Legendre scheme for the upper
 orthant probability of the bivariate normal (Drezner-Wesolowsky integral for
 moderate correlation, a singularity-subtracted expansion near |rho| = 1),
-accurate to well below 1e-7 absolute error. It takes each table's own
+accurate to well below 1e-7 absolute error. As in Genz's BVNU, the node count
+is tiered by |rho|: 6 nodes below 0.3, 12 below 0.75 and 20 above, where the
+integrand is least smooth. It takes each table's own
 marginal rates ``P(X > h)`` and ``P(Y > k)`` beside its thresholds, so the
 root solve calls the normal CDF only for the tail term of the expansion
 near |rho| = 1. It works element by element, so a table's estimate does not
@@ -35,6 +37,11 @@ from .special import ndtr, ndtri
 from .survey import SurveyDataset
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+# (upper |rho| bound, nodes, weights) of the arcsine-path integral's tiers
+_GL_TIERS = tuple(
+    (bound, *np.polynomial.legendre.leggauss(order))
+    for bound, order in ((0.3, 6), (0.75, 12), (0.925, 20))
+)
 
 # Likelihood cells are clipped here before taking logs: next to |rho| = 1,
 # where the root solve's bracket ends, a model cell can round to zero.
@@ -47,16 +54,18 @@ _MAX_ITER = 100
 
 def _bvn_moderate(
     h: np.ndarray, k: np.ndarray, r: np.ndarray, ph: np.ndarray, pk: np.ndarray,
+    nodes: np.ndarray, weights: np.ndarray,
 ) -> np.ndarray:
-    """P(X > h, Y > k) for |r| < 0.925 via the arcsine-path integral."""
+    """P(X > h, Y > k) for |r| < 0.925 via the arcsine-path integral on the
+    given Gauss-Legendre rule."""
     asr = np.arcsin(r)
     hk = h * k
     hs = 0.5 * (h * h + k * k)
-    sn = np.sin(0.5 * asr[..., None] * (_GL_NODES + 1.0))
+    sn = np.sin(0.5 * asr[..., None] * (nodes + 1.0))
     integrand = np.exp((sn * hk[..., None] - hs[..., None]) / (1.0 - sn * sn))
     # a row sum, not a BLAS product, keeps each table's value independent of
     # the batch it is evaluated in
-    quadrature = (integrand * _GL_WEIGHTS).sum(axis=-1)
+    quadrature = (integrand * weights).sum(axis=-1)
     return ph * pk + (asr / (4.0 * np.pi)) * quadrature
 
 
@@ -120,16 +129,22 @@ def _bvn_upper(
     out = np.empty(h.shape, dtype=np.float64)
     ar = np.abs(r)
     boundary = ar >= 1.0
-    moderate = ar < 0.925
-    extreme = ~moderate & ~boundary
+    extreme = ~(ar < 0.925) & ~boundary  # a NaN r too, so every entry is set
     if boundary.any():
         phb, pkb = ph[boundary], pk[boundary]
         upper = np.minimum(phb, pkb)  # X = Y
         lower = np.maximum(0.0, phb + pkb - 1.0)  # X = -Y
         out[boundary] = np.where(r[boundary] > 0, upper, lower)
-    for branch, kernel in ((moderate, _bvn_moderate), (extreme, _bvn_extreme)):
-        if branch.any():
-            out[branch] = kernel(h[branch], k[branch], r[branch], ph[branch], pk[branch])
+    if extreme.any():
+        out[extreme] = _bvn_extreme(h[extreme], k[extreme], r[extreme], ph[extreme], pk[extreme])
+    floor = 0.0
+    for bound, nodes, weights in _GL_TIERS:
+        tier = (ar >= floor) & (ar < bound)
+        floor = bound
+        if tier.any():
+            out[tier] = _bvn_moderate(
+                h[tier], k[tier], r[tier], ph[tier], pk[tier], nodes, weights
+            )
     return np.clip(out, 0.0, 1.0)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice, repeat
 from pathlib import Path
 
@@ -202,9 +203,12 @@ class SurveyDataset:
     def poor_mask(self) -> np.ndarray:
         return self.ratings <= POOR_RATING_MAX
 
-    @property
+    @cached_property
     def any_token_mask(self) -> np.ndarray:
-        return self.token_matrix.any(axis=1)
+        """Calls with at least one token; computed once, read-only."""
+        mask = self.token_matrix.any(axis=1)
+        mask.setflags(write=False)
+        return mask
 
     def pcr(self) -> float:
         """Poor call rate: share of calls rated 1 or 2."""

@@ -26,6 +26,8 @@ from .survey import (
 
 DEFAULT_PARTITION = (0,) * 5 + (1,) * 5 + (2,) * 2 + (3,) * 2 + (4,)
 
+_REQUIRED = object()  # marks a GeneratorSpec.from_dict key without a default
+
 
 @dataclass(frozen=True)
 class DurationModel:
@@ -153,25 +155,47 @@ class GeneratorSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorSpec":
-        dur = data.get("duration", {})
+        """The spec of a ``to_dict`` mapping; a missing or malformed key is a
+        ValidationError that names it."""
+
+        def value(key, convert, source=data, default=_REQUIRED):
+            if key not in source:
+                if default is _REQUIRED:
+                    raise ValidationError(f"spec key {key!r} is missing")
+                return default
+            try:
+                return convert(source[key])
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"spec key {key!r} is malformed: {exc}") from None
+
+        def floats(v):
+            return tuple(float(x) for x in v)
+
+        def pairs(v):
+            return tuple((int(a), int(b)) for a, b in v)
+
+        def mapping(v):
+            if not isinstance(v, dict):
+                raise TypeError("expected an object")
+            return v
+
+        dur = value("duration", mapping, default={})
         return cls(
-            loadings=np.asarray(data["loadings"], dtype=np.float64),
-            thresholds=np.asarray(data["thresholds"], dtype=np.float64),
-            group_partition=tuple(data["group_partition"]),
-            glm_intercept=float(data["glm_intercept"]),
-            glm_group_effects=tuple(data["glm_group_effects"]),
-            glm_interactions=tuple(
-                (int(a), int(b)) for a, b in data.get("glm_interactions", ())
-            ),
-            glm_interaction_effects=tuple(data.get("glm_interaction_effects", ())),
-            n=int(data["n"]),
-            seed=int(data["seed"]),
+            loadings=value("loadings", lambda v: np.asarray(v, dtype=np.float64)),
+            thresholds=value("thresholds", lambda v: np.asarray(v, dtype=np.float64)),
+            group_partition=value("group_partition", lambda v: tuple(int(g) for g in v)),
+            glm_intercept=value("glm_intercept", float),
+            glm_group_effects=value("glm_group_effects", floats),
+            glm_interactions=value("glm_interactions", pairs, default=()),
+            glm_interaction_effects=value("glm_interaction_effects", floats, default=()),
+            n=value("n", int),
+            seed=value("seed", int),
             duration=DurationModel(
-                base_mean_s=float(dur.get("base_mean_s", 300.0)),
-                group_penalties=tuple(dur.get("group_penalties", ())),
-                sigma=float(dur.get("sigma", 0.5)),
+                base_mean_s=value("base_mean_s", float, dur, 300.0),
+                group_penalties=value("group_penalties", floats, dur, ()),
+                sigma=value("sigma", float, dur, 0.5),
             ),
-            token_names=tuple(data.get("token_names", ())),
+            token_names=value("token_names", tuple, default=()),
         )
 
 

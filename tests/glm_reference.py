@@ -2,8 +2,12 @@
 
 Each function works on one design row per record. The property test in
 test_glm.py compares them with the library's estimators, which work on the
-distinct group-indicator patterns, on random designs.
+distinct group-indicator patterns, on random designs. ``fit`` also takes
+binomial rows; fitted one design at a time, it is the per-candidate loop
+that the library's stacked IRLS is checked against.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -24,23 +28,38 @@ def scores(matrix, beta):
     return expit((matrix * beta).sum(axis=1))
 
 
-def fit(matrix, y, ridge=1e-6, tol=1e-8, max_iter=100):
-    """Penalized IRLS with step halving, one Bernoulli trial per row."""
-    y = np.asarray(y, dtype=np.float64)
+class Fit(NamedTuple):
+    beta: np.ndarray
+    loglik: float
+    converged: bool
+    iterations: int
+    halvings: int  # step halvings over the whole fit
+
+
+def fit(matrix, successes, trials=None, ridge=1e-6, tol=1e-8, max_iter=100):
+    """Penalized IRLS with step halving on one design: each row a binomial
+    count with ``trials`` records (one Bernoulli trial per row by default)."""
+    y = np.asarray(successes, dtype=np.float64)
+    trials = np.ones(y.shape) if trials is None else np.asarray(trials, dtype=np.float64)
     p = matrix.shape[1]
     penalized = np.r_[0.0, np.ones(p - 1)]
     beta = np.zeros(p)
-    beta[0] = np.log(y.mean() / (1.0 - y.mean()))
+    prevalence = y.sum() / trials.sum()
+    beta[0] = np.log(prevalence / (1.0 - prevalence))
+
+    def loglik(b):
+        eta = matrix @ b
+        return y @ eta - trials @ np.logaddexp(0.0, eta)
 
     def objective(b):
-        eta = matrix @ b
-        return y @ eta - np.logaddexp(0.0, eta).sum() - 0.5 * ridge * (penalized * b * b).sum()
+        return loglik(b) - 0.5 * ridge * (penalized * b * b).sum()
 
     current = objective(beta)
-    for _ in range(max_iter):
+    converged, iterations, halvings = False, 0, 0
+    for iterations in range(1, max_iter + 1):
         mu = expit(matrix @ beta)
-        weights = np.clip(mu * (1.0 - mu), 1e-10, None)
-        gradient = matrix.T @ (y - mu) - ridge * penalized * beta
+        weights = trials * np.clip(mu * (1.0 - mu), 1e-10, None)
+        gradient = matrix.T @ (y - trials * mu) - ridge * penalized * beta
         hessian = (matrix * weights[:, None]).T @ matrix + ridge * np.diag(penalized)
         delta = np.linalg.solve(hessian, gradient)
         step = 1.0
@@ -48,6 +67,7 @@ def fit(matrix, y, ridge=1e-6, tol=1e-8, max_iter=100):
         value = objective(candidate)
         while value < current - 1e-12 and step > 1e-10:
             step *= 0.5
+            halvings += 1
             candidate = beta + step * delta
             value = objective(candidate)
         if value < current - 1e-12:
@@ -55,8 +75,9 @@ def fit(matrix, y, ridge=1e-6, tol=1e-8, max_iter=100):
         change = np.max(np.abs(candidate - beta))
         beta, current = candidate, value
         if change < tol:
+            converged = True
             break
-    return beta
+    return Fit(beta, float(loglik(beta)), converged, iterations, halvings)
 
 
 def reduction(beta, matrix, fixed_matrix):

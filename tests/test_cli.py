@@ -61,6 +61,26 @@ class TestSimulate:
     def test_spec_and_preset_are_exclusive(self, tmp_path):
         assert run("simulate", "--out", tmp_path / "x.csv") == 2
 
+    @pytest.mark.parametrize("body, message", [
+        ('{"loadings": ', "is not valid JSON"),
+        ("[1, 2]", "must hold a JSON object"),
+        ('{"loadings": [[0.5]]}', "spec key 'thresholds' is missing"),
+        ('{"loadings": [[0.5]], "thresholds": [0.0], "group_partition": [0], '
+         '"glm_intercept": -1.0, "glm_group_effects": [1.0], "n": "many", "seed": 1}',
+         "spec key 'n' is malformed"),
+        ('{"loadings": [[0.5]], "thresholds": [0.0], "group_partition": [0], '
+         '"glm_intercept": -1.0, "glm_group_effects": [1.0], "n": 10, "seed": 1, '
+         '"duration": [300.0]}', "spec key 'duration' is malformed"),
+    ])
+    def test_bad_spec_exits_2(self, tmp_path, capsys, body, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(body)
+        out = tmp_path / "x.csv"
+        assert run("simulate", "--spec", spec, "--out", out) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["stage"] == "validation" and message in error["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("module", ["tokenimpact", "tokenimpact.cli"])
     def test_module_entry_point_writes_csv(self, tmp_path, module):
         out = tmp_path / "s.csv"

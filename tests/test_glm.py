@@ -14,6 +14,8 @@ from tokenimpact.errors import GlmError
 from tokenimpact.glm import (
     DesignSpec,
     LogisticModel,
+    _assemble,
+    _irls,
     auc_score,
     build_design,
     cumulative_impact,
@@ -363,6 +365,57 @@ class TestImpactReport:
         assert (0, 1) in chosen
 
 
+class TestStackedFit:
+    """One stacked IRLS against a loop of single fits over its members."""
+
+    @staticmethod
+    def _round():
+        # every pattern of three groups; with these counts the (0, 2) member
+        # halves its first step, while the others, which stop after 7
+        # iterations, take full steps
+        indicators = np.array(list(product((0.0, 1.0), repeat=3)))
+        rng = np.random.default_rng(78)
+        trials = rng.integers(1, 60, 8).astype(float)
+        successes = rng.binomial(trials.astype(int), rng.uniform(0, 1, 8) ** 4).astype(float)
+        matrices = np.stack([_assemble(indicators, [pair]) for pair in combinations(range(3), 2)])
+        return matrices, successes, trials
+
+    @pytest.mark.parametrize("max_iter", [100, 6])
+    def test_members_match_single_fits(self, max_iter):
+        matrices, successes, trials = self._round()
+        beta, converged, iterations, loglik, _ = _irls(
+            matrices, successes, trials, 1e-6, 1e-8, max_iter
+        )
+        loop = [reference.fit(x, successes, trials, max_iter=max_iter) for x in matrices]
+        assert [f.halvings > 0 for f in loop] == [False, True, False]
+        assert converged.tolist() == [f.converged for f in loop]
+        assert iterations.tolist() == [f.iterations for f in loop]
+        np.testing.assert_allclose(beta, [f.beta for f in loop], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(loglik, [f.loglik for f in loop], rtol=1e-12, atol=0)
+        if max_iter == 6:
+            assert converged.tolist() == [False, True, False]
+
+    def test_singular_member_raises(self):
+        matrices, successes, trials = self._round()
+        singular = matrices[0].copy()
+        singular[:, -1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            reference.fit(singular, successes, trials, ridge=0.0)
+        stack = np.concatenate([matrices, singular[None]])
+        with pytest.raises(GlmError, match="singular weighted system"):
+            _irls(stack, successes, trials, 0.0, 1e-8, 100)
+
+    def test_fit_logistic_is_a_stack_of_one(self):
+        matrices, successes, trials = self._round()
+        x = np.repeat(matrices[1], trials.astype(int), axis=0)
+        y = np.concatenate([np.r_[np.ones(int(s)), np.zeros(int(t - s))]
+                            for s, t in zip(successes, trials)])
+        model = fit_logistic(x, y)
+        want = reference.fit(x, y)
+        assert (model.converged, model.iterations) == (want.converged, want.iterations)
+        np.testing.assert_allclose(model.coefficients, want.beta, rtol=0, atol=1e-10)
+
+
 class TestMultinomialResampling:
     @pytest.mark.parametrize("row_pattern", [(0, 1), (0, 0, 1), (0, 1, 1, 2), (0, 0, 1, 2, 2)])
     def test_binned_index_resamples_follow_the_multinomial_pmf(self, row_pattern):
@@ -413,7 +466,7 @@ class TestPatternPathMatchesRowReference:
         rows = reference.assemble(indicators, pairs)
         model = fit_logistic(design)
         np.testing.assert_allclose(
-            model.coefficients, reference.fit(rows, y), rtol=0, atol=1e-10
+            model.coefficients, reference.fit(rows, y).beta, rtol=0, atol=1e-10
         )
         beta = model.coefficients
         for g in range(indicators.shape[1]):

@@ -86,6 +86,20 @@ class TestBvnUpper:
         with pytest.raises(PolychoricError):
             bvn_upper(0, 0, 1.5)
 
+    def test_node_tiers_match_the_20_node_rule(self):
+        # Genz's 6-node (|r| < 0.3) and 12-node (|r| < 0.75) tiers, with the
+        # tier edges and the last doubles below them on the grid
+        edges = np.array([0.3, 0.75])
+        near = np.r_[edges, np.nextafter(edges, 0.0)]
+        r = np.r_[np.linspace(-0.92, 0.92, 93), near, -near]
+        h, k, rr = np.meshgrid(np.linspace(-4, 4, 41), np.linspace(-4, 4, 41), r, indexing="ij")
+        ph, pk = ndtr(-h), ndtr(-k)
+        twenty = polychoric._bvn_moderate(
+            h, k, rr, ph, pk, polychoric._GL_NODES, polychoric._GL_WEIGHTS
+        )
+        twenty = np.clip(twenty, 0.0, 1.0)
+        assert np.abs(_bvn_upper(h, k, rr, ph, pk) - twenty).max() <= 1e-15
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)), min_size=1))
     def test_independence_is_the_product_of_marginals(self, taus):

@@ -62,6 +62,9 @@ class TestDerivedMasks:
         brute_any = [any(bits) for _, _, bits in rows]
         assert ds.poor_mask.tolist() == brute_poor
         assert ds.any_token_mask.tolist() == brute_any
+        # computed once and shared read-only
+        assert ds.any_token_mask is ds.any_token_mask
+        assert not ds.any_token_mask.flags.writeable
 
 
 CSV_HEADER = "call_id,rating,duration_s,ptq_submitted,token_a,token_b\n"
