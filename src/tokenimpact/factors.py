@@ -139,7 +139,7 @@ def _reference_grams(prevalences: np.ndarray, n: int, seed: int, reps: int) -> n
     A Gram depends only on the draw's token-pattern counts, so those are
     drawn directly. Reps go in blocks of ``_DRAW_REPS``, block ``b`` on its
     own stream ``[seed, b, 1]``; the tag 1 keeps it apart from the bootstrap
-    streams ``[seed, g]`` and must be nonzero, as ``SeedSequence`` drops
+    streams ``[seed, g, 2]`` and must be nonzero, as ``SeedSequence`` drops
     trailing zero words. From one cell of n rows per rep, each column splits
     every live cell of the block binomially by its prevalence, in one call;
     a cell's two children stay next to each other, so each rep's cells stay

@@ -372,14 +372,16 @@ def group_fix_impact(
     through its record count per pattern, and binning n records drawn with
     replacement gives Multinomial(n, trials / n) counts (Efron & Tibshirani
     1993), so those counts are drawn directly. All replicates come from one
-    stream ``[seed, group_index]``, counts first and coefficients second,
-    and are scored together.
+    stream ``[seed, group_index, 2]``, counts first and coefficients second,
+    and are scored together. The tag 2 keeps group 0's stream apart from the
+    bare seed's, which the restriction and ``balance_resample`` draw from:
+    ``SeedSequence`` drops trailing zero words, so ``[seed, 0]`` would be it.
     """
     if not 0 <= group_index < len(design.group_names):
         raise GlmError(f"group index {group_index} out of range")
     fixed_matrix = design.fixed_matrix([group_index])
     n = design.n_records
-    rng = np.random.default_rng([seed, group_index])
+    rng = np.random.default_rng([seed, group_index, 2])
     counts = rng.multinomial(n, design.trials / n, size=n_boot)
     noise = rng.standard_normal((n_boot, model.coefficients.size))
     betas = model.coefficients + noise @ _coefficient_factor(model.covariance).T

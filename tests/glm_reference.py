@@ -90,7 +90,7 @@ def bootstrap_ci(beta, covariance, indicators, pairs, group_index, n_boot, seed)
 
     Each replicate's per-pattern record counts are drawn as the library
     draws them (Multinomial(n, trials / n), patterns in the design's code
-    order, from the stream ``[seed, group_index]``), then spread evenly over
+    order, from the stream ``[seed, group_index, 2]``), then spread evenly over
     that pattern's rows as record weights.
     """
     indicators = np.asarray(indicators, dtype=np.int64)
@@ -101,7 +101,7 @@ def bootstrap_ci(beta, covariance, indicators, pairs, group_index, n_boot, seed)
     trials = np.bincount(pattern).astype(np.float64)
     n = matrix.shape[0]
     factor = np.linalg.cholesky(covariance)
-    rng = np.random.default_rng([seed, group_index])
+    rng = np.random.default_rng([seed, group_index, 2])
     counts = rng.multinomial(n, trials / n, size=n_boot)
     noise = rng.standard_normal((n_boot, len(beta)))
     replicates = []

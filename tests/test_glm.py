@@ -252,6 +252,25 @@ class TestCounterfactuals:
         b = group_fix_impact(model, design, 0, n_boot=80, seed=9)
         assert (a.ci_lo, a.ci_hi) == (b.ci_lo, b.ci_hi)
 
+    def test_group_streams_are_apart_from_the_bare_seed(self, monkeypatch):
+        # the restriction and balance_resample draw from default_rng(seed)
+        rng = np.random.default_rng(2)
+        design = make_design((rng.random((200, 3)) < 0.3).astype(float), rng.random(200) < 0.3)
+        model = make_model([-1.5, 1.0, 0.5, 0.2])
+        real = np.random.default_rng
+        seeds = []
+
+        def spy(seed):
+            seeds.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        for g in range(3):
+            group_fix_impact(model, design, g, n_boot=10, seed=9)
+        monkeypatch.undo()
+        firsts = {real(seed).random() for seed in seeds + [9]}
+        assert len(seeds) == 3 and len(firsts) == 4
+
     def test_positive_effect_fix_never_increases_pcr(self):
         rng = np.random.default_rng(3)
         indicators = (rng.random((500, 3)) < 0.25).astype(float)
