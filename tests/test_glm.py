@@ -383,6 +383,31 @@ class TestImpactReport:
         chosen = select_interactions_aic(ds, grouping)
         assert (0, 1) in chosen
 
+    def test_aic_selection_matches_a_loop_of_single_fits(self):
+        spec = block_world(
+            n=20000, seed=8, group_sizes=(2, 2, 2, 2), effects=(1.8, 1.4, 1.0, 0.6),
+            interactions=((0, 1), (2, 3)), interaction_effects=(-1.2, 0.8),
+        )
+        ds, _ = generate(spec, truth_mc_n=100)
+        grouping = grouping_from_partition(ds.vocabulary.names, spec.group_partition)
+        base = build_design(ds, DesignSpec(grouping=grouping))
+
+        def aic(pairs):
+            x = _assemble(base.group_indicators, pairs)
+            return 2.0 * x.shape[1] - 2.0 * reference.fit(x, base.successes, base.trials).loglik
+
+        chosen, candidates = [], list(combinations(range(4), 2))
+        best = aic(chosen)
+        while candidates:
+            value, pair = min((aic(chosen + [c]), c) for c in candidates)
+            if value >= best:
+                break
+            best = value
+            chosen.append(pair)
+            candidates.remove(pair)
+        assert len(chosen) >= 2
+        assert select_interactions_aic(ds, grouping) == tuple(chosen)
+
 
 class TestStackedFit:
     """One stacked IRLS against a loop of single fits over its members."""
