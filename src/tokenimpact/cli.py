@@ -91,6 +91,17 @@ class RunConfig:
             raise ValidationError("ridge must be finite and non-negative")
         if self.min_positives < 1:
             raise ValidationError("min_positives must be at least 1")
+        if self.force_k is not None and self.force_k < 1:
+            raise ValidationError("force_k must be at least 1")
+        if self.metric not in ("pcr", "acd", "both"):
+            raise ValidationError(f"unknown metric {self.metric!r}")
+        if self.fix_value is not None:
+            if not np.isfinite(self.fix_value):
+                raise ValidationError("fix_value must be finite")
+            if self.metric == "both":
+                raise ValidationError("--fix-value requires a single --metric")
+        if self.interactions != "aic":
+            _parse_interactions(self.interactions)
 
     def require_seed(self) -> int:
         if self.seed is None:
@@ -289,22 +300,13 @@ def cmd_timu(args: argparse.Namespace) -> int:
 
 
 def _write_timu(out: Path, cfg: RunConfig, source: dict, ds: SurveyDataset) -> None:
-    metrics: dict[str, MetricSpec] = {}
-    if cfg.metric in ("pcr", "both"):
-        metrics["pcr"] = MetricSpec(Metric.POOR_INDICATOR, fix_value=cfg.fix_value)
-    if cfg.metric in ("acd", "both"):
-        metrics["acd"] = MetricSpec(Metric.DURATION_S, fix_value=cfg.fix_value)
-    if not metrics:
-        raise ValidationError(f"unknown metric {cfg.metric!r}")
-    if cfg.fix_value is not None and cfg.metric == "both":
-        raise ValidationError("--fix-value requires a single --metric")
-
+    kinds = {"pcr": Metric.POOR_INDICATOR, "acd": Metric.DURATION_S}
     rankings = {}
     fix_values = {}
     plot_rows = []
-    for name, spec in metrics.items():
-        fix_values[name] = resolve_fix_value(ds, spec)
-        ranking = rank_tokens(ds, spec, strict_delta=cfg.strict_delta)
+    for name in kinds if cfg.metric == "both" else (cfg.metric,):
+        fix_values[name] = fix = resolve_fix_value(ds, MetricSpec(kinds[name], cfg.fix_value))
+        ranking = rank_tokens(ds, MetricSpec(kinds[name], fix), strict_delta=cfg.strict_delta)
         rankings[name] = [r.to_dict() for r in ranking]
         for r in ranking:
             plot_rows.append(
@@ -329,13 +331,13 @@ def _parse_interactions(text: str) -> tuple[tuple[int, int], ...]:
         return ()
     pairs = []
     for chunk in text.split(","):
-        a, _, b = chunk.partition(":")
-        try:
-            pairs.append((int(a) - 1, int(b) - 1))
-        except ValueError:
+        a, _, b = (part.strip() for part in chunk.partition(":"))
+        if not (a.isdecimal() and b.isdecimal() and 0 < int(a) != int(b) > 0):
             raise ValidationError(
-                f"bad --interactions {text!r}; expected e.g. 1:2,1:4"
-            ) from None
+                f"bad --interactions {text!r}; expected 'aic', 'none' or "
+                "pairs of distinct 1-based group numbers like 1:2,1:4"
+            )
+        pairs.append((int(a) - 1, int(b) - 1))
     return tuple(pairs)
 
 

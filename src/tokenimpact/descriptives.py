@@ -61,12 +61,11 @@ def token_frequencies(ds: SurveyDataset) -> FrequencyReport:
     """
     if ds.n_records == 0:
         raise ValidationError("empty dataset")
-    tokens = ds.token_matrix
     poor = ds.poor_mask
     n = ds.n_records
     n_poor = int(poor.sum())
-    count_all = tokens.sum(axis=0)
-    count_poor = tokens[poor].sum(axis=0) if n_poor else np.zeros(tokens.shape[1], int)
+    count_all = np.diagonal(ds.cooccurrence)
+    count_poor = ds.token_matrix[poor].sum(axis=0)
     freqs = tuple(
         TokenFrequency(
             token=name,
@@ -143,10 +142,8 @@ class JaccardMatrix:
 def jaccard_matrix(ds: SurveyDataset) -> JaccardMatrix:
     if len(ds.vocabulary) < 2:
         raise ValidationError("at least two tokens required")
-    # float64 counts exactly below 2**53 and, unlike int64, goes to BLAS
-    x = ds.token_matrix.astype(np.float64)
-    inter = x.T @ x
-    counts = x.sum(axis=0)
+    inter = ds.cooccurrence
+    counts = np.diagonal(inter)
     union = counts[:, None] + counts[None, :] - inter
     with np.errstate(invalid="ignore", divide="ignore"):
         values = np.where(union > 0, inter / np.maximum(union, 1), 0.0)

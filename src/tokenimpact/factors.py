@@ -219,8 +219,8 @@ def parallel_analysis_detail(
     if corr.tokens != ds.vocabulary.names:
         raise FactorAnalysisError("correlation matrix does not match dataset tokens")
     observed = np.sort(np.linalg.eigvalsh(corr.values))[::-1]
-    prevalences = ds.token_matrix.mean(axis=0)
     n = ds.n_records
+    prevalences = np.diagonal(ds.cooccurrence) / n
     grams = _reference_grams(prevalences, n, seed, reps)
     pairs = prevalences.size * (prevalences.size - 1) // 2
     per_chunk = max(1, _CHUNK_TABLES // max(pairs, 1))

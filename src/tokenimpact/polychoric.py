@@ -409,14 +409,6 @@ def _gram_cells(both: np.ndarray, n: int) -> np.ndarray:
     return np.stack([n00, n01, n10, n11], axis=-1)
 
 
-def _pair_cells(token_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs 2x2 cell counts, one row per (i, j) pair with i < j."""
-    x = token_matrix.astype(np.float64)
-    cells = _gram_cells(x.T @ x, x.shape[0])
-    pairs = np.stack(np.triu_indices(x.shape[1], k=1), axis=1)
-    return cells, pairs
-
-
 def _correlation_matrices(p: int, rho: np.ndarray) -> np.ndarray:
     """Unit-diagonal symmetric matrices from pair values in
     ``np.triu_indices(p, 1)`` order; a stack of value rows gives a stack of
@@ -428,45 +420,19 @@ def _correlation_matrices(p: int, rho: np.ndarray) -> np.ndarray:
     return values
 
 
-def _matrix_values(
-    token_matrix: np.ndarray,
-) -> tuple[np.ndarray, bool, float, np.ndarray, np.ndarray, np.ndarray]:
-    """Pairwise latent correlations for a binary matrix, PSD-repaired.
-
-    Also returns the per-pair ``corrected``, ``converged`` and ``boundary``
-    masks, in the ``np.triu_indices(p, 1)`` order of the pairs.
-    """
-    raw_cells, _ = _pair_cells(token_matrix)
-    cells, px, py, tx, ty, corrected = _prepare_tables(raw_cells)
-    rho, converged, boundary = _maximize_rho(cells, px, py, tx, ty)
-    repaired, was_repaired, min_before = repair_to_psd(
-        _correlation_matrices(token_matrix.shape[1], rho)
-    )
-    return repaired, was_repaired, min_before, corrected, converged, boundary
-
-
 def polychoric_matrix(ds: SurveyDataset) -> PolychoricMatrix:
     """Latent-correlation matrix over all token pairs of a dataset."""
     if len(ds.vocabulary) < 2:
         raise PolychoricError("at least two tokens required")
     if ds.n_records == 0:
         raise PolychoricError("empty dataset")
-    try:
-        values, repaired, min_before, corrected, converged, boundary = _matrix_values(
-            ds.token_matrix
-        )
-    except PolychoricError as exc:
-        # rerun pairwise to find the offending pair for the message
-        raw_cells, pairs = _pair_cells(ds.token_matrix)
-        for row, (i, j) in zip(raw_cells, pairs):
-            try:
-                _prepare_tables(row[None, :])
-            except PolychoricError:
-                raise PolychoricError(
-                    f"degenerate marginal for pair "
-                    f"({ds.vocabulary.names[i]}, {ds.vocabulary.names[j]})"
-                ) from None
-        raise exc
+    cells, px, py, tx, ty, corrected = _prepare_tables(
+        _gram_cells(ds.cooccurrence, ds.n_records)
+    )
+    rho, converged, boundary = _maximize_rho(cells, px, py, tx, ty)
+    values, repaired, min_before = repair_to_psd(
+        _correlation_matrices(len(ds.vocabulary), rho)
+    )
     values.setflags(write=False)
     names = ds.vocabulary.names
     pairs = list(zip(*np.triu_indices(len(names), k=1)))

@@ -210,6 +210,16 @@ class SurveyDataset:
         mask.setflags(write=False)
         return mask
 
+    @cached_property
+    def cooccurrence(self) -> np.ndarray:
+        """Token co-occurrence counts ``X.T @ X``: the diagonal holds each
+        token's count. Float64, which counts exactly below 2**53 rows and,
+        unlike int64, goes to BLAS; computed once, read-only."""
+        x = self.token_matrix.astype(np.float64)
+        gram = x.T @ x
+        gram.setflags(write=False)
+        return gram
+
     def pcr(self) -> float:
         """Poor call rate: share of calls rated 1 or 2."""
         if self.n_records == 0:
@@ -465,7 +475,7 @@ def clean_uninformative(
     is not set on every record. The removal list is returned for reporting.
     """
     n = ds.n_records
-    counts = ds.token_matrix.sum(axis=0)
+    counts = np.diagonal(ds.cooccurrence)
     informative = (counts >= min_positives) & ((counts < n) | (n == 0))
     keep = np.flatnonzero(informative).tolist()
     removed = tuple(n for n, ok in zip(ds.vocabulary.names, informative) if not ok)

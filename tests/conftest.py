@@ -72,6 +72,10 @@ def block_world(
 
 @pytest.fixture
 def timu_fixture():
+    return make_timu_fixture()
+
+
+def make_timu_fixture():
     """10 calls, 4 poor; token A on 3 poor and 1 good; planted impact 0.3."""
     rows = [
         (1, 100.0, (1, 0)),

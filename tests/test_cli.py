@@ -420,6 +420,48 @@ class TestTimm:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["stage"] == "validation" and message in error["message"]
 
+    @pytest.mark.parametrize("option, config, message", [
+        (["--force-k", 0], None, "force_k must be at least 1"),
+        (["--force-k", -2], None, "force_k must be at least 1"),
+        (None, '{"force_k": 0}', "force_k must be at least 1"),
+        (["--fix-value", "nan", "--metric", "pcr"], None, "fix_value must be finite"),
+        (["--fix-value", "inf", "--metric", "acd"], None, "fix_value must be finite"),
+        (None, '{"fix_value": NaN, "metric": "pcr"}', "fix_value must be finite"),
+        (["--fix-value", 0.5], None, "--fix-value requires a single --metric"),
+        (["--fix-value", 0.5, "--metric", "both"], None, "requires a single --metric"),
+        (None, '{"fix_value": 0.5}', "requires a single --metric"),
+        (None, '{"metric": "xyz"}', "unknown metric 'xyz'"),
+        (["--interactions", "1-2"], None, "bad --interactions '1-2'"),
+        (["--interactions", "auto"], None, "bad --interactions 'auto'"),
+        (["--interactions", "0:1"], None, "bad --interactions '0:1'"),
+        (["--interactions", "2:2"], None, "bad --interactions '2:2'"),
+        (["--interactions", "1:2,"], None, "bad --interactions '1:2,'"),
+        (None, '{"interactions": "1:x"}', "bad --interactions '1:x'"),
+    ])
+    def test_invalid_option_rejected_before_loading(
+        self, tmp_path, world_csv, monkeypatch, capsys, option, config, message
+    ):
+        def no_load(cfg):
+            raise AssertionError("input loaded before the options were checked")
+
+        monkeypatch.setattr(cli, "_load_input", no_load)
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(config)
+            option = ["--config", cfg]
+        out = tmp_path / "o"
+        out.mkdir()
+        rc = run("report", "--input", world_csv, "--outdir", out, "--seed", 5, *option)
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["stage"] == "validation" and message in error["message"]
+        assert list(out.iterdir()) == []
+
+    def test_pair_beyond_the_groups_keeps_its_model_error(self, tmp_path, world_csv):
+        rc = run("timm", "impact", "--input", world_csv, "--outdir", tmp_path / "o",
+                 "--seed", 5, "--reps", 20, "--bootstrap", 30, "--interactions", "1:99")
+        assert rc == 5
+
     def test_config_types_follow_the_options(self, tmp_path):
         # an integer stands for a float, and null for an optional value
         cfg = tmp_path / "cfg.json"

@@ -386,7 +386,7 @@ class TestRootSolve:
         raw[::9, 2] = 0.0
         spec = block_world(n=3000, seed=4, group_sizes=(4, 3), effects=(1.0, 1.0))
         ds, _ = generate(spec, truth_mc_n=100)
-        observed, _ = polychoric._pair_cells(ds.token_matrix)
+        observed = polychoric._gram_cells(ds.cooccurrence, ds.n_records)
         prepared = _prepare_tables(np.r_[raw, observed])[:5]
         # uncorrected tables at zero thresholds with roots at rho = +1 and -1
         edge = (np.array([[50.0, 0.0, 0.0, 50.0], [0.0, 50.0, 50.0, 0.0]]),

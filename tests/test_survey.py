@@ -66,6 +66,32 @@ class TestDerivedMasks:
         assert ds.any_token_mask is ds.any_token_mask
         assert not ds.any_token_mask.flags.writeable
 
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 4), st.lists(st.booleans(), min_size=4, max_size=4)),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_cooccurrence_is_the_exact_token_gram(self, rows):
+        ds = make_dataset([(r, 60.0, bits) for r, bits in rows], n_tokens=4)
+        x = ds.token_matrix.astype(np.int64)
+        assert np.array_equal(ds.cooccurrence, x.T @ x)
+        # computed once and shared read-only
+        assert ds.cooccurrence is ds.cooccurrence
+        assert not ds.cooccurrence.flags.writeable
+
+    def test_subsets_get_their_own_cooccurrence(self):
+        rows = [(1, 1.0, (1, 1, 0))] * 12 + [(4, 1.0, (0, 1, 0))] * 3 + [(3, 1.0, (1, 0, 0))] * 2
+        ds = make_dataset(rows, n_tokens=3)
+        full = ds.cooccurrence
+        for sub in (ds.select(range(0, 17, 2), "every other"), clean_uninformative(ds)[0]):
+            assert len(sub.vocabulary) < 3 or sub.n_records < ds.n_records
+            x = sub.token_matrix.astype(np.int64)
+            assert np.array_equal(sub.cooccurrence, x.T @ x)
+            assert not sub.cooccurrence.flags.writeable
+        assert ds.cooccurrence is full
+
 
 CSV_HEADER = "call_id,rating,duration_s,ptq_submitted,token_a,token_b\n"
 

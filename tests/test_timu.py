@@ -1,6 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
 
+import timu_reference as reference
 from tokenimpact.errors import ValidationError
 from tokenimpact.survey import SurveyDataset
 from tokenimpact.synthetic import generate
@@ -13,10 +16,17 @@ from tokenimpact.timu import (
     timu,
 )
 
-from conftest import block_world, make_dataset
+from conftest import block_world, make_dataset, make_timu_fixture
+
+# the package exports the function timu under the module's name
+timu_module = importlib.import_module("tokenimpact.timu")
 
 PCR = MetricSpec(Metric.POOR_INDICATOR)
 ACD = MetricSpec(Metric.DURATION_S)
+
+# far from every duration mean, so the fixed series' mean moves far from the
+# original's
+FAR_ACD = MetricSpec(Metric.DURATION_S, fix_value=1e4)
 
 
 class TestTimuHandFixture:
@@ -179,3 +189,80 @@ class TestProperties:
             rep = ds.select(idx.tolist(), note=f"bootstrap x4 (seed={seed})")
             ratio = timu(rep, ds.vocabulary.names[0], PCR).ci95_halfwidth / base
             assert 0.4 <= ratio <= 0.6
+
+
+def _reference_datasets():
+    spec = block_world(n=3000, seed=6, group_sizes=(3, 2), effects=(1.4, 0.9))
+    world, _ = generate(spec, truth_mc_n=1000)
+    orders = [(1, 300.0, (1, 0))] * 5 + [(4, 30.0, (0, 1))] * 5 + [(4, 300.0, (0, 0))] * 10
+    return {
+        "hand": make_timu_fixture(),
+        "orders": make_dataset(orders, n_tokens=2),
+        "block_world": world,
+    }
+
+
+REFERENCE_DATASETS = _reference_datasets()
+
+
+def _selectors(ds):
+    names = ds.vocabulary.names
+    return [
+        names[0],
+        list(names[:2]),
+        list(names),
+        [],
+        ds.durations < np.median(ds.durations),
+        np.zeros(ds.n_records, dtype=bool),
+        np.ones(ds.n_records, dtype=bool),
+    ]
+
+
+def _assert_matches_reference(got, want, ds, metric):
+    """Relative tolerance 1e-12; below a magnitude of 1e-12, an absolute
+    tolerance of 1e-12 times the metric's standard deviation."""
+    scale = float(timu_module.metric_series(ds, metric).std())
+    assert got.token_or_set == want.token_or_set and got.n == want.n
+    for field in ("mean_impact", "ci95_halfwidth"):
+        a, b = getattr(got, field), getattr(want, field)
+        tol = 1e-12 * (abs(b) if abs(b) >= 1e-12 else scale)
+        assert abs(a - b) <= tol, (field, a, b)
+
+
+@pytest.mark.parametrize("strict_delta", [False, True])
+@pytest.mark.parametrize("metric", [PCR, ACD, FAR_ACD], ids=["pcr", "acd", "acd_far"])
+@pytest.mark.parametrize("name", sorted(REFERENCE_DATASETS))
+class TestAgainstRecordLevelReference:
+    def test_timu_matches_reference(self, name, metric, strict_delta):
+        ds = REFERENCE_DATASETS[name]
+        for selector in _selectors(ds):
+            got = timu(ds, selector, metric, strict_delta=strict_delta)
+            want = reference.timu(ds, selector, metric, strict_delta=strict_delta)
+            _assert_matches_reference(got, want, ds, metric)
+
+    def test_rank_tokens_matches_reference(self, name, metric, strict_delta):
+        ds = REFERENCE_DATASETS[name]
+        got = rank_tokens(ds, metric, strict_delta=strict_delta)
+        want = reference.rank_tokens(ds, metric, strict_delta=strict_delta)
+        by_name = {r.token_or_set: r for r in got}
+        for w in want:
+            _assert_matches_reference(by_name[w.token_or_set], w, ds, metric)
+        if name == "block_world":
+            assert [r.token_or_set for r in got] == [r.token_or_set for r in want]
+
+
+def test_rank_tokens_is_one_pass_with_one_fix_value(monkeypatch):
+    ds = REFERENCE_DATASETS["block_world"]
+    calls = {"_impacts": 0, "resolve_fix_value": 0}
+    for fname in calls:
+        original = getattr(timu_module, fname)
+
+        def counted(*args, _original=original, _name=fname, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(timu_module, fname, counted)
+    for metric in (PCR, ACD):
+        calls.update(dict.fromkeys(calls, 0))
+        assert len(rank_tokens(ds, metric)) == len(ds.vocabulary)
+        assert calls == {"_impacts": 1, "resolve_fix_value": 1}
