@@ -15,6 +15,7 @@ import json
 import logging
 import sys
 import typing
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .factors import (
+    ProblemGrouping,
     assign_groups,
     extract_factors,
     parallel_analysis_detail,
@@ -147,13 +149,10 @@ def _read_config(path: Path) -> dict:
     return file_cfg
 
 
-def _merge_config(args: argparse.Namespace, keys: tuple[str, ...]) -> RunConfig:
-    file_cfg: dict = {}
-    if getattr(args, "config", None):
-        file_cfg = _read_config(Path(args.config))
+def _merge_config(args: argparse.Namespace, file_cfg: dict, keys: tuple[str, ...]) -> RunConfig:
     values: dict = {}
     for key in keys:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
         elif key in file_cfg:
@@ -206,11 +205,13 @@ def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _write_matrix_csv(path: Path, tokens: tuple[str, ...], values: np.ndarray) -> None:
+def _write_matrix_csv(
+    path: Path, tokens: tuple[str, ...], values: np.ndarray, columns: tuple[str, ...]
+) -> None:
     rows = [
         [tok] + [repr(float(v)) for v in values[i]] for i, tok in enumerate(tokens)
     ]
-    _write_rows(path, ["token"] + list(tokens), rows)
+    _write_rows(path, ["token"] + list(columns), rows)
 
 
 def _load_input(cfg: RunConfig) -> tuple[dict, SurveyDataset]:
@@ -240,28 +241,12 @@ def _ig_entry(x: np.ndarray, y: np.ndarray) -> dict:
     }
 
 
-_DESCRIBE_KEYS = ("input", "outdir", "seed")
-_TIMU_KEYS = ("input", "outdir", "seed", "metric", "fix_value", "strict_delta", "restrict")
-
-
-def cmd_describe(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, _DESCRIBE_KEYS)
-    seed = cfg.require_seed()
-    source, ds = _load_input(cfg)
-    _write_describe(_outdir(cfg), cfg, source, ds, seed)
-    return 0
-
-
-def _write_describe(
-    out: Path, cfg: RunConfig, source: dict, ds: SurveyDataset, seed: int
-) -> None:
+def _write_describe(out: Path, cfg: RunConfig, source: dict, ds: SurveyDataset) -> None:
     report = token_frequencies(ds)
     jac = jaccard_matrix(ds)
-    any_token = ds.any_token_mask
-    poor = ds.poor_mask
-    ig = {"representative": _ig_entry(any_token, poor)}
+    ig = {"representative": _ig_entry(ds.any_token_mask, ds.poor_mask)}
     try:
-        balanced = balance_resample(ds, seed)
+        balanced = balance_resample(ds, cfg.seed)
         ig["balanced"] = _ig_entry(balanced.any_token_mask, balanced.poor_mask)
     except ValidationError:
         ig["balanced"] = None
@@ -280,23 +265,8 @@ def _write_describe(
             [f.token, "poor", repr(f.rate_poor) if f.rate_poor is not None else ""]
         )
     _write_rows(out / "token_rates.csv", ["token", "population", "rate"], rate_rows)
-    _write_matrix_csv(out / "jaccard.csv", jac.tokens, jac.values)
+    _write_matrix_csv(out / "jaccard.csv", jac.tokens, jac.values, jac.tokens)
     log.info("describe: %d records, %d tokens", ds.n_records, len(ds.vocabulary))
-
-
-def _restricted(ds, cfg: RunConfig, seed: int):
-    if not cfg.restrict:
-        return ds
-    return restrict_tokened_poor(ds, seed)
-
-
-def cmd_timu(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, _TIMU_KEYS)
-    seed = cfg.require_seed()
-    source, ds = _load_input(cfg)
-    out = _outdir(cfg)
-    _write_timu(out, cfg, source, _restricted(ds, cfg, seed))
-    return 0
 
 
 def _write_timu(out: Path, cfg: RunConfig, source: dict, ds: SurveyDataset) -> None:
@@ -341,8 +311,11 @@ def _parse_interactions(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _timm_pipeline(ds, cfg: RunConfig, seed: int, want_impact: bool) -> dict:
-    """Shared body of `timm factors` and `timm impact`; returns artifacts."""
+def _write_factors(
+    out: Path, cfg: RunConfig, source: dict, ds: SurveyDataset
+) -> tuple[SurveyDataset, ProblemGrouping]:
+    """Latent correlations, factor count, rotated loadings and grouping;
+    returns the cleaned dataset and the grouping for the impact stage."""
     ds, removed = clean_uninformative(ds, min_positives=cfg.min_positives)
     if removed:
         log.info("dropped uninformative tokens: %s", ", ".join(removed))
@@ -352,7 +325,7 @@ def _timm_pipeline(ds, cfg: RunConfig, seed: int, want_impact: bool) -> dict:
             "correlation matrix repaired (min eigenvalue was %.3g)",
             corr.min_eigenvalue_before,
         )
-    pa = parallel_analysis_detail(corr, ds, reps=cfg.reps, quantile=cfg.quantile, seed=seed)
+    pa = parallel_analysis_detail(corr, ds, reps=cfg.reps, quantile=cfg.quantile, seed=cfg.seed)
     k = cfg.force_k if cfg.force_k is not None else pa.n_factors
     if k == 0 and cfg.force_k is None:
         raise NoFactorError("no factor exceeds noise floor")
@@ -361,17 +334,33 @@ def _timm_pipeline(ds, cfg: RunConfig, seed: int, want_impact: bool) -> dict:
     log.info("extracting %d factors over %d tokens", k, len(ds.vocabulary))
     model = varimax(extract_factors(corr, k))
     grouping = assign_groups(model, threshold=cfg.threshold)
-    artifacts = {
-        "dataset": ds,
-        "removed": removed,
-        "corr": corr,
-        "pa": pa,
-        "k": k,
-        "model": model,
-        "grouping": grouping,
-    }
-    if not want_impact:
-        return artifacts
+
+    _write_matrix_csv(out / "polychoric.csv", corr.tokens, corr.values, corr.tokens)
+    factors = tuple(f"factor_{j + 1}" for j in range(model.n_factors))
+    _write_matrix_csv(out / "loadings.csv", model.tokens, model.loadings, factors)
+    provenance = _provenance(cfg, source, ds.provenance)
+    _write_json(
+        out / "grouping.json", {"provenance": provenance, "grouping": grouping.to_dict()}
+    )
+    # the matrix itself is in polychoric.csv; the report keeps its flags
+    corr_flags = corr.to_dict()
+    del corr_flags["tokens"], corr_flags["values"]
+    _write_json(
+        out / "factors_report.json",
+        {
+            "provenance": provenance,
+            "removed_tokens": list(removed),
+            "parallel_analysis": pa.to_dict(),
+            "n_factors": k,
+            **corr_flags,
+            "factor_model": model.to_dict(),
+        },
+    )
+    return ds, grouping
+
+
+def _write_impact(out: Path, cfg: RunConfig, source: dict, ds: SurveyDataset) -> None:
+    ds, grouping = _write_factors(out, cfg, source, ds)
     if cfg.interactions == "aic":
         pairs = select_interactions_aic(ds, grouping, ridge=cfg.ridge)
     else:
@@ -382,89 +371,15 @@ def _timm_pipeline(ds, cfg: RunConfig, seed: int, want_impact: bool) -> dict:
         glm,
         design,
         n_boot=cfg.bootstrap,
-        seed=seed,
+        seed=cfg.seed,
         baseline_scores=ds.any_token_mask.astype(float),
     )
-    artifacts.update({"pairs": pairs, "glm": glm, "impact": report})
-    return artifacts
-
-
-_TIMM_KEYS = (
-    "input", "outdir", "seed", "restrict", "min_positives",
-    "reps", "quantile", "threshold", "interactions", "bootstrap", "ridge",
-    "force_k",
-)
-
-
-def _write_factor_artifacts(out: Path, cfg: RunConfig, source: dict, art: dict) -> None:
-    ds = art["dataset"]
-    corr = art["corr"]
-    model = art["model"]
-    _write_matrix_csv(out / "polychoric.csv", corr.tokens, corr.values)
-    loading_rows = [
-        [tok] + [repr(float(v)) for v in model.loadings[i]]
-        for i, tok in enumerate(model.tokens)
-    ]
-    _write_rows(
-        out / "loadings.csv",
-        ["token"] + [f"factor_{j + 1}" for j in range(model.n_factors)],
-        loading_rows,
-    )
-    _write_json(
-        out / "grouping.json",
-        {
-            "provenance": _provenance(cfg, source, ds.provenance),
-            "grouping": art["grouping"].to_dict(),
-        },
-    )
-    _write_json(
-        out / "factors_report.json",
-        {
-            "provenance": _provenance(cfg, source, ds.provenance),
-            "removed_tokens": list(art["removed"]),
-            "parallel_analysis": art["pa"].to_dict(),
-            "n_factors": art["k"],
-            "psd_repaired": corr.psd_repaired,
-            "min_eigenvalue_before": corr.min_eigenvalue_before,
-            "corrected_pairs": [list(pair) for pair in corr.corrected_pairs],
-            "unconverged_pairs": [list(pair) for pair in corr.unconverged_pairs],
-            "boundary_pairs": [list(pair) for pair in corr.boundary_pairs],
-            "factor_model": model.to_dict(),
-        },
-    )
-
-
-def cmd_timm_factors(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, _TIMM_KEYS)
-    seed = cfg.require_seed()
-    source, ds = _load_input(cfg)
-    out = _outdir(cfg)
-    art = _timm_pipeline(_restricted(ds, cfg, seed), cfg, seed, want_impact=False)
-    _write_factor_artifacts(out, cfg, source, art)
-    return 0
-
-
-def cmd_timm_impact(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, _TIMM_KEYS)
-    seed = cfg.require_seed()
-    source, ds = _load_input(cfg)
-    out = _outdir(cfg)
-    _write_timm_impact(out, cfg, source, _restricted(ds, cfg, seed), seed)
-    return 0
-
-
-def _write_timm_impact(
-    out: Path, cfg: RunConfig, source: dict, ds: SurveyDataset, seed: int
-) -> None:
-    art = _timm_pipeline(ds, cfg, seed, want_impact=True)
-    _write_factor_artifacts(out, cfg, source, art)
-    report = art["impact"]
     _write_json(
         out / "impact_report.json",
         {
-            "provenance": _provenance(cfg, source, art["dataset"].provenance),
-            "interactions": [list(p) for p in art["pairs"]],
-            "glm": art["glm"].to_dict(),
+            "provenance": _provenance(cfg, source, ds.provenance),
+            "interactions": [list(p) for p in pairs],
+            "glm": glm.to_dict(),
             "impact": report.to_dict(),
         },
     )
@@ -489,6 +404,64 @@ def _write_timm_impact(
     )
 
 
+def _write_summary(out: Path, cfg: RunConfig, source: dict, ds: SurveyDataset) -> None:
+    _write_json(
+        out / "summary.json",
+        {
+            "version": __version__,
+            "artifacts": [
+                "describe_report.json", "token_rates.csv", "jaccard.csv",
+                "timu_report.json", "timu_plot.csv",
+                "polychoric.csv", "loadings.csv", "grouping.json",
+                "factors_report.json", "impact_report.json", "impact_plot.csv",
+            ],
+        },
+    )
+
+
+@dataclass(frozen=True)
+class _Stage:
+    """One analysis step: the RunConfig fields it reads, whether it runs on
+    the restricted dataset, and the writer of its artifacts."""
+
+    keys: tuple[str, ...]
+    write: Callable[[Path, RunConfig, dict, SurveyDataset], object]
+    restricted: bool = True
+
+
+_SOURCE_KEYS = ("input", "outdir", "seed")
+_TIMM_KEYS = _SOURCE_KEYS + (
+    "restrict", "min_positives", "reps", "quantile", "threshold", "interactions",
+    "bootstrap", "ridge", "force_k",
+)
+_DESCRIBE = _Stage(_SOURCE_KEYS, _write_describe, restricted=False)
+_TIMU = _Stage(_SOURCE_KEYS + ("metric", "fix_value", "strict_delta", "restrict"), _write_timu)
+_FACTORS = _Stage(_TIMM_KEYS, _write_factors)
+_IMPACT = _Stage(_TIMM_KEYS, _write_impact)
+_SUMMARY = _Stage((), _write_summary, restricted=False)
+
+
+def _run(args: argparse.Namespace, *stages: _Stage) -> int:
+    """Run the stages in order on one load of the input.
+
+    Every stage's options are merged and checked, in stage order, before
+    the input is read. Each stage sees only its own keys, so its artifacts
+    are the ones its stand-alone command writes. The input is restricted
+    once, before the first stage that runs on restricted data.
+    """
+    file_cfg = _read_config(Path(args.config)) if args.config else {}
+    cfgs = [_merge_config(args, file_cfg, stage.keys) for stage in stages]
+    cfgs[0].require_seed()
+    source, ds = _load_input(cfgs[0])
+    out = _outdir(cfgs[0])
+    restricted = None
+    for stage, cfg in zip(stages, cfgs):
+        if stage.restricted and restricted is None:
+            restricted = restrict_tokened_poor(ds, cfg.seed) if cfg.restrict else ds
+        stage.write(out, cfg, source, restricted if stage.restricted else ds)
+    return 0
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     if bool(args.spec) == bool(args.preset):
         raise ValidationError("exactly one of --spec or --preset is required")
@@ -511,67 +484,50 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    """describe, timu and timm impact on one load and one restriction.
-
-    Each stage keeps its own merged options, so its artifacts are the ones
-    the stand-alone command writes.
-    """
-    describe_cfg = _merge_config(args, _DESCRIBE_KEYS)
-    timu_cfg = _merge_config(args, _TIMU_KEYS)
-    cfg = _merge_config(args, _TIMM_KEYS)
-    seed = cfg.require_seed()
-    source, ds = _load_input(cfg)
-    out = _outdir(cfg)
-    _write_describe(out, describe_cfg, source, ds, seed)
-    restricted = _restricted(ds, cfg, seed)
-    _write_timu(out, timu_cfg, source, restricted)
-    _write_timm_impact(out, cfg, source, restricted, seed)
-    _write_json(
-        out / "summary.json",
-        {
-            "version": __version__,
-            "artifacts": [
-                "describe_report.json", "token_rates.csv", "jaccard.csv",
-                "timu_report.json", "timu_plot.csv",
-                "polychoric.csv", "loadings.csv", "grouping.json",
-                "factors_report.json", "impact_report.json", "impact_plot.csv",
-            ],
-        },
-    )
-    return 0
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", help="survey CSV to analyze")
-    p.add_argument("--outdir", help="directory for report artifacts")
-    p.add_argument("--seed", type=int, help="seed for every stochastic step")
-    p.add_argument("--config", help="JSON config file; flags override it")
-
-
-def _add_restrict(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--no-restrict",
-        dest="restrict",
-        action="store_const",
-        const=False,
-        help="skip restricting to poor calls with questionnaire feedback",
-    )
+# Flag and argparse settings of each analysis option, keyed by its RunConfig
+# field (``config`` is the runner's own). A command declares the options its
+# stages read, in this order.
+_OPTIONS: dict[str, tuple[str, dict]] = {
+    "input": ("--input", {"help": "survey CSV to analyze"}),
+    "outdir": ("--outdir", {"help": "directory for report artifacts"}),
+    "seed": ("--seed", {"type": int, "help": "seed for every stochastic step"}),
+    "config": ("--config", {"help": "JSON config file; flags override it"}),
+    "restrict": ("--no-restrict", {
+        "action": "store_const", "const": False,
+        "help": "skip restricting to poor calls with questionnaire feedback",
+    }),
+    "min_positives": ("--min-positives", {
+        "type": int, "help": "minimum positives for a token to be kept",
+    }),
+    "reps": ("--reps", {"type": int, "help": "parallel-analysis replicates"}),
+    "quantile": ("--quantile", {"type": float, "help": "parallel-analysis reference quantile"}),
+    "threshold": ("--threshold", {
+        "type": float, "help": "dominant-loading threshold for grouping",
+    }),
+    "force_k": ("--force-k", {"type": int, "help": "override the factor count"}),
+    "interactions": ("--interactions", {
+        "help": "'aic' (default), 'none', or explicit pairs like 1:2,1:4",
+    }),
+    "bootstrap": ("--bootstrap", {"type": int, "help": "bootstrap resamples for impact CIs"}),
+    "ridge": ("--ridge", {"type": float, "help": "ridge penalty for the logistic fit"}),
+    "metric": ("--metric", {"choices": ["pcr", "acd", "both"], "help": "metric(s) to rank by"}),
+    "fix_value": ("--fix-value", {
+        "type": float, "help": "counterfactual metric value for the problem set",
+    }),
+    "strict_delta": ("--strict-delta", {
+        "action": "store_const", "const": True,
+        "help": "use var(X)+var(Y)-2cov for the combined variance",
+    }),
+}
 
 
-def _add_timm_options(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    _add_restrict(p)
-    p.add_argument("--min-positives", dest="min_positives", type=int,
-                   help="minimum positives for a token to be kept")
-    p.add_argument("--reps", type=int, help="parallel-analysis replicates")
-    p.add_argument("--quantile", type=float, help="parallel-analysis reference quantile")
-    p.add_argument("--threshold", type=float, help="dominant-loading threshold for grouping")
-    p.add_argument("--force-k", dest="force_k", type=int, help="override the factor count")
-    p.add_argument("--interactions",
-                   help="'aic' (default), 'none', or explicit pairs like 1:2,1:4")
-    p.add_argument("--bootstrap", type=int, help="bootstrap resamples for impact CIs")
-    p.add_argument("--ridge", type=float, help="ridge penalty for the logistic fit")
+def _add_command(sub, name: str, summary: str, *stages: _Stage) -> None:
+    p = sub.add_parser(name, help=summary)
+    keys = {"config"}.union(*(stage.keys for stage in stages))
+    for key, (flag, settings) in _OPTIONS.items():
+        if key in keys:
+            p.add_argument(flag, dest=key, **settings)
+    p.set_defaults(func=lambda args: _run(args, *stages))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -594,36 +550,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Monte Carlo draws for ground-truth impacts")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("describe", help="token response rates, information gain, overlap")
-    _add_common(p)
-    p.set_defaults(func=cmd_describe)
-
-    p = sub.add_parser("timu", help="univariate token impact ranking")
-    _add_common(p)
-    _add_restrict(p)
-    p.add_argument("--metric", choices=["pcr", "acd", "both"], help="metric(s) to rank by")
-    p.add_argument("--fix-value", dest="fix_value", type=float,
-                   help="counterfactual metric value for the problem set")
-    p.add_argument("--strict-delta", dest="strict_delta", action="store_const", const=True,
-                   help="use var(X)+var(Y)-2cov for the combined variance")
-    p.set_defaults(func=cmd_timu)
-
+    _add_command(sub, "describe", "token response rates, information gain, overlap", _DESCRIBE)
+    _add_command(sub, "timu", "univariate token impact ranking", _TIMU)
     p = sub.add_parser("timm", help="multivariate problem-group pipeline")
     timm_sub = p.add_subparsers(dest="timm_command", required=True)
-    pf = timm_sub.add_parser("factors", help="latent correlations, loadings and grouping")
-    _add_timm_options(pf)
-    pf.set_defaults(func=cmd_timm_factors)
-    pi = timm_sub.add_parser("impact", help="full pipeline with counterfactual reductions")
-    _add_timm_options(pi)
-    pi.set_defaults(func=cmd_timm_impact)
-
-    p = sub.add_parser("report", help="describe + timu + timm impact in one pass")
-    _add_timm_options(p)
-    p.add_argument("--metric", choices=["pcr", "acd", "both"], help="metric(s) to rank by")
-    p.add_argument("--fix-value", dest="fix_value", type=float)
-    p.add_argument("--strict-delta", dest="strict_delta", action="store_const", const=True)
-    p.set_defaults(func=cmd_report)
-
+    _add_command(timm_sub, "factors", "latent correlations, loadings and grouping", _FACTORS)
+    _add_command(timm_sub, "impact", "full pipeline with counterfactual reductions", _IMPACT)
+    _add_command(
+        sub, "report", "describe + timu + timm impact in one pass",
+        _DESCRIBE, _TIMU, _IMPACT, _SUMMARY,
+    )
     return parser
 
 

@@ -13,15 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FactorAnalysisError
-from .polychoric import (
-    _EIG_FLOOR,
-    PolychoricMatrix,
-    _correlation_matrices,
-    _gram_cells,
-    _maximize_rho,
-    _prepare_tables,
-    repair_to_psd,
-)
+from .polychoric import _EIG_FLOOR, PolychoricMatrix, _gram_correlations, repair_to_psd
 from .special import quantile as _quantile
 from .survey import SurveyDataset
 
@@ -85,9 +77,6 @@ class ProblemGrouping:
     @property
     def group_names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.groups)
-
-    def members_of(self, index: int) -> tuple[str, ...]:
-        return self.groups[index].members
 
     def to_dict(self) -> dict:
         return {
@@ -176,16 +165,11 @@ def _reference_eigenvalues(grams: np.ndarray, n: int) -> np.ndarray:
     """Descending eigenvalues of the reference matrix of each Gram of n rows,
     one row per Gram.
 
-    The tables of all the Grams go through one root solve. A table's root
-    does not depend on the batch it is solved in, so neither does a Gram's
-    result. The matrices are decomposed as one stack, and only those with an
-    eigenvalue under ``_EIG_FLOOR`` go through ``repair_to_psd``.
+    The matrices come from one root solve over the tables of all the Grams
+    and are decomposed as one stack; only those with an eigenvalue under
+    ``_EIG_FLOOR`` go through ``repair_to_psd``.
     """
-    raw_cells = _gram_cells(grams, n).reshape(-1, 4)
-    cells, px, py, tx, ty, _ = _prepare_tables(raw_cells)
-    p = grams.shape[-1]
-    rho = _maximize_rho(cells, px, py, tx, ty)[0].reshape(len(grams), p * (p - 1) // 2)
-    values = _correlation_matrices(p, rho)
+    values = _gram_correlations(grams, n)[0]
     eigenvalues = np.linalg.eigvalsh(values)
     for i in np.flatnonzero(eigenvalues[:, 0] < _EIG_FLOOR):
         eigenvalues[i] = np.linalg.eigvalsh(repair_to_psd(values[i])[0])
@@ -260,13 +244,18 @@ def _initial_communalities(values: np.ndarray) -> np.ndarray:
         return off.max(axis=1)
 
 
-def _sign_fix(loadings: np.ndarray) -> np.ndarray:
+def _ordered_factors(loadings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Loadings with each column's largest loading positive and the columns
+    sorted by explained variance (descending, stable), with that variance
+    as a fraction of the token count."""
     out = loadings.copy()
     for j in range(out.shape[1]):
         col = out[:, j]
         if col[np.argmax(np.abs(col))] < 0:
             out[:, j] = -col
-    return out
+    explained = (out**2).sum(axis=0) / out.shape[0]
+    order = np.argsort(-explained, kind="stable")
+    return out[:, order], explained[order]
 
 
 def extract_factors(
@@ -309,11 +298,7 @@ def extract_factors(
         if change < tol:
             converged = True
             break
-    loadings = _sign_fix(loadings)
-    explained = (loadings**2).sum(axis=0) / p
-    order = np.argsort(-explained, kind="stable")
-    loadings = loadings[:, order]
-    explained = explained[order]
+    loadings, explained = _ordered_factors(loadings)
     return FactorModel(
         tokens=corr.tokens,
         loadings=loadings,
@@ -376,7 +361,7 @@ def varimax(model: FactorModel, tol: float = 1e-8, max_iter: int = 1000) -> Fact
     unchanged apart from the rotation tag.
     """
     lam = model.loadings
-    p, k = lam.shape
+    k = lam.shape[1]
     sweeps, rotation_converged = 0, True
     if k == 1:
         rotated = lam.copy()
@@ -386,11 +371,7 @@ def varimax(model: FactorModel, tol: float = 1e-8, max_iter: int = 1000) -> Fact
         normalized = lam / h_safe[:, None]
         rotation, sweeps, rotation_converged = _varimax_rotation(normalized, tol, max_iter)
         rotated = (normalized @ rotation) * h_safe[:, None]
-    rotated = _sign_fix(rotated)
-    explained = (rotated**2).sum(axis=0) / p
-    order = np.argsort(-explained, kind="stable")
-    rotated = rotated[:, order]
-    explained = explained[order]
+    rotated, explained = _ordered_factors(rotated)
     return FactorModel(
         tokens=model.tokens,
         loadings=rotated,

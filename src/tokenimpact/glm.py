@@ -513,7 +513,6 @@ def select_interactions_aic(
     ds: SurveyDataset,
     grouping: ProblemGrouping,
     ridge: float = 1e-6,
-    max_pairs: int | None = None,
 ) -> tuple[tuple[int, int], ...]:
     """Greedy forward selection of interaction pairs by AIC; every candidate
     of a round is fitted in one stacked IRLS."""
@@ -528,7 +527,7 @@ def select_interactions_aic(
         return 2.0 * matrices.shape[2] - 2.0 * loglik
 
     best = aic([chosen])[0]
-    while candidates and (max_pairs is None or len(chosen) < max_pairs):
+    while candidates:
         scores = aic([chosen + [c] for c in candidates])
         pick = int(np.argmin(scores))
         if scores[pick] >= best:

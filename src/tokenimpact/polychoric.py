@@ -174,6 +174,9 @@ class ContingencyTable2x2:
 
     def __post_init__(self):
         cells = (self.n00, self.n01, self.n10, self.n11)
+        # a NaN cell passes every comparison below, so it is refused first
+        if not all(math.isfinite(c) for c in cells):
+            raise PolychoricError("cell counts must be finite")
         if any(c < 0 for c in cells):
             raise PolychoricError("negative cell count")
         if sum(cells) < 1.0 - 1e-12:
@@ -420,19 +423,38 @@ def _correlation_matrices(p: int, rho: np.ndarray) -> np.ndarray:
     return values
 
 
+def _gram_correlations(
+    grams: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Unrepaired latent-correlation matrix of the Gram of n rows of 0/1
+    columns, or one matrix per Gram of a stack, with the per-pair
+    continuity-correction, convergence and boundary flags in
+    ``np.triu_indices(p, 1)`` order.
+
+    The tables of every Gram go through one root solve; a table's root does
+    not depend on the batch it is solved in, so neither does a Gram's matrix.
+    """
+    raw_cells = _gram_cells(grams, n)
+    pair_shape = raw_cells.shape[:-1]
+    cells, px, py, tx, ty, corrected = _prepare_tables(raw_cells.reshape(-1, 4))
+    rho, converged, boundary = _maximize_rho(cells, px, py, tx, ty)
+    values = _correlation_matrices(grams.shape[-1], rho.reshape(pair_shape))
+    return (
+        values,
+        corrected.reshape(pair_shape),
+        converged.reshape(pair_shape),
+        boundary.reshape(pair_shape),
+    )
+
+
 def polychoric_matrix(ds: SurveyDataset) -> PolychoricMatrix:
     """Latent-correlation matrix over all token pairs of a dataset."""
     if len(ds.vocabulary) < 2:
         raise PolychoricError("at least two tokens required")
     if ds.n_records == 0:
         raise PolychoricError("empty dataset")
-    cells, px, py, tx, ty, corrected = _prepare_tables(
-        _gram_cells(ds.cooccurrence, ds.n_records)
-    )
-    rho, converged, boundary = _maximize_rho(cells, px, py, tx, ty)
-    values, repaired, min_before = repair_to_psd(
-        _correlation_matrices(len(ds.vocabulary), rho)
-    )
+    raw, corrected, converged, boundary = _gram_correlations(ds.cooccurrence, ds.n_records)
+    values, repaired, min_before = repair_to_psd(raw)
     values.setflags(write=False)
     names = ds.vocabulary.names
     pairs = list(zip(*np.triu_indices(len(names), k=1)))

@@ -36,24 +36,22 @@ MAX_GROUPS = 64
 # Default questionnaire: 15 problem tokens covering audio quality, video
 # quality, one-way media and reliability (5/5/2/2/1 when grouped).
 DEFAULT_TOKENS = (
-    ("audio.interrupt", "We kept interrupting each other"),
-    ("audio.distorted", "Speech was not natural or sounded distorted"),
-    ("audio.low_volume", "Volume was low"),
-    ("audio.echo", "I heard echo in the call"),
-    ("audio.noise", "I heard noise in the call"),
-    ("video.dark", "The other side was too dark"),
-    ("video.stopped", "Video stopped unexpectedly"),
-    ("video.av_sync", "Video was ahead or behind audio"),
-    ("video.poor_image", "Image quality is poor"),
-    ("video.freeze", "Video kept freezing"),
-    ("oneway.no_video_recv", "I could not see any video"),
-    ("oneway.no_video_sent", "The other side could not see my video"),
-    ("oneway.no_audio_recv", "I could not hear any sound"),
-    ("oneway.no_audio_sent", "The other side could not hear my sound"),
-    ("reliability.drop", "The call ended unexpectedly"),
+    "audio.interrupt",
+    "audio.distorted",
+    "audio.low_volume",
+    "audio.echo",
+    "audio.noise",
+    "video.dark",
+    "video.stopped",
+    "video.av_sync",
+    "video.poor_image",
+    "video.freeze",
+    "oneway.no_video_recv",
+    "oneway.no_video_sent",
+    "oneway.no_audio_recv",
+    "oneway.no_audio_sent",
+    "reliability.drop",
 )
-
-_DEFAULT_DISPLAY = dict(DEFAULT_TOKENS)
 
 _RATINGS = (1, 2, 3, 4, 5)
 # CSV rows are parsed and written this many at a time
@@ -70,7 +68,6 @@ class TokenVocabulary:
     """Ordered problem-token identifiers; column index in a dataset is token id."""
 
     names: tuple[str, ...]
-    display_text: tuple[str, ...] = ()
 
     def __post_init__(self):
         names = tuple(self.names)
@@ -81,12 +78,6 @@ class TokenVocabulary:
             raise ValidationError("token names must be unique")
         if any(not n for n in names):
             raise ValidationError("token names must be non-empty")
-        display = tuple(self.display_text)
-        if not display:
-            display = tuple(_DEFAULT_DISPLAY.get(n, n) for n in names)
-        if len(display) != len(names):
-            raise ValidationError("display_text length must match names")
-        object.__setattr__(self, "display_text", display)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -98,15 +89,11 @@ class TokenVocabulary:
             raise ValidationError(f"unknown token {name!r}") from None
 
     def subset(self, keep: Sequence[int]) -> "TokenVocabulary":
-        return TokenVocabulary(
-            names=tuple(self.names[i] for i in keep),
-            display_text=tuple(self.display_text[i] for i in keep),
-        )
+        return TokenVocabulary(names=tuple(self.names[i] for i in keep))
 
 
 def default_vocabulary() -> TokenVocabulary:
-    names, display = zip(*DEFAULT_TOKENS)
-    return TokenVocabulary(names=names, display_text=display)
+    return TokenVocabulary(names=DEFAULT_TOKENS)
 
 
 def _first_violation(

@@ -402,12 +402,7 @@ def _fix_impact(
     return MonteCarloImpact(reduction=reduction, mc_se=math.sqrt(var), n_mc=n_mc)
 
 
-def default_world_spec(
-    n: int = 20_000,
-    seed: int = 0,
-    dominant_low: float = 0.65,
-    dominant_high: float = 0.85,
-) -> GeneratorSpec:
+def default_world_spec(n: int = 20_000, seed: int = 0) -> GeneratorSpec:
     """Planted world over the default 15-token vocabulary, grouped 5/5/2/2/1.
 
     Each token loads dominantly on its group factor. The singleton
@@ -421,7 +416,7 @@ def default_world_spec(
     p = len(partition)
     k = max(partition) + 1
     loadings = np.zeros((p, k))
-    dominants = rng.uniform(dominant_low, dominant_high, size=p)
+    dominants = rng.uniform(0.65, 0.85, size=p)
     for j, g in enumerate(partition):
         loadings[j, g] = dominants[j]
     # cross-loadings: unreliable transport also surfaces as noise, freezes

@@ -437,6 +437,8 @@ class TestTimm:
         (["--interactions", "2:2"], None, "bad --interactions '2:2'"),
         (["--interactions", "1:2,"], None, "bad --interactions '1:2,'"),
         (None, '{"interactions": "1:x"}', "bad --interactions '1:x'"),
+        # stage configs are checked in stage order: timu's before timm's reps
+        (["--reps", 5, "--fix-value", 1], None, "--fix-value requires a single --metric"),
     ])
     def test_invalid_option_rejected_before_loading(
         self, tmp_path, world_csv, monkeypatch, capsys, option, config, message
@@ -530,22 +532,71 @@ class TestReport:
         for name in summary["artifacts"]:
             assert (out / name).exists(), name
 
-    def test_one_load_matches_stand_alone_commands(self, tmp_path, world_csv, monkeypatch):
+    # (options of every command, timu's options, timm's options)
+    @pytest.mark.parametrize("shared, timu, timm", [
+        ((), (), (("--reps", 20), ("--bootstrap", 30))),
+        ((), (("--metric", "acd"), ("--strict-delta",)), (("--reps", 20), ("--bootstrap", 30))),
+        ((), (("--no-restrict",),), (("--no-restrict",), ("--reps", 20), ("--bootstrap", 30))),
+        ((), (), (("--interactions", "1:2"), ("--reps", 20), ("--bootstrap", 30))),
+        ((("--config", "cfg.json"),), (), ()),
+    ], ids=["defaults", "metric", "no-restrict", "interactions", "config"])
+    def test_one_load_matches_stand_alone_commands(
+        self, tmp_path, world_csv, monkeypatch, shared, timu, timm
+    ):
         loads = []
 
         def counting_load(path):
             loads.append(path)
             return tokenimpact.survey.load_csv(path)
 
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"metric": "acd", "reps": 20, "bootstrap": 30})
+        )
+        monkeypatch.chdir(tmp_path)
+
+        def flags(*groups):
+            unique = dict.fromkeys(group for option in groups for group in option)
+            return [token for group in unique for token in group]
+
         options = ("--input", world_csv, "--seed", 5)
-        timm_options = ("--reps", 20, "--bootstrap", 30)
         report, alone = tmp_path / "report", tmp_path / "alone"
         monkeypatch.setattr(cli, "load_csv", counting_load)
-        assert run("report", *options, *timm_options, "--outdir", report) == 0
+        assert run("report", *options, *flags(shared, timu, timm), "--outdir", report) == 0
         assert len(loads) == 1
-        assert run("describe", *options, "--outdir", alone) == 0
-        assert run("timu", *options, "--outdir", alone) == 0
-        assert run("timm", "impact", *options, *timm_options, "--outdir", alone) == 0
+        assert run("describe", *options, *flags(shared), "--outdir", alone) == 0
+        assert run("timu", *options, *flags(shared, timu), "--outdir", alone) == 0
+        assert run("timm", "impact", *options, *flags(shared, timm), "--outdir", alone) == 0
         written = snapshot(report)
         del written["summary.json"]
         assert written == snapshot(alone)
+
+    def test_each_command_takes_its_stages_flags(self, capsys):
+        source = {"--input", "--outdir", "--seed", "--config"}
+        timu = source | {"--no-restrict", "--metric", "--fix-value", "--strict-delta"}
+        timm = source | {
+            "--no-restrict", "--min-positives", "--reps", "--quantile", "--threshold",
+            "--force-k", "--interactions", "--bootstrap", "--ridge",
+        }
+        expected = {
+            ("describe",): source, ("timu",): timu, ("timm", "factors"): timm,
+            ("timm", "impact"): timm, ("report",): timu | timm,
+        }
+        values = {"--metric": "pcr", "--interactions": "none"}
+        for command, flags in expected.items():
+            accepted = set()
+            for flag in timu | timm:
+                argv = [*command, flag]
+                if flag not in ("--no-restrict", "--strict-delta"):
+                    argv.append(values.get(flag, "1"))
+                try:
+                    cli.build_parser().parse_args(argv)
+                except SystemExit as exc:
+                    assert exc.code == 2
+                else:
+                    accepted.add(flag)
+            assert accepted == flags, command
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run("describe", "--reps", 20)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --reps 20" in capsys.readouterr().err

@@ -158,6 +158,14 @@ class TestEstimate:
         with pytest.raises(PolychoricError):
             ContingencyTable2x2(0.1, 0.1, 0.1, 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cell", range(4))
+    def test_non_finite_cell_rejected(self, bad, cell):
+        cells = [10.0, 10.0, 10.0, 10.0]
+        cells[cell] = bad
+        with pytest.raises(PolychoricError, match="finite"):
+            ContingencyTable2x2(*cells)
+
     def test_converged_flag_is_computed(self, monkeypatch):
         t = ContingencyTable2x2(1200, 300, 500, 900)
         assert estimate_polychoric(t).converged

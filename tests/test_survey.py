@@ -25,7 +25,6 @@ class TestVocabulary:
         vocab = default_vocabulary()
         assert len(vocab) == 15
         assert len(set(vocab.names)) == 15
-        assert all(vocab.display_text)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValidationError):
