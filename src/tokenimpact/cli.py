@@ -367,13 +367,7 @@ def _write_impact(out: Path, cfg: RunConfig, source: dict, ds: SurveyDataset) ->
         pairs = _parse_interactions(cfg.interactions)
     design = build_design(ds, DesignSpec(grouping=grouping, interactions=pairs))
     glm = fit_logistic(design, ridge=cfg.ridge)
-    report = impact_report(
-        glm,
-        design,
-        n_boot=cfg.bootstrap,
-        seed=cfg.seed,
-        baseline_scores=ds.any_token_mask.astype(float),
-    )
+    report = impact_report(glm, design, n_boot=cfg.bootstrap, seed=cfg.seed)
     _write_json(
         out / "impact_report.json",
         {
@@ -447,9 +441,14 @@ def _run(args: argparse.Namespace, *stages: _Stage) -> int:
     Every stage's options are merged and checked, in stage order, before
     the input is read. Each stage sees only its own keys, so its artifacts
     are the ones its stand-alone command writes. The input is restricted
-    once, before the first stage that runs on restricted data.
+    once, before the first stage that runs on restricted data. Config file
+    keys that no stage reads are named in one warning and otherwise ignored,
+    so one file can serve every command.
     """
     file_cfg = _read_config(Path(args.config)) if args.config else {}
+    unread = sorted(set(file_cfg).difference(*(stage.keys for stage in stages)))
+    if unread:
+        log.warning("config keys not read by this command: %s", ", ".join(unread))
     cfgs = [_merge_config(args, file_cfg, stage.keys) for stage in stages]
     cfgs[0].require_seed()
     source, ds = _load_input(cfgs[0])

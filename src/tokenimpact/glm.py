@@ -50,20 +50,21 @@ class DesignSpec:
 class Design:
     """One ``matrix`` row (intercept first) per distinct indicator pattern,
     with its record count (``trials``) and poor count (``successes``), plus
-    each record's pattern index and poor label."""
+    the any-token baseline's counts: ``baseline[a, p]`` counts the records
+    with any token (``a = 1``) or none (``a = 0``) and poor label ``p``. A
+    token outside every group counts as a token."""
 
     columns: tuple[str, ...]
     matrix: np.ndarray
     trials: np.ndarray
     successes: np.ndarray
-    row_pattern: np.ndarray
-    response: np.ndarray
+    baseline: np.ndarray
     group_names: tuple[str, ...]
     interactions: tuple[tuple[int, int], ...]
 
     @property
     def n_records(self) -> int:
-        return self.row_pattern.size
+        return int(self.trials.sum())
 
     @property
     def group_indicators(self) -> np.ndarray:
@@ -97,7 +98,8 @@ def _with_interactions(design: Design, pairs) -> Design:
 
 def build_design(ds: SurveyDataset, spec: DesignSpec) -> Design:
     """Group indicators (OR of member tokens) with interactions, collapsed to
-    distinct patterns; the response is the poor-call label."""
+    distinct patterns; the response is the poor-call label. The only pass
+    over the records."""
     grouping = spec.grouping
     if not grouping.groups:
         raise GlmError("grouping has no groups")
@@ -111,14 +113,13 @@ def build_design(ds: SurveyDataset, spec: DesignSpec) -> Design:
         ds.token_matrix,
         [[ds.vocabulary.index(tok) for tok in g.members] for g in grouping.groups],
     )
-    response = ds.poor_mask.astype(np.float64)
+    poor = ds.poor_mask
     base = Design(
         columns=(),
         matrix=_assemble(indicators, ()),
         trials=np.bincount(row_pattern).astype(np.float64),
-        successes=np.bincount(row_pattern, weights=response),
-        row_pattern=row_pattern,
-        response=response,
+        successes=np.bincount(row_pattern, weights=poor),
+        baseline=np.bincount(2 * ds.any_token_mask + poor, minlength=4).reshape(2, 2),
         group_names=grouping.group_names,
         interactions=(),
     )
@@ -471,16 +472,14 @@ def impact_report(
     *,
     seed: int,
     order=None,
-    baseline_scores=None,
 ) -> ImpactReport:
     """Assemble the full counterfactual report.
 
-    The cumulative order defaults to descending individual reduction.
-    ``baseline_scores`` (one per record) defaults to the any-group
-    indicator; its false positive rate anchors the reported model TPR so
-    the comparison is at matched operating points.
+    The cumulative order defaults to descending individual reduction. The
+    baseline classifier flags a record with any token; its AUC and false
+    positive rate come from ``design.baseline``, and that rate anchors the
+    reported model TPR so the comparison is at matched operating points.
     """
-    y = design.response
     individual = tuple(
         group_fix_impact(model, design, g, n_boot=n_boot, seed=seed)
         for g in range(len(design.group_names))
@@ -489,22 +488,18 @@ def impact_report(
         order = _descending([g.reduction for g in individual])
     cumulative = cumulative_impact(model, design, order=order)
     evaluation = evaluate(model, design)
-    if baseline_scores is None:
-        baseline_scores = design.group_indicators.any(axis=1)[design.row_pattern].astype(float)
-    else:
-        baseline_scores = np.asarray(baseline_scores, dtype=np.float64)
-    baseline_auc = auc_score(baseline_scores, y)
-    negatives = y == 0
-    baseline_fpr = float(baseline_scores[negatives].mean()) if negatives.any() else 0.0
+    good, poor = design.baseline.T
+    baseline = _roc(np.array([0.0, 1.0]), poor, good)
+    baseline_fpr = float(good[1] / good.sum())
     return ImpactReport(
         groups=design.group_names,
         individual=individual,
         order=tuple(g for g, _ in cumulative),
         cumulative=tuple(r for _, r in cumulative),
         auc=evaluation.auc,
-        baseline_auc=baseline_auc,
+        baseline_auc=baseline.auc,
         tpr_at_fpr=(baseline_fpr, evaluation.tpr_at_fpr(baseline_fpr)),
-        baseline_pcr=float(y.mean()),
+        baseline_pcr=float(design.successes.sum() / design.n_records),
         separated_groups=_separated_groups(design),
     )
 

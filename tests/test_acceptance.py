@@ -352,7 +352,7 @@ def test_criterion_11_baseline_dominance():
     for key in ("two_group", "three_group", "interacting"):
         _, ds, design, model = _world(key)
         glm_auc = evaluate(model, design).auc
-        baseline = auc_score(ds.any_token_mask.astype(float), design.response)
+        baseline = auc_score(ds.any_token_mask.astype(float), ds.poor_mask)
         ok &= glm_auc > baseline
         aucs.append(f"{key}: {glm_auc:.3f} > {baseline:.3f}")
     spec = default_world_spec(n=20_000, seed=77)
@@ -363,7 +363,7 @@ def test_criterion_11_baseline_dominance():
     )
     model = fit_logistic(design)
     glm_auc = evaluate(model, design).auc
-    baseline = auc_score(ds.any_token_mask.astype(float), design.response)
+    baseline = auc_score(ds.any_token_mask.astype(float), ds.poor_mask)
     ok &= glm_auc > baseline
     aucs.append(f"default_world: {glm_auc:.3f} > {baseline:.3f}")
     _verdict(11, "glm dominates any-token baseline", ok, "; ".join(aucs))

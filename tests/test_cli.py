@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -470,6 +472,42 @@ class TestTimm:
         body = {"ridge": 0, "quantile": 1, "force_k": None, "fix_value": 2, "restrict": False}
         cfg.write_text(json.dumps(body))
         assert cli._read_config(cfg) == body
+
+    def test_config_keys_of_other_commands_warned_and_ignored(self, tmp_path, world_csv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"reps": 5, "metric": "acd"}))
+        src = str(Path(tokenimpact.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tokenimpact", "describe", "--input", str(world_csv),
+             "--outdir", str(tmp_path / "with"), "--seed", "3", "--config", str(cfg)],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == (
+            "WARNING tokenimpact: config keys not read by this command: metric, reps\n"
+        )
+        assert run("describe", "--input", world_csv, "--outdir", tmp_path / "without",
+                   "--seed", 3) == 0
+        assert snapshot(tmp_path / "with") == snapshot(tmp_path / "without")
+
+    def test_full_config_warns_only_commands_that_skip_keys(
+        self, tmp_path, world_csv, caplog
+    ):
+        full = cli.RunConfig(
+            input=str(world_csv), seed=5, reps=20, bootstrap=30, interactions="none"
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dataclasses.asdict(full)))
+        assert run("report", "--outdir", tmp_path / "report", "--config", cfg) == 0
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+        assert run("describe", "--outdir", tmp_path / "describe", "--config", cfg) == 0
+        [warning] = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert warning.getMessage().endswith(
+            "bootstrap, fix_value, force_k, interactions, metric, min_positives, "
+            "quantile, reps, restrict, ridge, strict_delta, threshold"
+        )
 
     def test_threads_option_is_gone(self, tmp_path, world_csv):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, prod
@@ -78,14 +79,23 @@ class TestBuildDesign:
         grouping = grouping_from_partition(ds.vocabulary.names, (0, 0, 1, 1))
         design = build_design(ds, DesignSpec(grouping=grouping, interactions=((0, 1),)))
         assert design.columns == ("intercept", "group_1", "group_2", "group_1:group_2")
-        # four records, four distinct patterns, each seen once
+        # four records, four distinct patterns in ascending code order
+        # (bit g is group g + 1), each seen once
         np.testing.assert_array_equal(
-            design.matrix[design.row_pattern],
-            [[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 0]],
+            design.matrix,
+            [[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]],
         )
         np.testing.assert_array_equal(design.trials, [1, 1, 1, 1])
-        np.testing.assert_array_equal(design.successes[design.row_pattern], [1, 1, 0, 0])
-        np.testing.assert_array_equal(design.response, [1, 1, 0, 0])
+        np.testing.assert_array_equal(design.successes, [0, 1, 0, 1])
+
+    def test_baseline_counts_any_token_against_poor(self):
+        ds = self._dataset()
+        # token 4 is in no group, and its record still counts as flagged
+        grouping = grouping_from_partition(ds.vocabulary.names[:3], (0, 0, 1))
+        design = build_design(ds, DesignSpec(grouping=grouping))
+        # rows: no token / any token; columns: good / poor
+        np.testing.assert_array_equal(design.baseline, [[1, 0], [1, 2]])
+        assert design.n_records == 4
 
     def test_column_means_equal_prevalences(self):
         ds = self._dataset()
@@ -112,9 +122,11 @@ class TestBuildDesign:
         ds = make_dataset(rows, n_tokens=65)
         names = ds.vocabulary.names
         design = build_design(ds, DesignSpec(grouping_from_partition(names[:64], range(64))))
-        indicators = design.group_indicators[design.row_pattern]
+        # bit 63 is the sign bit, so the token-63 pattern sorts first
+        indicators = design.group_indicators
         np.testing.assert_array_equal(indicators[:, [0, 63]], [[0, 1], [1, 0]])
         assert indicators.sum() == 2
+        np.testing.assert_array_equal(design.trials, [1, 1])
         with pytest.raises(GlmError, match="at most 64"):
             build_design(ds, DesignSpec(grouping_from_partition(names, range(65))))
 
@@ -162,7 +174,7 @@ class TestFitLogistic:
         design = build_design(ds, DesignSpec(grouping=grouping))
         model = fit_logistic(design)
         mean = design.trials @ model.predict_proba(design.matrix) / design.n_records
-        assert mean == pytest.approx(design.response.mean(), abs=1e-4)
+        assert mean == pytest.approx(ds.pcr(), abs=1e-4)
         assert ((model.predict_proba(design.matrix) > 0) &
                 (model.predict_proba(design.matrix) < 1)).all()
 
@@ -339,10 +351,7 @@ class TestImpactReport:
         grouping = grouping_from_partition(ds.vocabulary.names, spec.group_partition)
         design = build_design(ds, DesignSpec(grouping=grouping))
         model = fit_logistic(design)
-        report = impact_report(
-            model, design, n_boot=50, seed=5,
-            baseline_scores=ds.any_token_mask.astype(float),
-        )
+        report = impact_report(model, design, n_boot=50, seed=5)
         assert report.groups == ("group_1", "group_2")
         assert len(report.cumulative) == 2
         assert report.cumulative[-1] <= 1.0
@@ -351,6 +360,23 @@ class TestImpactReport:
         assert report.baseline_pcr == pytest.approx(ds.pcr())
         fpr, tpr = report.tpr_at_fpr
         assert 0.0 <= fpr <= 1.0 and 0.0 <= tpr <= 1.0
+
+    def test_baseline_counts_tokens_outside_every_group(self):
+        spec = block_world(n=8000, seed=6, group_sizes=(2, 2, 1), effects=(1.8, 1.2, 1.0))
+        ds, _ = generate(spec, truth_mc_n=100)
+        names = ds.vocabulary.names
+        planted = grouping_from_partition(names, spec.group_partition)
+        grouping = replace(planted, groups=planted.groups[:2], unassigned=names[4:])
+        design = build_design(ds, DesignSpec(grouping=grouping))
+        report = impact_report(fit_logistic(design), design, n_boot=20, seed=5)
+        any_token, poor = ds.any_token_mask, ds.poor_mask
+        any_group = ds.token_matrix[:, :4].any(axis=1)
+        # the unassigned token is the only one on some records
+        assert (any_token & ~any_group).any()
+        assert report.baseline_auc == pytest.approx(reference.auc(any_token, poor), abs=1e-12)
+        assert report.baseline_auc != pytest.approx(reference.auc(any_group, poor), abs=1e-3)
+        assert report.tpr_at_fpr[0] == any_token[~poor].mean()
+        assert report.baseline_pcr == ds.pcr()
 
     def test_separated_group_flagged(self):
         # group_1 is reported only on poor calls, group_3 only on good ones;
