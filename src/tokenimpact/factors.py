@@ -111,9 +111,12 @@ class ParallelAnalysisResult:
         }
 
 
-# Reference tables per root solve: enough to spread the solver's per-call
-# cost, few enough that its transient arrays stay near 1 MB.
-_CHUNK_TABLES = 1024
+# Reference tables per root solve: enough to spread the solver's fixed
+# per-call cost (3 solves for 100 reps of 15 tokens), few enough that its
+# transient arrays stay near 2 MB. At 1e4 rows, 100 reps and 15 tokens this
+# size raised the command's peak by 0.6 MB over chunks of 1024 tables; one
+# solve of all 10 500 tables needs 5 MB and raised it by 3 MB.
+_CHUNK_TABLES = 4096
 
 # Reference reps drawn together on one stream: enough to spread each
 # column's binomial call over many cells, few enough that the live cells

@@ -233,9 +233,21 @@ class SurveyDataset:
 
 
 def _parse_bools(cells: Sequence[str]) -> np.ndarray:
-    """0/1 flags of boolean cell text; ValueError names the first bad cell."""
+    """0/1 flags of boolean cell text; ValueError names the first bad cell.
+
+    The comma-joined text of n cells is read in one ``np.frombuffer`` when
+    it has length 2n - 1, a comma at every odd position and only ``0`` or
+    ``1`` at every even one: its n - 1 commas are then the separators, so
+    each cell is one flag character. Any other text takes the per-cell path.
+    """
+    n = len(cells)
+    text = ",".join(cells)
+    if len(text) == 2 * n - 1 and text.isascii() and text[1::2] == "," * (n - 1):
+        flags = np.frombuffer(text[::2].encode("ascii"), dtype=np.uint8) - ord("0")
+        if flags.max() <= 1:
+            return flags.view(bool)
     flags = np.fromiter(
-        map(_BOOL_TEXT.get, cells, repeat(_NOT_BOOL)), dtype=np.uint8, count=len(cells)
+        map(_BOOL_TEXT.get, cells, repeat(_NOT_BOOL)), dtype=np.uint8, count=n
     )
     for i in np.flatnonzero(flags == _NOT_BOOL).tolist():
         value = _BOOL_TEXT.get(cells[i].strip().lower())
@@ -398,7 +410,10 @@ def load_csv(path: str | Path, vocabulary: TokenVocabulary | None = None) -> Sur
     Booleans are ``0``/``1`` or ``true``/``false`` in any case, with
     surrounding blanks allowed. Rows are parsed column-wise in blocks; the
     first invalid row raises ``ValidationError`` naming its line and the first
-    check it fails. Call ids must be unique.
+    check it fails. A block's flag cells are read in one pass over their
+    comma-joined text when each is exactly ``0`` or ``1``, as ``write_csv``
+    writes them; a block with any other cell is parsed cell by cell, with the
+    same flags and the same errors. Call ids must be unique.
     """
     path = Path(path)
     if not path.exists():

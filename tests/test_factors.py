@@ -93,6 +93,24 @@ class TestParallelAnalysis:
             assert one.n_factors == other.n_factors
             assert np.array_equal(one.reference_quantiles, other.reference_quantiles)
 
+    def test_chunked_solve_keeps_peak_memory_bounded(self):
+        # 100 reps of 15 tokens are 10 500 tables. At 1e4 rows the traced
+        # peak was 2.7 MB in chunks of 1024 or 4096 tables and 5.4 MB in
+        # one solve of all of them.
+        spec = block_world(
+            n=10_000, seed=4, group_sizes=(5, 5, 2, 2, 1), effects=(1.0,) * 5
+        )
+        ds, _ = generate(spec, truth_mc_n=100)
+        pm = polychoric_matrix(ds)
+        tracemalloc.start()
+        try:
+            result = parallel_analysis_detail(pm, ds, reps=100, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.reference_quantiles) == 15
+        assert peak < 3_500_000
+
     def test_token_mismatch_rejected(self):
         spec = block_world(n=500, seed=2, group_sizes=(3,), effects=(1.0,))
         ds, _ = generate(spec, truth_mc_n=100)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tokenimpact import survey
@@ -417,6 +417,9 @@ class TestLoadCsvRowErrors:
             ("c1,99999999999999999999,1,0,0,0\n", "line 2: rating 99999999999999999999 outside"),
             ("c1,3,1,0,0,0\nc2,3,1\n", "line 3: expected 6 fields, got 3"),
             ("c1,3,1,0,1,0\n", "line 2: tokens present without ptq_submitted"),
+            # token cells of 2 and 0 characters: as many characters as two flags
+            ("c1,3,60,1,01,\n", "line 2: bad boolean '01' in column token_a"),
+            ("c1,3,60,0,0,0\nc2,3,60,1,01,\n", "line 3: bad boolean '01' in column token_a"),
         ],
     )
     def test_first_bad_row_and_check_named(self, tmp_path, block_rows, body, message):
@@ -447,6 +450,44 @@ class TestLoadCsvRowErrors:
             ValidationError, match="^line 5: duplicate call_id 'c2', first on line 3$"
         ):
             load_csv(path)
+
+
+def _flags_cell_by_cell(cells):
+    flags = []
+    for cell in cells:
+        value = survey._BOOL_TEXT.get(cell.strip().lower())
+        if value is None:
+            raise ValueError(cell)
+        flags.append(bool(value))
+    return flags
+
+
+# cells whose lengths can add up to one character per cell, and text that
+# is blank-padded, a word, a non-ASCII digit or a NUL
+_ODD_CELLS = st.sampled_from(["01", "", "0,", ",1", " 1", "true", "FALSE", "١", "\x00"])
+
+
+class TestParseBools:
+    @given(
+        st.one_of(
+            st.lists(st.sampled_from(["0", "1"]), max_size=12),
+            st.lists(st.one_of(st.sampled_from(["0", "1"]), _ODD_CELLS), max_size=12),
+        )
+    )
+    @example(["01", ""])
+    @example(["", "1"])
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_flags_or_first_bad_cell_as_cell_by_cell(self, cells):
+        try:
+            expected = _flags_cell_by_cell(cells)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                survey._parse_bools(cells)
+            assert got.value.args == exc.args
+            return
+        flags = survey._parse_bools(cells)
+        assert flags.dtype == bool
+        assert flags.tolist() == expected
 
 
 class TestLoadCsvMalformedFile:
@@ -499,7 +540,7 @@ class TestBenchmarkDialects:
         assert ds.token_matrix.tolist() == [[True, False], [False, False], [False, False]]
 
 
-_ID_TEXT = st.text(alphabet=st.sampled_from('ab,"\r\n é\t'), max_size=6)
+_ID_TEXT = st.text(alphabet=st.sampled_from('ab,"\r\n é\t\x00😀'), max_size=6)
 
 
 @st.composite
