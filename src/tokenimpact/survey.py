@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import csv
@@ -257,38 +257,30 @@ def _parse_bools(cells: Sequence[str]) -> np.ndarray:
     return flags.view(bool)
 
 
-def _row_error(row: list[str], n_fields: int, token_src, names) -> str | None:
-    """Message of the first check that one CSV row fails, or None."""
-    if len(row) != n_fields:
-        return f"expected {n_fields} fields, got {len(row)}"
+class _RowError(ValueError):
+    """A CSV row check failed; the message names the check."""
+
+
+def _parse_cells(cells: Sequence[str], parse, dtype, check: str) -> np.ndarray:
+    """``parse`` of each cell; _RowError names ``check`` and the first bad cell.
+    An integer beyond int64 is kept, in an object array, for the range check."""
     try:
-        rating = int(row[1])
-    except ValueError:
-        return f"bad rating {row[1]!r}"
-    try:
-        duration = float(row[2])
-    except ValueError:
-        return f"bad duration {row[2]!r}"
-    try:
-        ptq = _parse_bools(row[3:4])
-    except ValueError:
-        return f"bad boolean {row[3]!r} in column ptq_submitted"
-    tokens = np.zeros((1, len(names)), dtype=bool)
-    for j, (name, src) in enumerate(zip(names, token_src)):
-        column = TOKEN_COLUMN_PREFIX + name
-        if src is None:
-            if ptq[0]:
-                return f"token column {column} missing but ptq_submitted is true"
-            continue
-        text = row[len(FIXED_COLUMNS) + src]
+        return np.fromiter(map(parse, cells), dtype=dtype, count=len(cells))
+    except (ValueError, OverflowError):
+        values = np.empty(len(cells), dtype=object)
+    for i, cell in enumerate(cells):
         try:
-            tokens[0, j] = _parse_bools([text])[0]
+            values[i] = parse(cell)
         except ValueError:
-            return f"bad boolean {text!r} in column {column}"
-    bad = _first_violation(
-        np.array([rating], dtype=object), np.array([duration]), ptq, tokens
-    )
-    return None if bad is None else bad[1]
+            raise _RowError(f"{check} {cell!r}") from None
+    return values
+
+
+def _flag_cells(cells: Sequence[str], column: str) -> np.ndarray:
+    try:
+        return _parse_bools(cells)
+    except ValueError as exc:
+        raise _RowError(f"bad boolean {exc.args[0]!r} in column {column}") from None
 
 
 def _empty_columns(p: int) -> tuple[np.ndarray, ...]:
@@ -301,29 +293,41 @@ def _empty_columns(p: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def _block_columns(rows: list[list[str]], n_fields: int, token_src, p: int):
-    """Columns of a block of CSV rows, or None when some row is invalid."""
+def _block_columns(rows: list[list[str]], n_fields: int, token_src, names):
+    """Columns of a block of CSV rows.
+
+    The checks run column by column, in this order: field count, rating,
+    duration, submission flag, the token columns in vocabulary order, then
+    the survey rules. The first that fails raises _RowError naming it; for a
+    one-row block the message names that row's cell.
+    """
     if set(map(len, rows)) != {n_fields}:
-        return None
-    n = len(rows)
+        got = next(len(row) for row in rows if len(row) != n_fields)
+        raise _RowError(f"expected {n_fields} fields, got {got}")
     cols = list(zip(*rows))
-    try:
-        ratings = np.fromiter(map(int, cols[1]), dtype=np.int64, count=n)
-        durations = np.fromiter(map(float, cols[2]), dtype=np.float64, count=n)
-        ptq = _parse_bools(cols[3])
-        file_tokens = _parse_bools(list(chain.from_iterable(cols[len(FIXED_COLUMNS) :])))
-    except (ValueError, OverflowError):
-        return None
-    file_tokens = file_tokens.reshape(-1, n)
-    tokens = np.zeros((n, p), dtype=bool)
-    for j, src in enumerate(token_src):
+    ratings = _parse_cells(cols[1], int, np.int64, "bad rating")
+    durations = _parse_cells(cols[2], float, np.float64, "bad duration")
+    ptq = _flag_cells(cols[3], "ptq_submitted")
+    tokens = np.zeros((len(rows), len(names)), dtype=bool)
+    for j, (name, src) in enumerate(zip(names, token_src)):
+        column = TOKEN_COLUMN_PREFIX + name
         if src is not None:
-            tokens[:, j] = file_tokens[src]
+            tokens[:, j] = _flag_cells(cols[len(FIXED_COLUMNS) + src], column)
         elif ptq.any():
-            return None
-    if _first_violation(ratings, durations, ptq, tokens) is not None:
-        return None
+            raise _RowError(f"token column {column} missing but ptq_submitted is true")
+    bad = _first_violation(ratings, durations, ptq, tokens)
+    if bad is not None:
+        raise _RowError(bad[1])
     return np.array(cols[0], dtype=object), ratings, durations, ptq, tokens
+
+
+def _first_line(path: Path, row: int) -> int:
+    """Physical line on which data row ``row`` (from 0) starts, read again
+    from the file because a quoted field can hold line breaks."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(islice(reader, row + 1, row + 1), None)  # the header and earlier rows
+        return reader.line_num + 1
 
 
 def _read_survey(reader, path: Path, vocabulary: TokenVocabulary | None) -> SurveyDataset:
@@ -352,23 +356,23 @@ def _read_survey(reader, path: Path, vocabulary: TokenVocabulary | None) -> Surv
             raise ValidationError(f"line 1: unknown token columns {unknown}")
     # column position of each vocabulary token, None when absent
     pos = {s: i for i, s in enumerate(file_slugs)}
-    token_src = [pos.get(name) for name in vocabulary.names]
-    n_fields = len(header)
-    p = len(vocabulary)
+    checks = (len(header), [pos.get(name) for name in vocabulary.names], vocabulary.names)
 
-    blocks = [_empty_columns(p)]
-    line_no = 2
+    blocks = [_empty_columns(len(vocabulary))]
+    first_row = 0  # data-row index of the block's first row
     while rows := list(islice(reader, _BLOCK_ROWS)):
-        block = _block_columns(rows, n_fields, token_src, p)
-        if block is None:
-            for offset, row in enumerate(rows):
-                message = _row_error(row, n_fields, token_src, vocabulary.names)
-                if message is not None:
-                    raise ValidationError(f"line {line_no + offset}: {message}")
-            raise RuntimeError(f"rows from line {line_no} rejected without a reason")
-        blocks.append(block)
-        line_no += len(rows)
-        del rows, block  # free this block's strings before reading the next
+        try:
+            blocks.append(_block_columns(rows, *checks))
+        except _RowError:
+            # the same checks, one row at a time: the first row to fail is named
+            for row_index, row in enumerate(rows, first_row):
+                try:
+                    blocks.append(_block_columns([row], *checks))
+                except _RowError as exc:
+                    line = _first_line(path, row_index)
+                    raise ValidationError(f"line {line}: {exc}") from None
+        first_row += len(rows)
+        del rows  # free this block's strings before reading the next
     call_ids, ratings, durations, ptq, tokens = map(np.concatenate, zip(*blocks))
     del blocks
 
@@ -378,7 +382,8 @@ def _read_survey(reader, path: Path, vocabulary: TokenVocabulary | None) -> Surv
             j = first.setdefault(call_id, i)
             if j != i:
                 raise ValidationError(
-                    f"line {i + 2}: duplicate call_id {call_id!r}, first on line {j + 2}"
+                    f"line {_first_line(path, i)}: duplicate call_id {call_id!r}, "
+                    f"first on line {_first_line(path, j)}"
                 )
     return SurveyDataset(
         vocabulary=vocabulary,
@@ -408,12 +413,13 @@ def load_csv(path: str | Path, vocabulary: TokenVocabulary | None = None) -> Sur
     Unknown token columns are rejected. A token column missing from the file
     is filled false, but only for rows that did not submit the questionnaire.
     Booleans are ``0``/``1`` or ``true``/``false`` in any case, with
-    surrounding blanks allowed. Rows are parsed column-wise in blocks; the
-    first invalid row raises ``ValidationError`` naming its line and the first
-    check it fails. A block's flag cells are read in one pass over their
-    comma-joined text when each is exactly ``0`` or ``1``, as ``write_csv``
-    writes them; a block with any other cell is parsed cell by cell, with the
-    same flags and the same errors. Call ids must be unique.
+    surrounding blanks allowed. Rows are checked column-wise in blocks; a
+    failing block is read again row by row through the same checks, and the
+    first invalid row raises ``ValidationError`` naming its physical line
+    (right after quoted line breaks) and the first check it fails. Flag cells
+    that are exactly ``0`` or ``1``, as ``write_csv`` writes them, are read a
+    column at a time in one pass; other cells one by one, with the same flags
+    and errors. Call ids must be unique.
     """
     path = Path(path)
     if not path.exists():
@@ -489,24 +495,24 @@ def clean_uninformative(
     return ds._subset(slice(None), ds.vocabulary.subset(keep), keep, note), removed
 
 
+def _downsample(ds: SurveyDataset, keep, pool, size: int, seed: int, note: str):
+    """Records ``keep`` and ``size`` drawn without replacement from ``pool``
+    (all of it when ``size`` covers it), in record order."""
+    if size < len(pool):
+        pool = np.random.default_rng(seed).choice(pool, size=size, replace=False)
+    return ds.select(np.sort(np.concatenate([keep, pool])), note)
+
+
 def balance_resample(ds: SurveyDataset, seed: int) -> SurveyDataset:
     """Downsample the majority class so poor and good calls are equal in count."""
     poor = np.flatnonzero(ds.poor_mask)
     good = np.flatnonzero(~ds.poor_mask)
     if len(poor) == 0 or len(good) == 0:
         raise ValidationError("both poor and good calls required to balance")
-    rng = np.random.default_rng(seed)
-    if len(poor) == len(good):
-        keep = np.arange(ds.n_records)
-    elif len(poor) > len(good):
-        sampled = rng.choice(poor, size=len(good), replace=False)
-        keep = np.sort(np.concatenate([sampled, good]))
-    else:
-        sampled = rng.choice(good, size=len(poor), replace=False)
-        keep = np.sort(np.concatenate([poor, sampled]))
-    m = min(len(poor), len(good))
+    minority, majority = (good, poor) if len(poor) > len(good) else (poor, good)
+    m = len(minority)
     note = f"balance_resample(seed={seed}): poor={len(poor)}, good={len(good)} -> {m}/{m}"
-    return ds.select(keep, note)
+    return _downsample(ds, minority, majority, m, seed, note)
 
 
 def restrict_tokened_poor(ds: SurveyDataset, seed: int) -> SurveyDataset:
@@ -516,25 +522,18 @@ def restrict_tokened_poor(ds: SurveyDataset, seed: int) -> SurveyDataset:
     output PCR equals the input PCR up to one-record rounding.
     """
     poor = ds.poor_mask
-    ptq = ds.ptq_submitted
-    poor_idx = np.flatnonzero(poor)
-    kept_poor = np.flatnonzero(poor & ptq)
+    n_poor = int(poor.sum())
+    kept_poor = np.flatnonzero(poor & ds.ptq_submitted)
     if len(kept_poor) == 0:
         raise ValidationError("no tokened poor calls")
     good_idx = np.flatnonzero(~poor)
-    fraction = len(kept_poor) / len(poor_idx)
-    n_good_keep = int(round(fraction * len(good_idx)))
-    rng = np.random.default_rng(seed)
-    if n_good_keep >= len(good_idx):
-        kept_good = good_idx
-    else:
-        kept_good = rng.choice(good_idx, size=n_good_keep, replace=False)
-    keep = np.sort(np.concatenate([kept_poor, kept_good]))
+    # at most len(good_idx), as the fraction is at most 1
+    n_good_keep = int(round(len(kept_poor) / n_poor * len(good_idx)))
     note = (
-        f"restrict_tokened_poor(seed={seed}): poor {len(poor_idx)} -> "
-        f"{len(kept_poor)}, good {len(good_idx)} -> {len(kept_good)}"
+        f"restrict_tokened_poor(seed={seed}): poor {n_poor} -> "
+        f"{len(kept_poor)}, good {len(good_idx)} -> {n_good_keep}"
     )
-    return ds.select(keep, note)
+    return _downsample(ds, kept_poor, good_idx, n_good_keep, seed, note)
 
 
 def group_patterns(

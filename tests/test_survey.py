@@ -420,6 +420,21 @@ class TestLoadCsvRowErrors:
             # token cells of 2 and 0 characters: as many characters as two flags
             ("c1,3,60,1,01,\n", "line 2: bad boolean '01' in column token_a"),
             ("c1,3,60,0,0,0\nc2,3,60,1,01,\n", "line 3: bad boolean '01' in column token_a"),
+            # line numbers are physical lines: a quoted id spans lines 2-3
+            ('"c\n1",3,60,0,0,0\nc2,9,60,0,0,0\n', "line 4: rating 9 outside 1..5"),
+            (
+                '"c\n1",3,60,0,0,0\nc2,3,60,0,0,0\nc2,3,60,0,0,0\n',
+                "line 5: duplicate call_id 'c2', first on line 4$",
+            ),
+            (
+                '"c\n1",3,60,0,0,0\nc2,3,60,0,0,0\n"c3,3,60,0,0,0\n',
+                "line 5: expected 6 fields, got 1",
+            ),
+            # a CRLF and a lone CR inside quotes are one line break each
+            (
+                '"a\r\nb",3,60,0,0,0\r\n"c\rd",3,60,0,0,0\r\ne,9,60,0,0,0\r\n',
+                "line 6: rating 9 outside 1..5",
+            ),
         ],
     )
     def test_first_bad_row_and_check_named(self, tmp_path, block_rows, body, message):
@@ -450,6 +465,52 @@ class TestLoadCsvRowErrors:
             ValidationError, match="^line 5: duplicate call_id 'c2', first on line 3$"
         ):
             load_csv(path)
+
+
+_VALID_ROWS = ("3,60,0,0,0", "5,1.5,0,0,0", "1,30,1,1,0", "2,7,1,0,1", "4,0, TRUE ,true,False")
+# one bad row of each kind, after its call id, and the message it earns
+_BAD_ROWS = (
+    ("9,60,0,0,0", "rating 9 outside 1..5"),
+    ("x,-1,0,0,0", "bad rating 'x'"),
+    ("3,y,2,0,0", "bad duration 'y'"),
+    ("3,1,2,0,0", "bad boolean '2' in column ptq_submitted"),
+    ("5,-1,1,1,0", "negative duration -1.0"),
+    ("99999999999999999999,1,0,0,0", "rating 99999999999999999999 outside 1..5"),
+    ("3,1", "expected 6 fields, got 3"),
+    ("3,1,0,1,0", "tokens present without ptq_submitted"),
+    ("3,60,1,01,", "bad boolean '01' in column token_a"),
+    ("3,60,0,0,bad", "bad boolean 'bad' in column token_b"),
+    # two failed checks on one row: the earlier check is named
+    ("x,y,2,0,0", "bad rating 'x'"),
+    ("3,60,2,x,0", "bad boolean '2' in column ptq_submitted"),
+    ("9,60,0,x,0", "bad boolean 'x' in column token_a"),
+    ("3,1,0,x,bad", "bad boolean 'x' in column token_a"),
+)
+# quoted id suffixes and the line breaks each holds
+_ID_BREAKS = {"": 0, "\n": 1, "\r\n": 1, "\r": 1, "\n\r": 2}
+
+
+class TestOneRowChecker:
+    @given(
+        st.lists(st.tuples(st.sampled_from(_VALID_ROWS), st.sampled_from(list(_ID_BREAKS)))),
+        st.sampled_from(_BAD_ROWS),
+        st.lists(st.sampled_from(_VALID_ROWS)),
+    )
+    @example([], ("99999999999999999999,y,0,0,0", "bad duration 'y'"), [])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_planted_row_named_at_every_block_size(self, tmp_path_factory, before, bad, after):
+        rows = [f'"c{i}{breaks}",{row}' for i, (row, breaks) in enumerate(before)]
+        rows.append(f"bad,{bad[0]}")
+        rows += [f"d{i},{row}" for i, row in enumerate(after)]
+        path = tmp_path_factory.mktemp("plant") / "p.csv"
+        path.write_text(CSV_HEADER + "\r\n".join(rows) + "\r\n", encoding="utf-8", newline="")
+        line = 2 + len(before) + sum(_ID_BREAKS[breaks] for _, breaks in before)
+        for block_rows in (1, 3, 4096):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(survey, "_BLOCK_ROWS", block_rows)
+                with pytest.raises(ValidationError) as got:
+                    load_csv(path)
+            assert str(got.value) == f"line {line}: {bad[1]}"
 
 
 def _flags_cell_by_cell(cells):
