@@ -15,7 +15,8 @@ import json
 import logging
 import sys
 import typing
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -185,21 +186,31 @@ def _provenance(cfg: RunConfig, source: dict, lineage: tuple[str, ...]) -> dict:
     }
 
 
+@contextmanager
+def _output(path: Path) -> Iterator[None]:
+    """Create the parent directories of the file ``path``, written in the
+    block. An OSError from either, such as ``path`` naming a directory, is a
+    ValidationError naming the path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_json(path: Path, payload: dict) -> None:
     # serialize before opening, so a refused payload leaves no partial file
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise ValidationError(f"{path.name} would contain a non-finite number: {exc}") from None
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output(path), open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.write("\n")
 
 
 def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _output(path), open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -227,7 +238,10 @@ def _outdir(cfg: RunConfig) -> Path:
     if not cfg.outdir:
         raise ValidationError("an --outdir is required")
     out = Path(cfg.outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create --outdir {out}: {exc.strerror or exc}") from None
     return out
 
 
@@ -473,7 +487,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ValidationError("--seed is required with --preset")
         spec = default_world_spec(n=args.n, seed=args.seed)
     ds, truth = generate(spec, truth_mc_n=args.truth_mc)
-    write_csv(ds, Path(args.out))
+    out = Path(args.out)
+    with _output(out):
+        write_csv(ds, out)
     if args.truth:
         _write_json(
             Path(args.truth),

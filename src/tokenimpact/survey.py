@@ -21,6 +21,7 @@ from itertools import islice, repeat
 from pathlib import Path
 
 import csv
+import io
 import numpy as np
 
 from .errors import ValidationError
@@ -60,7 +61,7 @@ _BLOCK_ROWS = 4096
 _BOOL_TEXT = {"0": 0, "1": 1, "false": 0, "true": 1}
 _NOT_BOOL = 2
 # characters that make csv.writer quote a field
-_QUOTED_CHARS = (",", '"', "\r", "\n")
+_QUOTED_CHARS = b',"\r\n'
 
 
 @dataclass(frozen=True)
@@ -436,42 +437,81 @@ def load_csv(path: str | Path, vocabulary: TokenVocabulary | None = None) -> Sur
             raise ValidationError(f"{where}not UTF-8 text ({exc.reason})") from None
 
 
+def _place(field: np.ndarray, data: np.ndarray, lengths: np.ndarray) -> None:
+    """Write ``data``, the concatenated pieces of ``lengths`` bytes, one piece
+    to the left of each row of ``field``; the rest of a row keeps its padding."""
+    field[np.arange(field.shape[1]) < lengths[:, None]] = data
+
+
+def _csv_rows(
+    ids: list[str], ratings: np.ndarray, durations: list[float], flags: np.ndarray
+) -> np.ndarray:
+    """The bytes ``csv.writer`` writes for a block of rows, as one uint8 array.
+
+    Each row is laid out in one row of a matrix: the call id, ``,rating,``,
+    the duration's repr with its comma, and ``ptq,t1,...,tp\\r\\n``. The id
+    and the repr are left-aligned in fields as wide as their longest in the
+    block, padded with 0xFF, a byte that never occurs in UTF-8; one boolean
+    compress drops it. The matrix thus holds rows times the longest id, so
+    one very long id widens every row of its block. ``SurveyDataset`` keeps
+    ratings in 1..5 and durations finite and non-negative, so a rating is one
+    ASCII digit and a repr is ASCII text without a comma.
+    """
+    text = np.frombuffer("".join(ids).encode("utf-8"), dtype=np.uint8)
+    # each id's byte span: a character starts at every byte that is not a
+    # UTF-8 continuation byte (0b10xxxxxx)
+    starts = np.append(np.flatnonzero(text & 0xC0 != 0x80), len(text))
+    n_chars = np.fromiter(map(len, ids), dtype=np.intp, count=len(ids))
+    bounds = starts[np.concatenate(([0], np.cumsum(n_chars)))]
+    # an id holding one of _QUOTED_CHARS is quoted and its quotes doubled: a
+    # quote goes in before each quote and at both ends of each quoted id
+    specials = np.flatnonzero(np.isin(text, list(_QUOTED_CHARS)))
+    quoted = np.diff(np.searchsorted(specials, bounds)) > 0
+    quotes = np.flatnonzero(text == ord('"'))
+    id_len = np.diff(bounds) + np.diff(np.searchsorted(quotes, bounds)) + 2 * quoted
+    text = np.insert(
+        text, np.concatenate((quotes, bounds[:-1][quoted], bounds[1:][quoted])), ord('"')
+    )
+    reprs = np.frombuffer((",".join(map(repr, durations)) + ",").encode("ascii"), dtype=np.uint8)
+    repr_len = np.diff(np.flatnonzero(reprs == ord(",")), prepend=-1)
+
+    w_id, w_repr = id_len.max(), repr_len.max()
+    rows = np.full((len(ids), w_id + w_repr + 2 * flags.shape[1] + 4), 0xFF, dtype=np.uint8)
+    _place(rows[:, :w_id], text, id_len)
+    rows[:, w_id : w_id + 3 : 2] = ord(",")
+    rows[:, w_id + 1] = ratings + ord("0")
+    _place(rows[:, w_id + 3 : w_id + 3 + w_repr], reprs, repr_len)
+    tail = rows[:, w_id + 3 + w_repr :]
+    tail[:, 1:-2:2] = ord(",")
+    tail[:, :-2:2] = flags + ord("0")
+    tail[:, -2:] = (ord("\r"), ord("\n"))
+    return rows[rows != 0xFF]
+
+
 def write_csv(ds: SurveyDataset, path: str | Path) -> None:
     """Write a dataset in the canonical CSV schema (booleans as 0/1).
 
     The bytes are those ``csv.writer`` writes in its default dialect: rows
     end in ``\\r\\n``, durations are ``repr(float)``, and a call id holding a
-    comma, a quote or a line break is quoted.
+    comma, a quote or a line break is quoted. Rows are assembled as bytes in
+    numpy, ``_BLOCK_ROWS`` at a time, each block written at once;
+    ``repr(float)`` is the one step taken row by row.
     """
-    path = Path(path)
+    header = io.StringIO()
+    csv.writer(header).writerow(
+        list(FIXED_COLUMNS) + [TOKEN_COLUMN_PREFIX + n for n in ds.vocabulary.names]
+    )
     flags = np.column_stack([ds.ptq_submitted, ds.token_matrix]).view(np.uint8)
-    width = 2 * flags.shape[1] - 1
-    text = np.full((ds.n_records, width), ord(","), dtype=np.uint8)
-    text[:, 0::2] = flags + ord("0")
-    flag_text = text.view(f"S{width}").ravel()
-    ids = ds.call_ids.tolist()
-    all_ids = "".join(ids)
-    if any(c in all_ids for c in _QUOTED_CHARS):
-        ids = [
-            '"' + i.replace('"', '""') + '"' if any(c in i for c in _QUOTED_CHARS) else i
-            for i in ids
-        ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(
-            list(FIXED_COLUMNS)
-            + [TOKEN_COLUMN_PREFIX + n for n in ds.vocabulary.names]
-        )
+    with open(path, "wb") as fh:
+        fh.write(header.getvalue().encode("utf-8"))
         for start in range(0, ds.n_records, _BLOCK_ROWS):
-            stop = start + _BLOCK_ROWS
-            fh.writelines(
-                f"{i},{r},{d!r},{f}\r\n"
-                for i, r, d, f in zip(
-                    ids[start:stop],
-                    ds.ratings[start:stop].tolist(),
-                    ds.durations[start:stop].tolist(),
-                    flag_text[start:stop].astype(f"U{width}").tolist(),
-                )
-            )
+            block = slice(start, start + _BLOCK_ROWS)
+            fh.write(_csv_rows(
+                ds.call_ids[block].tolist(),
+                ds.ratings[block],
+                ds.durations[block].tolist(),
+                flags[block],
+            ))
 
 
 def clean_uninformative(

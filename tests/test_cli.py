@@ -139,6 +139,23 @@ class TestSimulate:
         rc = run("simulate", "--preset", "default-world", "--out", tmp_path / "x.csv")
         assert rc == 2
 
+    def test_out_parent_directories_are_created(self, tmp_path):
+        out = tmp_path / "new" / "dir" / "x.csv"
+        rc = run("simulate", "--preset", "default-world", "--n", 100, "--seed", 1,
+                 "--out", out, "--truth-mc", 100)
+        assert rc == 0
+        assert out.read_text().startswith("call_id,")
+
+    @pytest.mark.parametrize("option", ["--out", "--truth"])
+    def test_directory_as_output_file_exits_2(self, tmp_path, capsys, option):
+        paths = {"--out": tmp_path / "x.csv", "--truth": tmp_path / "t.json", option: tmp_path}
+        rc = run("simulate", "--preset", "default-world", "--n", 100, "--seed", 1,
+                 "--truth-mc", 100, *(a for pair in paths.items() for a in pair))
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["stage"] == "validation"
+        assert error["message"].startswith(f"cannot write {tmp_path}:")
+
 
 class TestDescribe:
     def test_artifacts(self, tmp_path, world_csv):
@@ -156,6 +173,15 @@ class TestDescribe:
 
     def test_seed_required(self, tmp_path, world_csv):
         assert run("describe", "--input", world_csv, "--outdir", tmp_path / "o") == 2
+
+    def test_file_as_outdir_exits_2(self, tmp_path, world_csv, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run("describe", "--input", world_csv, "--outdir", taken, "--seed", 3) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["stage"] == "validation"
+        assert error["message"].startswith(f"cannot create --outdir {taken}:")
+        assert taken.read_text() == ""
 
     def test_invalid_csv_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -15,6 +15,7 @@ from tokenimpact.survey import (
     restrict_tokened_poor,
     write_csv,
 )
+from tokenimpact.synthetic import default_world_spec, generate
 
 from conftest import make_dataset, make_vocab
 from survey_reference import write_csv_reference
@@ -631,6 +632,25 @@ def datasets(draw):
     )
 
 
+def _mixed_dataset(n: int) -> SurveyDataset:
+    """n rows whose ids cycle through plain, quoted, non-ASCII and NUL-ending
+    forms (the first is empty), and whose durations cycle through each form
+    ``repr(float)`` takes, -0.0 among them."""
+    forms = ("c{}", "a,{}", 'q"{}', "l\r\n{}", "é{}", "😀{}", "{}\x00", '"{}"', "{}\r")
+    durations = (-0.0, 5e-324, 1e-05, 0.1, 1e16, 1e22, 0.1 + 0.2, 61.5)
+    i = np.arange(n)
+    ratings = i % 5 + 1
+    tokens = ((i[:, None] + np.arange(3)) % 4 == 0) & (ratings < 5)[:, None]
+    return SurveyDataset(
+        vocabulary=make_vocab(3),
+        call_ids=[""] + [forms[k % len(forms)].format(k) for k in range(1, n)],
+        ratings=ratings,
+        durations=[durations[k % len(durations)] for k in range(n)],
+        ptq_submitted=tokens.any(axis=1) | ((i % 3 == 0) & (ratings < 5)),
+        token_matrix=tokens,
+    )
+
+
 class TestColumnarIo:
     @given(datasets())
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -681,3 +701,23 @@ class TestColumnarIo:
         except ValidationError:
             return
         assert len(ds.call_ids) == ds.n_records == len(set(ds.call_ids.tolist()))
+
+    @staticmethod
+    def _assert_writes_reference_bytes(ds, tmp):
+        write_csv(ds, tmp / "fast.csv")
+        write_csv_reference(ds, tmp / "ref.csv")
+        assert (tmp / "fast.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+        again = load_csv(tmp / "fast.csv")
+        assert _columns(again) == _columns(ds)
+        assert again.durations.tobytes() == ds.durations.tobytes()
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 4096])
+    def test_blocks_equal_csv_writer_reference(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(survey, "_BLOCK_ROWS", block_rows)
+        # 4097 rows leave a partial last block at 3 and at 4096 rows a block
+        self._assert_writes_reference_bytes(_mixed_dataset(4097), tmp_path)
+
+    def test_default_world_equals_csv_writer_reference(self, tmp_path):
+        ds, _ = generate(default_world_spec(n=20_000, seed=3), truth_mc_n=1000)
+        assert 4 * survey._BLOCK_ROWS < ds.n_records < 5 * survey._BLOCK_ROWS  # 5 blocks
+        self._assert_writes_reference_bytes(ds, tmp_path)
