@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import hashlib
 import json
 import logging
+import os
 import sys
 import typing
 from collections.abc import Callable, Iterator
@@ -196,6 +198,14 @@ def _output(path: Path) -> Iterator[None]:
         yield
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _check_output(path: Path) -> None:
+    """Refuse, as ``_output`` would, an output file that names a directory,
+    before the work that fills it."""
+    with _output(path):
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -486,8 +496,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.seed is None:
             raise ValidationError("--seed is required with --preset")
         spec = default_world_spec(n=args.n, seed=args.seed)
-    ds, truth = generate(spec, truth_mc_n=args.truth_mc)
     out = Path(args.out)
+    for path in (out, Path(args.truth)) if args.truth else (out,):
+        _check_output(path)
+    ds, truth = generate(spec, truth_mc_n=args.truth_mc)
     with _output(out):
         write_csv(ds, out)
     if args.truth:

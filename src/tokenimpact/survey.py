@@ -14,15 +14,18 @@ the arrays; a per-call predicate is a boolean mask over the columns.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
 from pathlib import Path
+from typing import BinaryIO
 
 import csv
 import io
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 
@@ -60,6 +63,8 @@ _BLOCK_ROWS = 4096
 # boolean cell text accepted as is; other cells are stripped and lowercased
 _BOOL_TEXT = {"0": 0, "1": 1, "false": 0, "true": 1}
 _NOT_BOOL = 2
+# bytes of a write block's padded call-id field above which it is split
+_PAD_BYTES = 1 << 22
 # characters that make csv.writer quote a field
 _QUOTED_CHARS = b',"\r\n'
 
@@ -284,13 +289,14 @@ def _flag_cells(cells: Sequence[str], column: str) -> np.ndarray:
         raise _RowError(f"bad boolean {exc.args[0]!r} in column {column}") from None
 
 
-def _empty_columns(p: int) -> tuple[np.ndarray, ...]:
+def _empty_columns(p: int, rows: int = 0) -> tuple[np.ndarray, ...]:
+    """Columns for ``rows`` rows of ``p`` tokens, their numbers unset."""
     return (
-        np.empty(0, dtype=object),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.float64),
-        np.empty(0, dtype=bool),
-        np.empty((0, p), dtype=bool),
+        np.empty(rows, dtype=object),
+        np.empty(rows, dtype=np.int64),
+        np.empty(rows, dtype=np.float64),
+        np.empty(rows, dtype=bool),
+        np.empty((rows, p), dtype=bool),
     )
 
 
@@ -322,17 +328,33 @@ def _block_columns(rows: list[list[str]], n_fields: int, token_src, names):
     return np.array(cols[0], dtype=object), ratings, durations, ptq, tokens
 
 
-def _first_line(path: Path, row: int) -> int:
-    """Physical line on which data row ``row`` (from 0) starts, read again
-    from the file because a quoted field can hold line breaks."""
-    with open(path, newline="", encoding="utf-8") as fh:
+def _line_num(path: Path, rows: int | None = None) -> int:
+    """csv.reader's count of physical lines after the first ``rows`` rows of
+    the file (all of them when None), or at its first error.
+
+    Used on the error path only: the file is read again because a quoted
+    field can hold line breaks. Bytes that are not UTF-8 are replaced, so
+    they cannot move the error named, which the first pass found before them.
+    """
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh)
-        next(islice(reader, row + 1, row + 1), None)  # the header and earlier rows
-        return reader.line_num + 1
+        try:
+            for _ in islice(reader, rows):
+                pass
+        except csv.Error:
+            pass
+        return reader.line_num
 
 
-def _read_survey(reader, path: Path, vocabulary: TokenVocabulary | None) -> SurveyDataset:
-    header = next(reader, None)
+def _first_line(path: Path, row: int) -> int:
+    """Physical line on which data row ``row`` (from 0) starts."""
+    return _line_num(path, row + 1) + 1  # after the header and earlier rows
+
+
+def _header_checks(header: list[str] | None, vocabulary: TokenVocabulary | None):
+    """The vocabulary of a header row, and the checks ``_block_columns`` and
+    ``_plain_columns`` take: the field count, the file column of each
+    vocabulary token (None when absent) and the token names."""
     if header is None:
         raise ValidationError("line 1: missing header row")
     if tuple(header[: len(FIXED_COLUMNS)]) != FIXED_COLUMNS:
@@ -355,27 +377,173 @@ def _read_survey(reader, path: Path, vocabulary: TokenVocabulary | None) -> Surv
         unknown = [s for s in file_slugs if s not in vocabulary.names]
         if unknown:
             raise ValidationError(f"line 1: unknown token columns {unknown}")
-    # column position of each vocabulary token, None when absent
     pos = {s: i for i, s in enumerate(file_slugs)}
-    checks = (len(header), [pos.get(name) for name in vocabulary.names], vocabulary.names)
+    return vocabulary, (len(header), [pos.get(name) for name in vocabulary.names], vocabulary.names)
 
-    blocks = [_empty_columns(len(vocabulary))]
-    first_row = 0  # data-row index of the block's first row
-    while rows := list(islice(reader, _BLOCK_ROWS)):
+
+def _plain_columns(buf: bytes, n_fields: int, token_src, names):
+    """Columns of a block of whole lines, read from its bytes, or None.
+
+    A block is read here when it holds no quote, NUL or lone CR, every line
+    has ``n_fields - 1`` commas, every rating is one digit 1..5 and every
+    flag one character 0/1, no field is longer than
+    ``csv.field_size_limit()`` and every row keeps the survey rules. The
+    columns are then those ``_block_columns`` makes of the block's
+    csv.reader rows. Any other block gives None.
+    """
+    if b'"' in buf or b"\0" in buf:
+        return None
+    b = np.frombuffer(buf if buf.endswith(b"\n") else buf + b"\n", dtype=np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    if b"\r" in buf and (b[np.flatnonzero(b == ord("\r")) + 1] != ord("\n")).any():
+        return None  # a lone CR
+    commas = np.flatnonzero(b == ord(","))
+    n, m = len(ends), n_fields - 3  # lines, and flags on each line
+    if len(commas) != n * (n_fields - 1):
+        return None
+    # A line is: call id, comma c0, rating, comma c1, duration, and a tail of
+    # m commas each before one flag, up to the CR or LF at ``last``. When
+    # every row of c has such a tail ending at its line's ``last``, each
+    # line holds its own n_fields - 1 commas and every field lies between
+    # them. A rating byte other than 1..5 is left to the survey rules.
+    c = commas.reshape(n, n_fields - 1)
+    starts = np.append(0, ends[:-1] + 1)
+    last = ends - (b[ends - 1] == ord("\r"))
+    limit = csv.field_size_limit()
+    if not (
+        (c[:, 2] + 2 * m == last).all()
+        and (c[:, 1] == c[:, 0] + 2).all()
+        and (c[:, 0] - starts <= limit).all()
+        and (c[:, 2] - c[:, 1] <= limit + 1).all()
+    ):
+        return None
+    tail = sliding_window_view(b, 2 * m)[c[:, 2]]
+    flags = tail[:, 1::2] - ord("0")  # a byte below "0" wraps above 9
+    if not ((tail[:, ::2] == ord(",")).all() and flags.max() <= 1):
+        return None
+    ratings = b[c[:, 0] + 1].astype(np.int64) - ord("0")
+    # the call ids and durations, each with the comma after it, as one text
+    kept = np.column_stack((c[:, 0] + 1 - starts, np.full(n, 2), c[:, 2] - c[:, 1], ends - c[:, 2]))
+    keep = np.repeat(np.tile((True, False), 2 * n), kept.ravel())
+    try:
+        cells = b[keep].tobytes().decode("utf-8").split(",")
+        durations = np.fromiter(map(float, cells[1::2]), dtype=np.float64, count=n)
+    except ValueError:  # UnicodeDecodeError too
+        return None
+    ptq = flags[:, 0].astype(bool)
+    tokens = np.zeros((n, len(names)), dtype=bool)
+    for j, src in enumerate(token_src):
+        if src is not None:
+            tokens[:, j] = flags[:, 1 + src]
+        elif ptq.any():
+            return None
+    if _first_violation(ratings, durations, ptq, tokens) is not None:
+        return None
+    return np.array(cells[:-1:2], dtype=object), ratings, durations, ptq, tokens
+
+
+def _csv_blocks(reader) -> Iterator[list[list[str]]]:
+    """Rows of a csv.reader, ``_BLOCK_ROWS`` at a time. A csv.Error is raised
+    after the rows read before it are yielded, so an earlier bad row is
+    named first."""
+    while True:
+        rows: list[list[str]] = []
         try:
-            blocks.append(_block_columns(rows, *checks))
+            for row in islice(reader, _BLOCK_ROWS):
+                rows.append(row)
+        except csv.Error:
+            if rows:
+                yield rows
+            raise
+        if not rows:
+            return
+        yield rows
+
+
+def _text_blocks(path: Path, offset: int, skip_rows: int = 0) -> Iterator[list[list[str]]]:
+    """``_csv_blocks`` of the file from byte ``offset`` on, after ``skip_rows`` rows."""
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
+        next(islice(reader, skip_rows, skip_rows), None)
+        yield from _csv_blocks(reader)
+
+
+def _line_blocks(fh: BinaryIO, path: Path, checks) -> Iterator:
+    """Columns of each block of ``_BLOCK_ROWS`` lines that ``_plain_columns``
+    reads, and csv.reader rows of the others. From the first block that
+    holds a quote on, csv.reader reads the rest of the file, as a quoted
+    field may span lines."""
+    for buf in iter(lambda: b"".join(islice(fh, _BLOCK_ROWS)), b""):
+        columns = _plain_columns(buf, *checks)
+        if columns is not None:
+            yield columns
+        elif b'"' in buf:
+            yield from _text_blocks(path, fh.tell() - len(buf))
+            return
+        else:
+            yield from _csv_blocks(csv.reader(io.StringIO(buf.decode("utf-8"), newline="")))
+
+
+def _checked_columns(blocks: Iterator, path: Path, checks) -> Iterator[tuple[np.ndarray, ...]]:
+    """Columns of each block: as read from the bytes, or ``_block_columns``
+    of csv.reader rows. A block of rows that fails a check is run again one
+    row at a time through the same checks, and the first row to fail is
+    named with its line."""
+    first_row = 0  # data-row index of the block's first row
+    for block in blocks:
+        if isinstance(block, tuple):  # columns read from the bytes
+            first_row += len(block[1])
+            yield block
+            continue
+        try:
+            yield _block_columns(block, *checks)
         except _RowError:
-            # the same checks, one row at a time: the first row to fail is named
-            for row_index, row in enumerate(rows, first_row):
+            for row_index, row in enumerate(block, first_row):
                 try:
-                    blocks.append(_block_columns([row], *checks))
+                    yield _block_columns([row], *checks)
                 except _RowError as exc:
                     line = _first_line(path, row_index)
                     raise ValidationError(f"line {line}: {exc}") from None
-        first_row += len(rows)
-        del rows  # free this block's strings before reading the next
-    call_ids, ratings, durations, ptq, tokens = map(np.concatenate, zip(*blocks))
-    del blocks
+        first_row += len(block)
+        del block  # free this block's strings before reading the next
+
+
+def _read_survey(fh: BinaryIO, path: Path, vocabulary: TokenVocabulary | None) -> SurveyDataset:
+    first = fh.readline()
+    head = [] if b'"' in first else list(csv.reader(io.StringIO(first.decode("utf-8"), newline="")))
+    plain = b'"' not in first and len(head) <= 1
+    if not plain:
+        # a quote or a lone CR on line 1: csv.reader reads the whole file
+        with open(path, newline="", encoding="utf-8") as text:
+            head = list(islice(csv.reader(text), 1))
+    vocabulary, checks = _header_checks(next(iter(head), None), vocabulary)
+    # Each block is copied into columns sized by the file's line count, so
+    # no block's arrays outlive it and none are joined at the end. A quoted
+    # line break merges lines into one row; a lone CR splits one line into
+    # rows and can make the columns grow.
+    start = fh.tell()
+    size = 1 + sum(
+        np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
+        for chunk in iter(lambda: fh.read(1 << 20), b"")
+    )
+    fh.seek(start)
+    columns = _empty_columns(len(vocabulary), size)
+    n = 0
+    blocks = _line_blocks(fh, path, checks) if plain else _text_blocks(path, 0, skip_rows=1)
+    with closing(blocks):  # closes the file csv.reader reads, on an error too
+        for block in _checked_columns(blocks, path, checks):
+            k = len(block[1])
+            if n + k > len(columns[1]):
+                grown = _empty_columns(len(vocabulary), 2 * (n + k))
+                for new, old in zip(grown, columns):
+                    new[:n] = old[:n]
+                columns = grown
+            for column, part in zip(columns, block):
+                column[n : n + k] = part
+            n += k
+    call_ids, ratings, durations, ptq, tokens = (column[:n] for column in columns)
+    del columns
 
     if len(set(call_ids.tolist())) < len(call_ids):
         first: dict[str, int] = {}
@@ -414,23 +582,29 @@ def load_csv(path: str | Path, vocabulary: TokenVocabulary | None = None) -> Sur
     Unknown token columns are rejected. A token column missing from the file
     is filled false, but only for rows that did not submit the questionnaire.
     Booleans are ``0``/``1`` or ``true``/``false`` in any case, with
-    surrounding blanks allowed. Rows are checked column-wise in blocks; a
-    failing block is read again row by row through the same checks, and the
-    first invalid row raises ``ValidationError`` naming its physical line
-    (right after quoted line breaks) and the first check it fails. Flag cells
-    that are exactly ``0`` or ``1``, as ``write_csv`` writes them, are read a
-    column at a time in one pass; other cells one by one, with the same flags
-    and errors. Call ids must be unique.
+    surrounding blanks allowed. Call ids must be unique.
+
+    The file is read in blocks of ``_BLOCK_ROWS`` lines. A plain block, as
+    ``write_csv`` writes for ids without a comma, quote or line break, is
+    read from its bytes in numpy: no quote, NUL or lone CR, a one-digit
+    rating 1..5 and one-character ``0``/``1`` flags on every line, and rows
+    that keep the survey rules. Any other block is split by ``csv.reader``,
+    and from the first block that holds a quote on, ``csv.reader`` reads the
+    rest of the file. Both give the same dataset and the same errors. Rows
+    are checked column-wise a block at a time; a failing block is read again
+    row by row through the same checks, and the first invalid row raises
+    ``ValidationError`` naming its physical line (right after quoted line
+    breaks) and the first check it fails. A row ``csv.reader`` cannot read
+    is named after the rows before it.
     """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
         try:
-            return _read_survey(reader, path, vocabulary)
+            return _read_survey(fh, path, vocabulary)
         except csv.Error as exc:
-            raise ValidationError(f"line {reader.line_num}: {exc}") from None
+            raise ValidationError(f"line {_line_num(path)}: {exc}") from None
         except UnicodeDecodeError as exc:
             line_no = _undecodable_line(path)
             where = f"line {line_no}: " if line_no is not None else ""
@@ -452,8 +626,9 @@ def _csv_rows(
     the duration's repr with its comma, and ``ptq,t1,...,tp\\r\\n``. The id
     and the repr are left-aligned in fields as wide as their longest in the
     block, padded with 0xFF, a byte that never occurs in UTF-8; one boolean
-    compress drops it. The matrix thus holds rows times the longest id, so
-    one very long id widens every row of its block. ``SurveyDataset`` keeps
+    compress drops it. The matrix thus holds rows times the longest id; a
+    block where that passes ``_PAD_BYTES`` is assembled in halves, so one very
+    long id widens only the rows next to it. ``SurveyDataset`` keeps
     ratings in 1..5 and durations finite and non-negative, so a rating is one
     ASCII digit and a repr is ASCII text without a comma.
     """
@@ -469,6 +644,12 @@ def _csv_rows(
     quoted = np.diff(np.searchsorted(specials, bounds)) > 0
     quotes = np.flatnonzero(text == ord('"'))
     id_len = np.diff(bounds) + np.diff(np.searchsorted(quotes, bounds)) + 2 * quoted
+    if len(ids) > 1 and id_len.max() * len(ids) > _PAD_BYTES:
+        h = len(ids) // 2
+        return np.concatenate((
+            _csv_rows(ids[:h], ratings[:h], durations[:h], flags[:h]),
+            _csv_rows(ids[h:], ratings[h:], durations[h:], flags[h:]),
+        ))
     text = np.insert(
         text, np.concatenate((quotes, bounds[:-1][quoted], bounds[1:][quoted])), ord('"')
     )

@@ -155,6 +155,8 @@ class TestSimulate:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["stage"] == "validation"
         assert error["message"].startswith(f"cannot write {tmp_path}:")
+        # both paths are checked before the data is generated: no file is written
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestDescribe:

@@ -1,3 +1,6 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +21,7 @@ from tokenimpact.survey import (
 from tokenimpact.synthetic import default_world_spec, generate
 
 from conftest import make_dataset, make_vocab
-from survey_reference import write_csv_reference
+from survey_reference import load_csv_reference, write_csv_reference
 
 
 class TestVocabulary:
@@ -514,6 +517,83 @@ class TestOneRowChecker:
             assert str(got.value) == f"line {line}: {bad[1]}"
 
 
+# valid rows after their call id, each a line the byte path reads
+_PLAIN_ROWS = ("3,60,0,0,0", "5,1.5,0,0,0", "1,30.25,1,1,0", "2,7,1,0,1", "4,0.0,1,0,0")
+_FIELD_LIMIT = csv.field_size_limit()
+# cells planted in place of a plain one, valid in some columns and not in
+# others: blanks, a word, a NUL, a non-ASCII digit, an extra comma, a lone
+# CR, fields at and over the csv limit, and one-byte and two-byte digits
+_PLANTED_CELLS = (
+    " 1", "", "true", "\x00", "\u0661", "0,0", "0\r",
+    "c" * _FIELD_LIMIT, "c" * (_FIELD_LIMIT + 1), "0" * _FIELD_LIMIT + "1", "1", "2", "9", "10",
+)
+# planted line ends: a lone CR ends a row for csv.reader, "\n\n" adds an empty line
+_PLANTED_ENDS = ("\r", "\n\n")
+_QUOTED_HEADER = ",".join(f'"{c}"' for c in CSV_HEADER.strip().split(",")) + "\n"
+
+
+@st.composite
+def unquoted_bodies(draw):
+    """Files of plain rows with up to three odd cells or line ends planted."""
+    rows = draw(st.lists(st.sampled_from(_PLAIN_ROWS), max_size=12))
+    cells = [[f"c{i}", *row.split(",")] for i, row in enumerate(rows)]
+    ends = [draw(st.sampled_from(("\n", "\r\n")))] * len(cells)
+    for _ in range(draw(st.integers(0, 3)) if cells else 0):
+        row = draw(st.integers(0, len(cells) - 1))
+        if draw(st.integers(0, 3)):  # a cell three times in four
+            cells[row][draw(st.integers(0, 5))] = draw(st.sampled_from(_PLANTED_CELLS))
+        else:
+            ends[row] = draw(st.sampled_from(_PLANTED_ENDS))
+    if cells and draw(st.booleans()):
+        ends[-1] = ""  # no final newline
+    header = draw(st.sampled_from((CSV_HEADER, CSV_HEADER, CSV_HEADER, _QUOTED_HEADER)))
+    return header + "".join(",".join(row) + end for row, end in zip(cells, ends))
+
+
+class TestPlainBytePath:
+    @given(unquoted_bodies())
+    @example(CSV_HEADER + "c0,3,60,0,0,0\r\nc1,3,60,0,0,0\rc2,9,60,0,0,0\n")
+    # rows split by lone CRs outnumber the file's lines
+    @example(CSV_HEADER + "c0,3,60,0,0,0\rc1,4,6,0,0,0\rc2,5,1.5,0,0,0\rc3,2,7,1,0,1\r")
+    @example(CSV_HEADER + "c0,\u0661,60,0,0,0\nc1,3,60,0,0,0,0\n")
+    @example(CSV_HEADER + "c0,9,60,0,0,0\n" + "c" * (_FIELD_LIMIT + 1) + ",3,60,0,0,0\n")
+    @example(CSV_HEADER + "c0,3,60,0,0,0\n" + "c" * (_FIELD_LIMIT + 1) + ",3,60,0,0,0\n")
+    @example(CSV_HEADER + "c0,3," + "0" * _FIELD_LIMIT + "1,0,0,0\n")
+    # a tail missing a comma beside a head with one too many: the comma count holds
+    @example(CSV_HEADER + "c0,3,60,0x0,0\na,5,3,60,0,0,0\n")
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_equals_csv_reader_reference(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("plain") / "p.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = load_csv_reference(path)
+        except ValidationError as exc:
+            expected = str(exc)
+        for block_rows in (1, 3, 4096):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(survey, "_BLOCK_ROWS", block_rows)
+                try:
+                    got = load_csv(path)
+                except ValidationError as exc:
+                    got = str(exc)
+            if isinstance(expected, str):
+                assert got == expected
+                continue
+            assert not isinstance(got, str), got
+            assert got.vocabulary == expected.vocabulary
+            assert _columns(got) == _columns(expected)
+            assert got.durations.tobytes() == expected.durations.tobytes()
+            assert got.provenance == expected.provenance
+
+    def test_written_rows_never_reach_csv_reader(self, tmp_path, monkeypatch):
+        ds, _ = generate(default_world_spec(n=10_000, seed=3), truth_mc_n=1000)
+        write_csv(ds, tmp_path / "w.csv")
+        monkeypatch.setattr(survey, "_csv_blocks", None)  # a call would fail
+        again = load_csv(tmp_path / "w.csv")
+        assert _columns(again) == _columns(ds)
+        assert again.durations.tobytes() == ds.durations.tobytes()
+
+
 def _flags_cell_by_cell(cells):
     flags = []
     for cell in cells:
@@ -716,6 +796,28 @@ class TestColumnarIo:
         monkeypatch.setattr(survey, "_BLOCK_ROWS", block_rows)
         # 4097 rows leave a partial last block at 3 and at 4096 rows a block
         self._assert_writes_reference_bytes(_mixed_dataset(4097), tmp_path)
+
+    def test_one_long_id_keeps_write_memory_bounded(self, tmp_path):
+        ds, _ = generate(default_world_spec(n=survey._BLOCK_ROWS, seed=3), truth_mc_n=1000)
+        ids = ds.call_ids.tolist()
+        ids[100] = "x" * 30_000
+        ds = SurveyDataset(
+            vocabulary=ds.vocabulary,
+            call_ids=ids,
+            ratings=ds.ratings,
+            durations=ds.durations,
+            ptq_submitted=ds.ptq_submitted,
+            token_matrix=ds.token_matrix,
+        )
+        tracemalloc.start()
+        try:
+            write_csv(ds, tmp_path / "fast.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        write_csv_reference(ds, tmp_path / "ref.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_default_world_equals_csv_writer_reference(self, tmp_path):
         ds, _ = generate(default_world_spec(n=20_000, seed=3), truth_mc_n=1000)
