@@ -460,16 +460,19 @@ def _csv_blocks(reader) -> Iterator[list[list[str]]]:
         yield rows
 
 
-def _text_blocks(path: Path, offset: int, skip_rows: int = 0) -> Iterator[list[list[str]]]:
-    """``_csv_blocks`` of the file from byte ``offset`` on, after ``skip_rows`` rows."""
-    with open(path, "rb") as fh:
-        fh.seek(offset)
-        reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
+def _text_blocks(fh: BinaryIO, skip_rows: int = 0) -> Iterator[list[list[str]]]:
+    """``_csv_blocks`` of the binary file ``fh`` from its position on, after
+    ``skip_rows`` rows."""
+    text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+    try:
+        reader = csv.reader(text)
         next(islice(reader, skip_rows, skip_rows), None)
         yield from _csv_blocks(reader)
+    finally:
+        text.detach()  # fh stays open, for its owner to close
 
 
-def _line_blocks(fh: BinaryIO, path: Path, checks) -> Iterator:
+def _line_blocks(fh: BinaryIO, checks) -> Iterator:
     """Columns of each block of ``_BLOCK_ROWS`` lines that ``_plain_columns``
     reads, and csv.reader rows of the others. From the first block that
     holds a quote on, csv.reader reads the rest of the file, as a quoted
@@ -479,7 +482,8 @@ def _line_blocks(fh: BinaryIO, path: Path, checks) -> Iterator:
         if columns is not None:
             yield columns
         elif b'"' in buf:
-            yield from _text_blocks(path, fh.tell() - len(buf))
+            fh.seek(fh.tell() - len(buf))
+            yield from _text_blocks(fh)
             return
         else:
             yield from _csv_blocks(csv.reader(io.StringIO(buf.decode("utf-8"), newline="")))
@@ -513,25 +517,27 @@ def _read_survey(fh: BinaryIO, path: Path, vocabulary: TokenVocabulary | None) -
     first = fh.readline()
     head = [] if b'"' in first else list(csv.reader(io.StringIO(first.decode("utf-8"), newline="")))
     plain = b'"' not in first and len(head) <= 1
-    if not plain:
-        # a quote or a lone CR on line 1: csv.reader reads the whole file
-        with open(path, newline="", encoding="utf-8") as text:
-            head = list(islice(csv.reader(text), 1))
+    if not plain:  # a quote or a lone CR on line 1: csv.reader reads the whole file
+        fh.seek(0)
+        with closing(_text_blocks(fh)) as rows:
+            head = next(rows, [])[:1]
     vocabulary, checks = _header_checks(next(iter(head), None), vocabulary)
     # Each block is copied into columns sized by the file's line count, so
     # no block's arrays outlive it and none are joined at the end. A quoted
     # line break merges lines into one row; a lone CR splits one line into
-    # rows and can make the columns grow.
-    start = fh.tell()
-    size = 1 + sum(
+    # rows and can make the columns grow. The header's line end stands for
+    # a last line without one.
+    fh.seek(0)
+    size = sum(
         np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
         for chunk in iter(lambda: fh.read(1 << 20), b"")
     )
-    fh.seek(start)
     columns = _empty_columns(len(vocabulary), size)
     n = 0
-    blocks = _line_blocks(fh, path, checks) if plain else _text_blocks(path, 0, skip_rows=1)
-    with closing(blocks):  # closes the file csv.reader reads, on an error too
+    # csv.reader skips the header itself
+    fh.seek(len(first) if plain else 0)
+    blocks = _line_blocks(fh, checks) if plain else _text_blocks(fh, skip_rows=1)
+    with closing(blocks):  # lets go of fh before it is closed, on an error too
         for block in _checked_columns(blocks, path, checks):
             k = len(block[1])
             if n + k > len(columns[1]):
@@ -601,6 +607,8 @@ def load_csv(path: str | Path, vocabulary: TokenVocabulary | None = None) -> Sur
     if not path.exists():
         raise ValidationError(f"no such file: {path}")
     with open(path, "rb") as fh:
+        if not fh.seekable():  # a pipe: blocks are read again after a look ahead
+            fh = io.BytesIO(fh.read())
         try:
             return _read_survey(fh, path, vocabulary)
         except csv.Error as exc:
