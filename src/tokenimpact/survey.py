@@ -328,27 +328,32 @@ def _block_columns(rows: list[list[str]], n_fields: int, token_src, names):
     return np.array(cols[0], dtype=object), ratings, durations, ptq, tokens
 
 
-def _line_num(path: Path, rows: int | None = None) -> int:
+def _line_num(fh: BinaryIO, rows: int | None = None) -> int:
     """csv.reader's count of physical lines after the first ``rows`` rows of
     the file (all of them when None), or at its first error.
 
-    Used on the error path only: the file is read again because a quoted
-    field can hold line breaks. Bytes that are not UTF-8 are replaced, so
-    they cannot move the error named, which the first pass found before them.
+    Used on the error path only: the open file is read again from its start
+    because a quoted field can hold line breaks. Bytes that are not UTF-8
+    are replaced, so they cannot move the error named, which the first pass
+    found before them.
     """
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
-        reader = csv.reader(fh)
+    fh.seek(0)
+    text = io.TextIOWrapper(fh, encoding="utf-8", errors="replace", newline="")
+    try:
+        reader = csv.reader(text)
         try:
             for _ in islice(reader, rows):
                 pass
         except csv.Error:
             pass
         return reader.line_num
+    finally:
+        text.detach()
 
 
-def _first_line(path: Path, row: int) -> int:
+def _first_line(fh: BinaryIO, row: int) -> int:
     """Physical line on which data row ``row`` (from 0) starts."""
-    return _line_num(path, row + 1) + 1  # after the header and earlier rows
+    return _line_num(fh, row + 1) + 1  # after the header and earlier rows
 
 
 def _header_checks(header: list[str] | None, vocabulary: TokenVocabulary | None):
@@ -489,7 +494,7 @@ def _line_blocks(fh: BinaryIO, checks) -> Iterator:
             yield from _csv_blocks(csv.reader(io.StringIO(buf.decode("utf-8"), newline="")))
 
 
-def _checked_columns(blocks: Iterator, path: Path, checks) -> Iterator[tuple[np.ndarray, ...]]:
+def _checked_columns(blocks: Iterator, fh: BinaryIO, checks) -> Iterator[tuple[np.ndarray, ...]]:
     """Columns of each block: as read from the bytes, or ``_block_columns``
     of csv.reader rows. A block of rows that fails a check is run again one
     row at a time through the same checks, and the first row to fail is
@@ -507,16 +512,16 @@ def _checked_columns(blocks: Iterator, path: Path, checks) -> Iterator[tuple[np.
                 try:
                     yield _block_columns([row], *checks)
                 except _RowError as exc:
-                    line = _first_line(path, row_index)
+                    line = _first_line(fh, row_index)
                     raise ValidationError(f"line {line}: {exc}") from None
         first_row += len(block)
         del block  # free this block's strings before reading the next
 
 
 def _read_survey(fh: BinaryIO, path: Path, vocabulary: TokenVocabulary | None) -> SurveyDataset:
-    first = fh.readline()
-    head = [] if b'"' in first else list(csv.reader(io.StringIO(first.decode("utf-8"), newline="")))
-    plain = b'"' not in first and len(head) <= 1
+    line1 = fh.readline()
+    head = [] if b'"' in line1 else list(csv.reader(io.StringIO(line1.decode("utf-8"), newline="")))
+    plain = b'"' not in line1 and len(head) <= 1
     if not plain:  # a quote or a lone CR on line 1: csv.reader reads the whole file
         fh.seek(0)
         with closing(_text_blocks(fh)) as rows:
@@ -535,10 +540,10 @@ def _read_survey(fh: BinaryIO, path: Path, vocabulary: TokenVocabulary | None) -
     columns = _empty_columns(len(vocabulary), size)
     n = 0
     # csv.reader skips the header itself
-    fh.seek(len(first) if plain else 0)
+    fh.seek(len(line1) if plain else 0)
     blocks = _line_blocks(fh, checks) if plain else _text_blocks(fh, skip_rows=1)
     with closing(blocks):  # lets go of fh before it is closed, on an error too
-        for block in _checked_columns(blocks, path, checks):
+        for block in _checked_columns(blocks, fh, checks):
             k = len(block[1])
             if n + k > len(columns[1]):
                 grown = _empty_columns(len(vocabulary), 2 * (n + k))
@@ -557,8 +562,8 @@ def _read_survey(fh: BinaryIO, path: Path, vocabulary: TokenVocabulary | None) -
             j = first.setdefault(call_id, i)
             if j != i:
                 raise ValidationError(
-                    f"line {_first_line(path, i)}: duplicate call_id {call_id!r}, "
-                    f"first on line {_first_line(path, j)}"
+                    f"line {_first_line(fh, i)}: duplicate call_id {call_id!r}, "
+                    f"first on line {_first_line(fh, j)}"
                 )
     return SurveyDataset(
         vocabulary=vocabulary,
@@ -571,13 +576,13 @@ def _read_survey(fh: BinaryIO, path: Path, vocabulary: TokenVocabulary | None) -
     )
 
 
-def _undecodable_line(path: Path) -> int | None:
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return line_no
+def _undecodable_line(fh: BinaryIO) -> int | None:
+    fh.seek(0)
+    for line_no, raw in enumerate(fh, start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return line_no
     return None
 
 
@@ -607,14 +612,14 @@ def load_csv(path: str | Path, vocabulary: TokenVocabulary | None = None) -> Sur
     if not path.exists():
         raise ValidationError(f"no such file: {path}")
     with open(path, "rb") as fh:
-        if not fh.seekable():  # a pipe: blocks are read again after a look ahead
+        if not fh.seekable():  # a pipe: the file is read more than once
             fh = io.BytesIO(fh.read())
         try:
             return _read_survey(fh, path, vocabulary)
         except csv.Error as exc:
-            raise ValidationError(f"line {_line_num(path)}: {exc}") from None
+            raise ValidationError(f"line {_line_num(fh)}: {exc}") from None
         except UnicodeDecodeError as exc:
-            line_no = _undecodable_line(path)
+            line_no = _undecodable_line(fh)
             where = f"line {line_no}: " if line_no is not None else ""
             raise ValidationError(f"{where}not UTF-8 text ({exc.reason})") from None
 

@@ -588,19 +588,33 @@ class TestPlainBytePath:
             assert got.provenance == expected.provenance
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-    def test_named_pipe_loads_as_its_file(self, tmp_path):
-        # a plain block, then a quoted id from which csv.reader reads on
-        path = _write(tmp_path, 'c1,3,60,0,0,0\n"q,2",2,7,1,0,1\n')
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # a plain block, then a quoted id from which csv.reader reads on
+            'c1,3,60,0,0,0\n"q,2",2,7,1,0,1\n',
+            # a bad row: its line is found by reading the file again
+            'c1,3,60,0,0,0\n"q,2",2,7,1,0,1\nc3,9,60,0,0,0\n',
+        ],
+    )
+    def test_named_pipe_loads_as_its_file(self, tmp_path, body):
+        def load(path):
+            try:
+                return _columns(load_csv(path))
+            except ValidationError as exc:
+                return str(exc)
+
+        path = _write(tmp_path, body)
         pipe = tmp_path / "pipe.csv"
         os.mkfifo(pipe)
         writer = threading.Thread(target=pipe.write_bytes, args=(path.read_bytes(),), daemon=True)
         writer.start()
         try:
-            ds = load_csv(pipe)
+            got = load(pipe)
         finally:
             writer.join(timeout=10)
         assert not writer.is_alive()
-        assert _columns(ds) == _columns(load_csv(path))
+        assert got == load(path)
 
     def test_written_rows_never_reach_csv_reader(self, tmp_path, monkeypatch):
         ds, _ = generate(default_world_spec(n=10_000, seed=3), truth_mc_n=1000)
