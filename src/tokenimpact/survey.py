@@ -539,8 +539,7 @@ def _read_survey(fh: BinaryIO, path: Path, vocabulary: TokenVocabulary | None) -
     )
     columns = _empty_columns(len(vocabulary), size)
     n = 0
-    # csv.reader skips the header itself
-    fh.seek(len(line1) if plain else 0)
+    fh.seek(len(line1) if plain else 0)  # _text_blocks skips the header row itself
     blocks = _line_blocks(fh, checks) if plain else _text_blocks(fh, skip_rows=1)
     with closing(blocks):  # lets go of fh before it is closed, on an error too
         for block in _checked_columns(blocks, fh, checks):
