@@ -605,7 +605,7 @@ def load_csv(path: str | Path, vocabulary: TokenVocabulary | None = None) -> Sur
     row by row through the same checks, and the first invalid row raises
     ``ValidationError`` naming its physical line (right after quoted line
     breaks) and the first check it fails. A row ``csv.reader`` cannot read
-    is named after the rows before it.
+    is reported only when no row before it fails a check.
     """
     path = Path(path)
     if not path.exists():
