@@ -15,15 +15,17 @@ the arrays; a per-call predicate is a boolean mask over the columns.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from contextlib import closing
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
 from pathlib import Path
+from tempfile import TemporaryFile
 from typing import BinaryIO
 
 import csv
 import io
+import shutil
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -479,19 +481,15 @@ def _text_blocks(fh: BinaryIO, skip_rows: int = 0) -> Iterator[list[list[str]]]:
 
 def _line_blocks(fh: BinaryIO, checks) -> Iterator:
     """Columns of each block of ``_BLOCK_ROWS`` lines that ``_plain_columns``
-    reads, and csv.reader rows of the others. From the first block that
-    holds a quote on, csv.reader reads the rest of the file, as a quoted
-    field may span lines."""
+    reads. From the first block it refuses on, csv.reader rows of the rest
+    of the file, as a quoted field may span lines."""
     for buf in iter(lambda: b"".join(islice(fh, _BLOCK_ROWS)), b""):
         columns = _plain_columns(buf, *checks)
-        if columns is not None:
-            yield columns
-        elif b'"' in buf:
+        if columns is None:
             fh.seek(fh.tell() - len(buf))
             yield from _text_blocks(fh)
             return
-        else:
-            yield from _csv_blocks(csv.reader(io.StringIO(buf.decode("utf-8"), newline="")))
+        yield columns
 
 
 def _checked_columns(blocks: Iterator, fh: BinaryIO, checks) -> Iterator[tuple[np.ndarray, ...]]:
@@ -595,12 +593,12 @@ def load_csv(path: str | Path, vocabulary: TokenVocabulary | None = None) -> Sur
     surrounding blanks allowed. Call ids must be unique.
 
     The file is read in blocks of ``_BLOCK_ROWS`` lines. A plain block, as
-    ``write_csv`` writes for ids without a comma, quote or line break, is
+    ``write_csv`` writes for ids without a comma, quote, CR, LF or NUL, is
     read from its bytes in numpy: no quote, NUL or lone CR, a one-digit
     rating 1..5 and one-character ``0``/``1`` flags on every line, and rows
-    that keep the survey rules. Any other block is split by ``csv.reader``,
-    and from the first block that holds a quote on, ``csv.reader`` reads the
-    rest of the file. Both give the same dataset and the same errors. Rows
+    that keep the survey rules. From the first block that is not plain on,
+    ``csv.reader`` reads the rest of the file, as a quoted field may span
+    lines. Both give the same dataset and the same errors. Rows
     are checked column-wise a block at a time; a failing block is read again
     row by row through the same checks, and the first invalid row raises
     ``ValidationError`` naming its physical line (right after quoted line
@@ -610,9 +608,10 @@ def load_csv(path: str | Path, vocabulary: TokenVocabulary | None = None) -> Sur
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"no such file: {path}")
-    with open(path, "rb") as fh:
-        if not fh.seekable():  # a pipe: the file is read more than once
-            fh = io.BytesIO(fh.read())
+    with open(path, "rb") as src, nullcontext(src) if src.seekable() else TemporaryFile() as fh:
+        if fh is not src:  # a pipe, copied to a file as the file is read more than once
+            shutil.copyfileobj(src, fh)
+            fh.seek(0)
         try:
             return _read_survey(fh, path, vocabulary)
         except csv.Error as exc:
