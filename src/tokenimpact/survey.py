@@ -69,6 +69,10 @@ _NOT_BOOL = 2
 _PAD_BYTES = 1 << 22
 # characters that make csv.writer quote a field
 _QUOTED_CHARS = b',"\r\n'
+# bytes of call ids gathered per step of an index selection
+_GATHER_BYTES = 1 << 20
+# token rows per step of the co-occurrence sum
+_GRAM_ROWS = 65_536
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,166 @@ def _column(values, dtype, n: int, name: str) -> np.ndarray:
     return arr
 
 
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """int64 offsets of pieces of ``lengths`` bytes laid end to end, from 0."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+@dataclass(frozen=True, eq=False)
+class CallIds:
+    """Call ids as one UTF-8 byte buffer and int64 offsets: id ``i`` is
+    ``data[offsets[i]:offsets[i + 1]]``, and ``offsets[0]`` is 0.
+
+    The analysis never reads an id. ``select`` gathers byte ranges,
+    ``write_csv`` writes the bytes and ``load_csv`` cuts them out of the
+    file, so an id becomes a ``str`` only when ``tolist()``, iteration or an
+    integer index reads it. Both arrays are read-only.
+    """
+
+    data: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        for name in ("data", "offsets"):
+            view = getattr(self, name).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
+
+    @classmethod
+    def from_strings(cls, ids: Iterable[str]) -> "CallIds":
+        """The ids of a sequence of strings, encoded in one pass."""
+        try:
+            ids = list(ids)
+            text = np.frombuffer("".join(ids).encode("utf-8"), dtype=np.uint8)
+        except TypeError:
+            raise ValidationError("call ids must be strings") from None
+        except UnicodeEncodeError as exc:
+            raise ValidationError(f"call ids must be UTF-8 text ({exc.reason})") from None
+        # a character starts at every byte that is not a UTF-8 continuation
+        # byte (0b10xxxxxx)
+        starts = np.append(np.flatnonzero(text & 0xC0 != 0x80), len(text))
+        n_chars = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
+        return cls(text, starts[_offsets(n_chars)])
+
+    @classmethod
+    def concat(cls, parts: Sequence["CallIds"]) -> "CallIds":
+        data = np.concatenate([np.empty(0, dtype=np.uint8)] + [p.data for p in parts])
+        lengths = [np.diff(p.offsets) for p in parts]
+        return cls(data, _offsets(np.concatenate([np.empty(0, dtype=np.int64)] + lengths)))
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.tolist())
+
+    def __getitem__(self, key):
+        """The id at an integer as a ``str``; the ids of a slice or of an
+        index array as ``CallIds``."""
+        if isinstance(key, (int, np.integer)):
+            i = range(len(self))[key]
+            return self[i : i + 1].tolist()[0]
+        if isinstance(key, slice):
+            start, stop, step = key.indices(len(self))
+            if step != 1:
+                return self._take(np.arange(start, stop, step))
+            bounds = self.offsets[start : max(start, stop) + 1]
+            return CallIds(self.data[bounds[0] : bounds[-1]], bounds - bounds[0])
+        return self._take(np.asarray(key))
+
+    def tolist(self) -> list[str]:
+        """Every id decoded: the one place an id becomes a ``str``."""
+        raw = self.data.tobytes()
+        bounds = self.offsets.tolist()
+        return [raw[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
+
+    @cached_property
+    def _width(self) -> int:
+        """The byte length every id has, or 0 when they differ or are empty."""
+        lengths = np.diff(self.offsets)
+        return int(lengths[0]) if len(lengths) and (lengths == lengths[0]).all() else 0
+
+    def _take(self, rows: np.ndarray) -> "CallIds":
+        starts = self.offsets[:-1][rows]
+        lengths = self.offsets[1:][rows] - starts
+        offsets = _offsets(lengths)
+        if self._width:  # ids of one length are the rows of a matrix
+            return CallIds(self.data.reshape(-1, self._width)[rows].ravel(), offsets)
+        data = np.empty(offsets[-1], dtype=np.uint8)
+        # each byte's source position, for about _GATHER_BYTES bytes at a time
+        cuts = np.union1d(
+            [0, len(lengths)],
+            np.searchsorted(offsets, np.arange(_GATHER_BYTES, offsets[-1], _GATHER_BYTES)),
+        )
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            shift = np.repeat(starts[a:b] - offsets[a:b], lengths[a:b])
+            data[offsets[a] : offsets[b]] = self.data[shift + np.arange(offsets[a], offsets[b])]
+        return CallIds(data, offsets)
+
+
+# masks that keep the k most significant bytes of a uint64, k = 0..8: in a
+# little-endian word read from memory, its last k bytes
+_HIGH_BYTES = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype=np.uint64)
+
+
+def _first_duplicate(ids: CallIds) -> tuple[int, int] | None:
+    """``(i, j)``: the first row ``i`` whose id is on an earlier row, and the
+    first row ``j`` with that id; None when the ids are unique.
+
+    Ids are compared as 8-byte words counted from their ends. One sort of
+    every id's last word settles the common case, where no two are equal.
+    The rows whose last word is shared are then sorted stably by their class
+    so far, their length and their next word, and rows left alone in a
+    class drop out, until the words compared cover every id left. Each
+    class is then one id, its rows in ascending order.
+    """
+    starts, ends = ids.offsets[:-1], ids.offsets[1:]
+    # words[e] is data[e - 8 : e] as a little-endian uint64, zeros before the
+    # data: an unaligned view at every byte of a padded copy
+    padded = np.concatenate((np.zeros(8, dtype=np.uint8), ids.data))
+    words = np.ndarray((len(ids.data) + 1,), dtype="<u8", buffer=padded, strides=(1,))
+
+    def word(rows, w: int) -> np.ndarray:
+        """Word ``w`` from the end of each row's id, its bytes before the id zeroed."""
+        end = ends[rows] - 8 * w
+        key = words[np.maximum(end, 0)]
+        short = end - starts[rows] < 8
+        if short.any():
+            key[short] &= _HIGH_BYTES[np.clip(end[short] - starts[rows][short], 0, 8)]
+        return key
+
+    last = word(slice(None), 0)
+    ordered = np.sort(last)
+    shared = ordered[1:][ordered[1:] == ordered[:-1]]
+    if not len(shared):
+        return None
+    rows = np.flatnonzero(np.isin(last, shared))
+    label = last[rows]
+    w = 1
+    while True:
+        lengths = ends[rows] - starts[rows]
+        keys = (word(rows, w), lengths, label)
+        order = np.lexsort(keys)
+        rows = rows[order]
+        keys = [k[order] for k in keys]
+        new = np.arange(len(rows)) == 0  # where a class starts
+        for k in keys:
+            new[1:] |= k[1:] != k[:-1]
+        first = np.flatnonzero(new)
+        sizes = np.diff(np.append(first, len(rows)))
+        keep = np.repeat(sizes > 1, sizes)
+        if not keep.any():
+            return None
+        rows, label = rows[keep], np.cumsum(new)[keep]
+        if keys[1][keep].max() <= 8 * (w + 1):
+            first = np.flatnonzero(np.diff(label, prepend=-1))
+            best = int(np.argmin(rows[first + 1]))
+            return int(rows[first[best] + 1]), int(rows[first[best]])
+        w += 1
+
+
 @dataclass(frozen=True, eq=False)
 class SurveyDataset:
     """Immutable columns of rated calls sharing one vocabulary.
@@ -152,6 +316,10 @@ class SurveyDataset:
     vocabulary token) are the data. Construction copies them into read-only
     arrays and rejects the first row that breaks a survey rule. Labels such
     as ``poor_mask`` are always derived, never stored.
+
+    ``call_ids`` is held as ``CallIds``: one UTF-8 byte buffer with int64
+    offsets. It is given as ``CallIds`` or as strings, which are encoded
+    once; ``call_ids.tolist()`` or ``call_ids[i]`` decodes them.
     """
 
     vocabulary: TokenVocabulary
@@ -167,7 +335,11 @@ class SurveyDataset:
         raw_ratings = np.asarray(self.ratings)
         n = len(raw_ratings)
         p = len(self.vocabulary)
-        call_ids = _column(self.call_ids, object, n, "call_ids")
+        call_ids = self.call_ids
+        if not isinstance(call_ids, CallIds):
+            call_ids = CallIds.from_strings(call_ids)
+        if len(call_ids) != n:
+            raise ValidationError(f"call_ids has shape ({len(call_ids)},), expected ({n},)")
         durations = _column(self.durations, np.float64, n, "durations")
         ptq = _column(self.ptq_submitted, bool, n, "ptq_submitted")
         tokens = np.array(self.token_matrix, dtype=bool)
@@ -180,8 +352,8 @@ class SurveyDataset:
             i, message = bad
             raise ValidationError(f"record {call_ids[i]!r}: {message}")
         ratings = _column(raw_ratings, np.int64, n, "ratings")
+        object.__setattr__(self, "call_ids", call_ids)
         for name, arr in (
-            ("call_ids", call_ids),
             ("ratings", ratings),
             ("durations", durations),
             ("ptq_submitted", ptq),
@@ -209,9 +381,14 @@ class SurveyDataset:
     def cooccurrence(self) -> np.ndarray:
         """Token co-occurrence counts ``X.T @ X``: the diagonal holds each
         token's count. Float64, which counts exactly below 2**53 rows and,
-        unlike int64, goes to BLAS; computed once, read-only."""
-        x = self.token_matrix.astype(np.float64)
-        gram = x.T @ x
+        unlike int64, goes to BLAS; summed over blocks of ``_GRAM_ROWS``
+        rows, so no float copy of the whole matrix is made; computed once,
+        read-only."""
+        p = len(self.vocabulary)
+        gram = np.zeros((p, p))
+        for start in range(0, self.n_records, _GRAM_ROWS):
+            x = self.token_matrix[start : start + _GRAM_ROWS].astype(np.float64)
+            gram += x.T @ x
         gram.setflags(write=False)
         return gram
 
@@ -222,10 +399,14 @@ class SurveyDataset:
         return float(self.poor_mask.mean())
 
     def select(self, indices: Iterable[int], note: str) -> "SurveyDataset":
-        """Subset by record index, preserving order; never invents records."""
+        """Subset by integer record index, in the order given, repeats kept;
+        never invents records. A boolean mask or a non-integer index is a
+        ValidationError."""
         if not isinstance(indices, np.ndarray):
-            indices = list(indices)
-        idx = np.asarray(indices, dtype=np.intp)
+            indices = np.asarray(list(indices))
+        if indices.size and indices.dtype.kind not in "iu":
+            raise ValidationError(f"select takes integer indices, not {indices.dtype} values")
+        idx = indices.astype(np.intp, copy=False)
         return self._subset(idx, self.vocabulary, slice(None), note)
 
     def _subset(self, rows, vocabulary, columns, note: str) -> "SurveyDataset":
@@ -292,9 +473,9 @@ def _flag_cells(cells: Sequence[str], column: str) -> np.ndarray:
 
 
 def _empty_columns(p: int, rows: int = 0) -> tuple[np.ndarray, ...]:
-    """Columns for ``rows`` rows of ``p`` tokens, their numbers unset."""
+    """Ratings, durations, flags and tokens for ``rows`` rows of ``p``
+    tokens, their numbers unset."""
     return (
-        np.empty(rows, dtype=object),
         np.empty(rows, dtype=np.int64),
         np.empty(rows, dtype=np.float64),
         np.empty(rows, dtype=bool),
@@ -327,7 +508,7 @@ def _block_columns(rows: list[list[str]], n_fields: int, token_src, names):
     bad = _first_violation(ratings, durations, ptq, tokens)
     if bad is not None:
         raise _RowError(bad[1])
-    return np.array(cols[0], dtype=object), ratings, durations, ptq, tokens
+    return CallIds.from_strings(cols[0]), ratings, durations, ptq, tokens
 
 
 def _line_num(fh: BinaryIO, rows: int | None = None) -> int:
@@ -394,9 +575,10 @@ def _plain_columns(buf: bytes, n_fields: int, token_src, names):
     A block is read here when it holds no quote, NUL or lone CR, every line
     has ``n_fields - 1`` commas, every rating is one digit 1..5 and every
     flag one character 0/1, no field is longer than
-    ``csv.field_size_limit()`` and every row keeps the survey rules. The
-    columns are then those ``_block_columns`` makes of the block's
-    csv.reader rows. Any other block gives None.
+    ``csv.field_size_limit()``, the block is UTF-8 and every row keeps the
+    survey rules. The columns are then those ``_block_columns`` makes of the
+    block's csv.reader rows; the call ids are cut out as bytes and never
+    decoded one by one. Any other block gives None.
     """
     if b'"' in buf or b"\0" in buf:
         return None
@@ -429,12 +611,16 @@ def _plain_columns(buf: bytes, n_fields: int, token_src, names):
     if not ((tail[:, ::2] == ord(",")).all() and flags.max() <= 1):
         return None
     ratings = b[c[:, 0] + 1].astype(np.int64) - ord("0")
-    # the call ids and durations, each with the comma after it, as one text
-    kept = np.column_stack((c[:, 0] + 1 - starts, np.full(n, 2), c[:, 2] - c[:, 1], ends - c[:, 2]))
-    keep = np.repeat(np.tile((True, False), 2 * n), kept.ravel())
+    # each line's bytes in four parts: the call id (1), the commas around the
+    # rating, the duration with the comma after it (2), and the flag tail
+    id_len = c[:, 0] - starts
+    parts = np.column_stack((id_len, np.full(n, 3), c[:, 2] - c[:, 1], ends - c[:, 2]))
+    part = np.repeat(np.tile(np.array((1, 0, 2, 0), dtype=np.uint8), n), parts.ravel())
     try:
-        cells = b[keep].tobytes().decode("utf-8").split(",")
-        durations = np.fromiter(map(float, cells[1::2]), dtype=np.float64, count=n)
+        if not buf.isascii():
+            buf.decode("utf-8")  # checks the ids, which stay bytes
+        cells = b[part == 2].tobytes().decode("utf-8").split(",")
+        durations = np.fromiter(map(float, cells), dtype=np.float64, count=n)
     except ValueError:  # UnicodeDecodeError too
         return None
     ptq = flags[:, 0].astype(bool)
@@ -446,7 +632,7 @@ def _plain_columns(buf: bytes, n_fields: int, token_src, names):
             return None
     if _first_violation(ratings, durations, ptq, tokens) is not None:
         return None
-    return np.array(cells[:-1:2], dtype=object), ratings, durations, ptq, tokens
+    return CallIds(b[part == 1], _offsets(id_len)), ratings, durations, ptq, tokens
 
 
 def _csv_blocks(reader) -> Iterator[list[list[str]]]:
@@ -500,7 +686,7 @@ def _checked_columns(blocks: Iterator, fh: BinaryIO, checks) -> Iterator[tuple[n
     first_row = 0  # data-row index of the block's first row
     for block in blocks:
         if isinstance(block, tuple):  # columns read from the bytes
-            first_row += len(block[1])
+            first_row += len(block[0])
             yield block
             continue
         try:
@@ -536,32 +722,34 @@ def _read_survey(fh: BinaryIO, path: Path, vocabulary: TokenVocabulary | None) -
         for chunk in iter(lambda: fh.read(1 << 20), b"")
     )
     columns = _empty_columns(len(vocabulary), size)
+    id_blocks = []  # joined at the end, as their byte count is not known ahead
     n = 0
     fh.seek(len(line1) if plain else 0)  # _text_blocks skips the header row itself
     blocks = _line_blocks(fh, checks) if plain else _text_blocks(fh, skip_rows=1)
     with closing(blocks):  # lets go of fh before it is closed, on an error too
-        for block in _checked_columns(blocks, fh, checks):
-            k = len(block[1])
-            if n + k > len(columns[1]):
+        for ids, *block in _checked_columns(blocks, fh, checks):
+            k = len(ids)
+            if n + k > len(columns[0]):
                 grown = _empty_columns(len(vocabulary), 2 * (n + k))
                 for new, old in zip(grown, columns):
                     new[:n] = old[:n]
                 columns = grown
             for column, part in zip(columns, block):
                 column[n : n + k] = part
+            id_blocks.append(ids)
             n += k
-    call_ids, ratings, durations, ptq, tokens = (column[:n] for column in columns)
+    ratings, durations, ptq, tokens = (column[:n] for column in columns)
     del columns
+    call_ids = CallIds.concat(id_blocks)
+    del id_blocks
 
-    if len(set(call_ids.tolist())) < len(call_ids):
-        first: dict[str, int] = {}
-        for i, call_id in enumerate(call_ids.tolist()):
-            j = first.setdefault(call_id, i)
-            if j != i:
-                raise ValidationError(
-                    f"line {_first_line(fh, i)}: duplicate call_id {call_id!r}, "
-                    f"first on line {_first_line(fh, j)}"
-                )
+    duplicate = _first_duplicate(call_ids)
+    if duplicate is not None:
+        i, j = duplicate
+        raise ValidationError(
+            f"line {_first_line(fh, i)}: duplicate call_id {call_ids[i]!r}, "
+            f"first on line {_first_line(fh, j)}"
+        )
     return SurveyDataset(
         vocabulary=vocabulary,
         call_ids=call_ids,
@@ -590,7 +778,10 @@ def load_csv(path: str | Path, vocabulary: TokenVocabulary | None = None) -> Sur
     Unknown token columns are rejected. A token column missing from the file
     is filled false, but only for rows that did not submit the questionnaire.
     Booleans are ``0``/``1`` or ``true``/``false`` in any case, with
-    surrounding blanks allowed. Call ids must be unique.
+    surrounding blanks allowed. Call ids must be unique; they are held as
+    ``CallIds``, one UTF-8 byte buffer with offsets, and duplicates are found
+    by a sort of 8-byte words of those bytes, so no id is decoded unless an
+    error names it.
 
     The file is read in blocks of ``_BLOCK_ROWS`` lines. A plain block, as
     ``write_csv`` writes for ids without a comma, quote, CR, LF or NUL, is
@@ -629,7 +820,7 @@ def _place(field: np.ndarray, data: np.ndarray, lengths: np.ndarray) -> None:
 
 
 def _csv_rows(
-    ids: list[str], ratings: np.ndarray, durations: list[float], flags: np.ndarray
+    ids: CallIds, ratings: np.ndarray, durations: list[float], flags: np.ndarray
 ) -> np.ndarray:
     """The bytes ``csv.writer`` writes for a block of rows, as one uint8 array.
 
@@ -643,12 +834,7 @@ def _csv_rows(
     ratings in 1..5 and durations finite and non-negative, so a rating is one
     ASCII digit and a repr is ASCII text without a comma.
     """
-    text = np.frombuffer("".join(ids).encode("utf-8"), dtype=np.uint8)
-    # each id's byte span: a character starts at every byte that is not a
-    # UTF-8 continuation byte (0b10xxxxxx)
-    starts = np.append(np.flatnonzero(text & 0xC0 != 0x80), len(text))
-    n_chars = np.fromiter(map(len, ids), dtype=np.intp, count=len(ids))
-    bounds = starts[np.concatenate(([0], np.cumsum(n_chars)))]
+    text, bounds = ids.data, ids.offsets
     # an id holding one of _QUOTED_CHARS is quoted and its quotes doubled: a
     # quote goes in before each quote and at both ends of each quoted id
     specials = np.flatnonzero(np.isin(text, list(_QUOTED_CHARS)))
@@ -686,8 +872,9 @@ def write_csv(ds: SurveyDataset, path: str | Path) -> None:
     The bytes are those ``csv.writer`` writes in its default dialect: rows
     end in ``\\r\\n``, durations are ``repr(float)``, and a call id holding a
     comma, a quote or a line break is quoted. Rows are assembled as bytes in
-    numpy, ``_BLOCK_ROWS`` at a time, each block written at once;
-    ``repr(float)`` is the one step taken row by row.
+    numpy, ``_BLOCK_ROWS`` at a time, each block written at once; the call
+    ids are copied from their byte buffer, each block's cut at its offsets,
+    and never decoded. ``repr(float)`` is the one step taken row by row.
     """
     header = io.StringIO()
     csv.writer(header).writerow(
@@ -699,7 +886,7 @@ def write_csv(ds: SurveyDataset, path: str | Path) -> None:
         for start in range(0, ds.n_records, _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
             fh.write(_csv_rows(
-                ds.call_ids[block].tolist(),
+                ds.call_ids[block],
                 ds.ratings[block],
                 ds.durations[block].tolist(),
                 flags[block],
@@ -774,13 +961,23 @@ def group_patterns(
     """Distinct group-indicator patterns of a token matrix's rows, and each
     row's pattern index.
 
-    Bit g of a row's int64 code is set when any token column in
-    ``members[g]`` fires, so at most ``MAX_GROUPS`` groups fit. The patterns
-    are the codes that occur, in ascending order, as float64 indicator rows.
+    The patterns are the ``group_codes`` that occur, in ascending order, as
+    ``code_indicators`` rows.
     """
+    patterns, row_pattern = np.unique(group_codes(tokens, members), return_inverse=True)
+    return code_indicators(patterns, len(members)), row_pattern
+
+
+def group_codes(tokens: np.ndarray, members: Sequence[Sequence[int]]) -> np.ndarray:
+    """Each token row's int64 group-pattern code: bit g is set when any
+    token column in ``members[g]`` fires, so at most ``MAX_GROUPS`` groups
+    fit."""
     codes = np.zeros(len(tokens), dtype=np.int64)
     for g, cols in enumerate(members):
         codes |= tokens[:, cols].any(axis=1).astype(np.int64) << g
-    patterns, row_pattern = np.unique(codes, return_inverse=True)
-    indicators = (patterns[:, None] >> np.arange(len(members)) & 1).astype(np.float64)
-    return indicators, row_pattern
+    return codes
+
+
+def code_indicators(codes: np.ndarray, n_groups: int) -> np.ndarray:
+    """float64 group-indicator rows of group-pattern codes."""
+    return (codes[:, None] >> np.arange(n_groups) & 1).astype(np.float64)

@@ -18,9 +18,12 @@ from .errors import ValidationError
 from .special import expit
 from .survey import (
     MAX_GROUPS,
+    CallIds,
     SurveyDataset,
     TokenVocabulary,
+    code_indicators,
     default_vocabulary,
+    group_codes,
     group_patterns,
 )
 
@@ -240,9 +243,10 @@ def _linear_predictor(spec: GeneratorSpec, indicators: np.ndarray) -> np.ndarray
     return eta
 
 
-def _draw_tokens(spec: GeneratorSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Tokens of ``n`` latent draws: the whole factor matrix, then residuals
-    in row chunks.
+def _token_chunks(spec: GeneratorSpec, rng: np.random.Generator, n: int):
+    """Tokens of ``n`` latent draws, as ``(rows, tokens)`` for each chunk of
+    rows: the whole factor matrix is drawn first, then residuals chunk by
+    chunk.
 
     ``standard_normal`` fills its output row by row from the stream, so the
     chunked residuals are the rows one ``(n, tokens)`` draw would give, and
@@ -251,7 +255,6 @@ def _draw_tokens(spec: GeneratorSpec, rng: np.random.Generator, n: int) -> np.nd
     loadings = spec.loadings
     residual_scale = np.sqrt(1.0 - (loadings**2).sum(axis=1))
     factors = rng.standard_normal((n, spec.n_factors))
-    tokens = np.empty((n, spec.n_tokens), dtype=bool)
     start = 0
     while start < n:
         # a lone last row would take numpy's matrix-vector product, which
@@ -261,37 +264,49 @@ def _draw_tokens(spec: GeneratorSpec, rng: np.random.Generator, n: int) -> np.nd
         residuals *= residual_scale
         latent = factors[start:stop] @ loadings.T
         latent += residuals
-        tokens[start:stop] = latent > spec.thresholds
+        yield slice(start, stop), latent > spec.thresholds
         start = stop
+
+
+def _draw_tokens(spec: GeneratorSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    """The token matrix of ``n`` latent draws (``_token_chunks``)."""
+    tokens = np.empty((n, spec.n_tokens), dtype=bool)
+    for rows, chunk in _token_chunks(spec, rng, n):
+        tokens[rows] = chunk
     return tokens
+
+
+def _members(partition: tuple[int, ...]) -> list[list[int]]:
+    """The token columns of each group of a token -> group partition."""
+    members = [[] for _ in range(max(partition) + 1)]
+    for j, g in enumerate(partition):
+        members[g].append(j)
+    return members
 
 
 def _group_patterns(
     tokens: np.ndarray, partition: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """``group_patterns`` of the tokens grouped by a token -> group partition."""
-    members = [[] for _ in range(max(partition) + 1)]
-    for j, g in enumerate(partition):
-        members[g].append(j)
-    return group_patterns(tokens, members)
+    return group_patterns(tokens, _members(partition))
 
 
-def _call_ids(start: int, stop: int) -> list[str]:
-    """``f"c{i:07d}"`` for ``i`` in ``range(start, stop)``, from digit arrays."""
-    ids: list[str] = []
+def _call_ids(start: int, stop: int) -> CallIds:
+    """``f"c{i:07d}"`` for ``i`` in ``range(start, stop)``, its digits
+    written straight into the byte buffer."""
+    chunks = []  # one per id width
     while start < stop:
         width = max(7, len(str(start)))
         end = min(stop, 10**width)
         rest = np.arange(start, end)
-        text = np.empty((end - start, width + 2), dtype=np.uint8)
+        text = np.empty((end - start, width + 1), dtype=np.uint8)
         for k in range(width, 0, -1):
             rest, text[:, k] = np.divmod(rest, 10)
-        text[:, 1:-1] += ord("0")
+        text[:, 1:] += ord("0")
         text[:, 0] = ord("c")
-        text[:, -1] = ord(",")
-        ids += text.tobytes().decode("ascii").split(",")[:-1]
+        chunks.append(CallIds(text.ravel(), np.arange(0, text.size + 1, width + 1)))
         start = end
-    return ids
+    return CallIds.concat(chunks)
 
 
 def generate(spec: GeneratorSpec, truth_mc_n: int = 200_000) -> tuple[SurveyDataset, GroundTruth]:
@@ -365,16 +380,19 @@ def _truth_draw(
     """Group-indicator patterns of ``n_mc`` planted-world draws and their counts.
 
     A draw enters the truth only through its pattern, so the counts are
-    sufficient for every group's counterfactual.
+    sufficient for every group's counterfactual. Each chunk of draws is
+    reduced to its group-pattern codes, so no token matrix is kept.
     """
     if n_mc < 1:
         raise ValidationError("the Monte-Carlo truth needs at least 1 draw")
     # its own stream: the bare seed's first draws are the data's
     rng = np.random.default_rng([seed, 1])
-    indicators, row_pattern = _group_patterns(
-        _draw_tokens(spec, rng, n_mc), spec.group_partition
-    )
-    return indicators, np.bincount(row_pattern)
+    members = _members(spec.group_partition)
+    codes = np.empty(n_mc, dtype=np.int64)
+    for rows, tokens in _token_chunks(spec, rng, n_mc):
+        codes[rows] = group_codes(tokens, members)
+    patterns, counts = np.unique(codes, return_counts=True)
+    return code_indicators(patterns, len(members)), counts
 
 
 def _fix_impact(

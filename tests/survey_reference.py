@@ -52,7 +52,7 @@ def load_csv_reference(path, vocabulary=None) -> SurveyDataset:
                 lines.append(line)
         except csv.Error as exc:
             error = f"line {reader.line_num}: {exc}"
-    columns = survey._empty_columns(len(vocabulary))
+    columns = (survey.CallIds.from_strings([]), *survey._empty_columns(len(vocabulary)))
     if rows:
         try:
             columns = survey._block_columns(rows, *checks)

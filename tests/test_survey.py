@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tokenimpact import survey
 from tokenimpact.errors import ValidationError
 from tokenimpact.survey import (
+    CallIds,
     SurveyDataset,
     TokenVocabulary,
     balance_resample,
@@ -85,6 +86,14 @@ class TestDerivedMasks:
         # computed once and shared read-only
         assert ds.cooccurrence is ds.cooccurrence
         assert not ds.cooccurrence.flags.writeable
+
+    def test_cooccurrence_summed_over_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(survey, "_GRAM_ROWS", 3)
+        rows = [(r % 4 + 1, 1.0, (r % 2, r % 3 == 0, r % 5 == 1)) for r in range(10)]
+        ds = make_dataset(rows, n_tokens=3)
+        x = ds.token_matrix.astype(np.int64)
+        assert np.array_equal(ds.cooccurrence, x.T @ x)
+        assert np.array_equal(make_dataset([], n_tokens=3).cooccurrence, np.zeros((3, 3)))
 
     def test_subsets_get_their_own_cooccurrence(self):
         rows = [(1, 1.0, (1, 1, 0))] * 12 + [(4, 1.0, (0, 1, 0))] * 3 + [(3, 1.0, (1, 0, 0))] * 2
@@ -334,8 +343,9 @@ class TestColumnarDataset:
         arrays["token_matrix"][0, 0] = False
         assert ds.ratings.tolist() == [1, 4, 5]
         assert ds.token_matrix[0, 0]
-        assert ds.ratings.dtype == np.int64 and ds.call_ids.dtype == object
-        for arr in (ds.call_ids, ds.ratings, ds.durations, ds.ptq_submitted, ds.token_matrix):
+        assert ds.ratings.dtype == np.int64 and isinstance(ds.call_ids, CallIds)
+        ids = ds.call_ids
+        for arr in (ids.data, ids.offsets, ds.ratings, ds.durations, ds.ptq_submitted, ds.token_matrix):
             assert not arr.flags.writeable
 
     @pytest.mark.parametrize(
@@ -854,3 +864,183 @@ class TestColumnarIo:
         ds, _ = generate(default_world_spec(n=20_000, seed=3), truth_mc_n=1000)
         assert 4 * survey._BLOCK_ROWS < ds.n_records < 5 * survey._BLOCK_ROWS  # 5 blocks
         self._assert_writes_reference_bytes(ds, tmp_path)
+
+
+def _first_duplicate_reference(ids):
+    """The first row whose id is on an earlier row, and that earlier row."""
+    first: dict[str, int] = {}
+    for i, call_id in enumerate(ids):
+        j = first.setdefault(call_id, i)
+        if j != i:
+            return i, j
+    return None
+
+
+# short and long ids, of one length and of many, that share prefixes and
+# suffixes, and that differ only in NUL bytes or in non-ASCII characters
+_DUP_TEXT = st.text(alphabet=st.sampled_from("ab\x00é😀"), max_size=19)
+
+
+class TestCallIds:
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            ["a", "a\x00"],
+            ["a\x00", "a"],
+            ["\x00a", "a"],
+            ["", "\x00", "\x00\x00"],
+            ["ab", "abc", "abcd", "a"],
+            ["x12345678", "y12345678", "12345678"],
+            ["c0000001", "c0000002", "c0000003"],
+            ["prefix-shared-0000", "prefix-shared-0001"],
+            ["0123456789abcdefX-tail", "0123456789abcdefY-tail"],
+            ["A" + "-shared-tail" * 3, "B" + "-shared-tail" * 3],
+            ["é", "e\u0301", "😀", "\U0001f601", "é\x00"],
+        ],
+    )
+    def test_distinct_ids_are_not_duplicates(self, ids):
+        assert survey._first_duplicate(CallIds.from_strings(ids)) is None
+
+    @pytest.mark.parametrize(
+        "ids, found",
+        [
+            (["a", "b", "a"], (2, 0)),
+            (["a\x00", "a", "a\x00"], (2, 0)),
+            (["x12345678", "y12345678", "y12345678"], (2, 1)),
+            (["0123456789abcdef-tail", "b", "0123456789abcdef-tail", "b"], (2, 0)),
+            (["é", "b", "b", "é"], (2, 1)),
+            (["", "c", ""], (2, 0)),
+            (["z"] * 5, (1, 0)),
+        ],
+    )
+    def test_duplicates_found_with_their_first_row(self, ids, found):
+        assert survey._first_duplicate(CallIds.from_strings(ids)) == found
+
+    @given(st.lists(_DUP_TEXT, max_size=40), st.sampled_from(["", "x" * 17, "😀" * 9]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_duplicate_check_equals_a_dict(self, ids, tail):
+        """Ids compared over many 8-byte words, a long shared tail among them."""
+        ids = [i + tail for i in ids]
+        want = _first_duplicate_reference(ids)
+        assert survey._first_duplicate(CallIds.from_strings(ids)) == want
+
+    def test_duplicate_lines_after_a_quoted_line_break(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(
+            CSV_HEADER.encode()
+            + b'c,3,1.0,0,0,0\r\n"a\nb",3,1.0,0,0,0\r\n"x\r\ny",4,1.0,0,0,0\r\n'
+            b'"a\nb",4,1.0,0,0,0\r\nc,4,1.0,0,0,0\r\n'
+        )
+        message = "line 7: duplicate call_id 'a\\nb', first on line 3"
+        for load in (load_csv, load_csv_reference):
+            with pytest.raises(ValidationError) as error:
+                load(path)
+            assert str(error.value) == message
+
+    def test_from_strings_round_trips(self):
+        ids = ["", "a", "é😀", "x\x00", "a,b"]
+        call_ids = CallIds.from_strings(ids)
+        assert call_ids.tolist() == list(call_ids) == ids
+        assert [call_ids[i] for i in range(-5, 5)] == ids + ids
+        assert call_ids.offsets.tolist() == [0, 0, 1, 7, 9, 12]
+        assert call_ids[1:3].tolist() == ids[1:3] and call_ids[3:1].tolist() == []
+        assert call_ids[::-2].tolist() == ids[::-2]
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [([1, 2], "call ids must be strings"), (["\ud800"], "call ids must be UTF-8 text")],
+    )
+    def test_from_strings_rejects_what_is_not_text(self, ids, message):
+        with pytest.raises(ValidationError, match=message):
+            SurveyDataset(
+                vocabulary=make_vocab(1),
+                call_ids=ids,
+                ratings=[3] * len(ids),
+                durations=[1.0] * len(ids),
+                ptq_submitted=[False] * len(ids),
+                token_matrix=np.zeros((len(ids), 1), dtype=bool),
+            )
+
+    @given(
+        st.one_of(
+            st.lists(_DUP_TEXT, min_size=1, max_size=30),
+            st.lists(st.text(alphabet="cd01", min_size=4, max_size=4), min_size=1, max_size=30),
+        ),
+        st.data(),
+        st.sampled_from([1, 5, 1 << 20]),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_select_and_write_equal_an_object_array(
+        self, tmp_path_factory, ids, data, gather_bytes
+    ):
+        """Ids of mixed lengths and of one length (the matrix path), gathered
+        a few bytes at a time or all at once, selected in any order, with
+        repeats, or not at all."""
+        rows = data.draw(st.lists(st.integers(0, len(ids) - 1), max_size=40))
+        ds = SurveyDataset(
+            vocabulary=make_vocab(1),
+            call_ids=ids,
+            ratings=[3] * len(ids),
+            durations=[float(i) for i in range(len(ids))],
+            ptq_submitted=[False] * len(ids),
+            token_matrix=np.zeros((len(ids), 1), dtype=bool),
+        )
+        want = np.array(ids, dtype=object)[np.array(rows, dtype=np.intp)].tolist()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(survey, "_GATHER_BYTES", gather_bytes)
+            out = ds.select(np.array(rows, dtype=np.int64), "pick")
+        assert out.call_ids.tolist() == want
+        assert len(out.call_ids.data) == out.call_ids.offsets[-1]
+        reference = SurveyDataset(
+            vocabulary=ds.vocabulary,
+            call_ids=want,
+            ratings=out.ratings,
+            durations=out.durations,
+            ptq_submitted=out.ptq_submitted,
+            token_matrix=out.token_matrix,
+        )
+        tmp = tmp_path_factory.mktemp("select")
+        write_csv(out, tmp / "fast.csv")
+        write_csv_reference(reference, tmp / "ref.csv")
+        assert (tmp / "fast.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "indices",
+        [
+            np.array([False, True, False, True]),
+            [False, True],
+            np.array([1.7, 2.2]),
+            [1.0],
+            np.array([1, 2], dtype=object),
+        ],
+    )
+    def test_select_refuses_masks_and_non_integer_indices(self, indices):
+        ds = make_dataset([(3, 1.0, (0,))] * 4, n_tokens=1)
+        with pytest.raises(ValidationError, match="select takes integer indices"):
+            ds.select(indices, "pick")
+
+    @pytest.mark.parametrize("indices", [[], np.array([]), np.array([], dtype=bool), iter([])])
+    def test_empty_selection(self, indices):
+        ds = make_dataset([(3, 1.0, (0,))] * 4, n_tokens=1)
+        out = ds.select(indices, "none")
+        assert out.n_records == 0 and out.call_ids.tolist() == []
+
+    def test_simulate_to_restricted_csv_never_decodes_an_id(self, tmp_path, monkeypatch):
+        ds, _ = generate(default_world_spec(n=3 * survey._BLOCK_ROWS, seed=3), truth_mc_n=1000)
+        want = ds.call_ids.tolist()
+
+        def refuse(*args):
+            raise AssertionError("a call id was decoded or encoded")
+
+        monkeypatch.setattr(CallIds, "tolist", refuse)
+        monkeypatch.setattr(CallIds, "from_strings", refuse)
+        generated, _ = generate(default_world_spec(n=3 * survey._BLOCK_ROWS, seed=3), truth_mc_n=1000)
+        write_csv(generated, tmp_path / "all.csv")
+        restricted = restrict_tokened_poor(load_csv(tmp_path / "all.csv"), seed=1)
+        write_csv(restricted, tmp_path / "restricted.csv")
+        monkeypatch.undo()
+
+        kept = [want.index(i) for i in restricted.call_ids.tolist()]
+        assert 0 < len(kept) < ds.n_records and kept == sorted(kept)
+        write_csv_reference(ds.select(kept, "kept"), tmp_path / "ref.csv")
+        assert (tmp_path / "restricted.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -18,6 +18,7 @@ from tokenimpact.synthetic import (
     _call_ids,
     _draw_tokens,
     _group_patterns,
+    _truth_draw,
     default_world_spec,
     generate,
     ground_truth_impact,
@@ -182,8 +183,8 @@ class TestGenerate:
 
     @pytest.mark.parametrize("i", [0, 9_999_999, 10_000_000, 123_456_789])
     def test_call_ids_match_the_format(self, i):
-        assert _call_ids(i, i + 1) == [f"c{i:07d}"]
-        assert _call_ids(max(i - 2, 0), i + 3) == [
+        assert _call_ids(i, i + 1).tolist() == [f"c{i:07d}"]
+        assert _call_ids(max(i - 2, 0), i + 3).tolist() == [
             f"c{k:07d}" for k in range(max(i - 2, 0), i + 3)
         ]
 
@@ -306,6 +307,15 @@ class TestGroundTruth:
         assert len(truth.group_reductions) == 2
         assert truth.n_factors == 2
         assert all(g.n_mc == 5000 for g in truth.group_reductions)
+
+    @pytest.mark.parametrize("n_mc", [1, _DRAW_ROWS + 1, 2 * _DRAW_ROWS + 5])
+    def test_truth_draw_equals_patterns_of_the_token_matrix(self, n_mc):
+        spec = default_world_spec(n=10, seed=9)
+        indicators, counts = _truth_draw(spec, n_mc, seed=4)
+        tokens = _draw_tokens(spec, np.random.default_rng([4, 1]), n_mc)
+        want, row_pattern = _group_patterns(tokens, spec.group_partition)
+        assert indicators.tobytes() == want.tobytes()
+        assert counts.tolist() == np.bincount(row_pattern).tolist()
 
     def test_shared_truth_draw_equals_single_group_function(self):
         spec = default_world_spec(n=100, seed=9)
