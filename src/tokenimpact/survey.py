@@ -69,8 +69,9 @@ _NOT_BOOL = 2
 _PAD_BYTES = 1 << 22
 # characters that make csv.writer quote a field
 _QUOTED_CHARS = b',"\r\n'
-# bytes of call ids gathered per step of an index selection
-_GATHER_BYTES = 1 << 20
+# bytes of call ids gathered per step of an index selection; each step
+# builds int64 source positions, 8 bytes per byte gathered
+_GATHER_BYTES = 1 << 16
 # token rows per step of the co-occurrence sum
 _GRAM_ROWS = 65_536
 
@@ -163,16 +164,53 @@ class CallIds:
     ``write_csv`` writes the bytes and ``load_csv`` cuts them out of the
     file, so an id becomes a ``str`` only when ``tolist()``, iteration or an
     integer index reads it. Both arrays are read-only.
+
+    ``CallIds(data, offsets)`` copies a 1-D ``uint8`` array and a 1-D
+    integer array and checks them: the offsets run from 0 to ``len(data)``
+    without going down, and the bytes are UTF-8 with every id starting on a
+    character. A ``ValidationError`` names the first check that fails.
     """
 
     data: np.ndarray
     offsets: np.ndarray
 
     def __post_init__(self):
-        for name in ("data", "offsets"):
-            view = getattr(self, name).view()
+        data, offsets = np.asarray(self.data), np.asarray(self.offsets)
+        if data.ndim != 1 or data.dtype != np.uint8:
+            raise ValidationError(f"call id data must be 1-D uint8, not {data.ndim}-D {data.dtype}")
+        if offsets.ndim != 1 or offsets.dtype.kind not in "iu" or not len(offsets):
+            raise ValidationError(
+                f"call id offsets must be 1-D integers with at least one entry, "
+                f"not {offsets.ndim}-D {offsets.dtype} of length {offsets.size}"
+            )
+        offsets = offsets.astype(np.int64)
+        if offsets[0] != 0 or offsets[-1] != len(data) or (np.diff(offsets) < 0).any():
+            raise ValidationError(
+                f"call id offsets must rise from 0 to {len(data)} without going down"
+            )
+        try:
+            data.tobytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"call ids must be UTF-8 text ({exc.reason})") from None
+        # a UTF-8 continuation byte is 0b10xxxxxx
+        if (data[offsets[offsets < len(data)]] & 0xC0 == 0x80).any():
+            raise ValidationError("call id offsets must not split a UTF-8 character")
+        self._freeze(self, data.copy(), offsets)
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray, offsets: np.ndarray) -> "CallIds":
+        """Ids over a uint8 buffer and int64 offsets that this module built
+        and that nothing writes to, such as another ``CallIds``'s read-only
+        arrays: no copy and no check."""
+        return cls._freeze(object.__new__(cls), data, offsets)
+
+    @staticmethod
+    def _freeze(ids: "CallIds", data: np.ndarray, offsets: np.ndarray) -> "CallIds":
+        for name, arr in (("data", data), ("offsets", offsets)):
+            view = arr.view()
             view.setflags(write=False)
-            object.__setattr__(self, name, view)
+            object.__setattr__(ids, name, view)
+        return ids
 
     @classmethod
     def from_strings(cls, ids: Iterable[str]) -> "CallIds":
@@ -188,13 +226,13 @@ class CallIds:
         # byte (0b10xxxxxx)
         starts = np.append(np.flatnonzero(text & 0xC0 != 0x80), len(text))
         n_chars = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
-        return cls(text, starts[_offsets(n_chars)])
+        return cls._adopt(text, starts[_offsets(n_chars)])
 
     @classmethod
     def concat(cls, parts: Sequence["CallIds"]) -> "CallIds":
         data = np.concatenate([np.empty(0, dtype=np.uint8)] + [p.data for p in parts])
         lengths = [np.diff(p.offsets) for p in parts]
-        return cls(data, _offsets(np.concatenate([np.empty(0, dtype=np.int64)] + lengths)))
+        return cls._adopt(data, _offsets(np.concatenate([np.empty(0, dtype=np.int64)] + lengths)))
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -213,7 +251,7 @@ class CallIds:
             if step != 1:
                 return self._take(np.arange(start, stop, step))
             bounds = self.offsets[start : max(start, stop) + 1]
-            return CallIds(self.data[bounds[0] : bounds[-1]], bounds - bounds[0])
+            return CallIds._adopt(self.data[bounds[0] : bounds[-1]], bounds - bounds[0])
         return self._take(np.asarray(key))
 
     def tolist(self) -> list[str]:
@@ -222,28 +260,19 @@ class CallIds:
         bounds = self.offsets.tolist()
         return [raw[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
 
-    @cached_property
-    def _width(self) -> int:
-        """The byte length every id has, or 0 when they differ or are empty."""
-        lengths = np.diff(self.offsets)
-        return int(lengths[0]) if len(lengths) and (lengths == lengths[0]).all() else 0
-
     def _take(self, rows: np.ndarray) -> "CallIds":
         starts = self.offsets[:-1][rows]
         lengths = self.offsets[1:][rows] - starts
         offsets = _offsets(lengths)
-        if self._width:  # ids of one length are the rows of a matrix
-            return CallIds(self.data.reshape(-1, self._width)[rows].ravel(), offsets)
         data = np.empty(offsets[-1], dtype=np.uint8)
-        # each byte's source position, for about _GATHER_BYTES bytes at a time
-        cuts = np.union1d(
-            [0, len(lengths)],
-            np.searchsorted(offsets, np.arange(_GATHER_BYTES, offsets[-1], _GATHER_BYTES)),
-        )
+        # each byte's source position, for about _GATHER_BYTES bytes at a
+        # time; a cut repeats where one id spans a step
+        steps = np.arange(_GATHER_BYTES, offsets[-1], _GATHER_BYTES)
+        cuts = np.concatenate(([0], np.searchsorted(offsets, steps), [len(lengths)]))
         for a, b in zip(cuts[:-1], cuts[1:]):
             shift = np.repeat(starts[a:b] - offsets[a:b], lengths[a:b])
             data[offsets[a] : offsets[b]] = self.data[shift + np.arange(offsets[a], offsets[b])]
-        return CallIds(data, offsets)
+        return CallIds._adopt(data, offsets)
 
 
 # masks that keep the k most significant bytes of a uint64, k = 0..8: in a
@@ -318,12 +347,13 @@ class SurveyDataset:
     as ``poor_mask`` are always derived, never stored.
 
     ``call_ids`` is held as ``CallIds``: one UTF-8 byte buffer with int64
-    offsets. It is given as ``CallIds`` or as strings, which are encoded
-    once; ``call_ids.tolist()`` or ``call_ids[i]`` decodes them.
+    offsets. It is given as ``CallIds``, kept as it is since its arrays are
+    read-only copies, or as strings, which are encoded once;
+    ``call_ids.tolist()`` or ``call_ids[i]`` decodes them.
     """
 
     vocabulary: TokenVocabulary
-    call_ids: np.ndarray
+    call_ids: CallIds | Sequence[str]
     ratings: np.ndarray
     durations: np.ndarray
     ptq_submitted: np.ndarray
@@ -632,7 +662,7 @@ def _plain_columns(buf: bytes, n_fields: int, token_src, names):
             return None
     if _first_violation(ratings, durations, ptq, tokens) is not None:
         return None
-    return CallIds(b[part == 1], _offsets(id_len)), ratings, durations, ptq, tokens
+    return CallIds._adopt(b[part == 1], _offsets(id_len)), ratings, durations, ptq, tokens
 
 
 def _csv_blocks(reader) -> Iterator[list[list[str]]]:

@@ -961,6 +961,45 @@ class TestCallIds:
                 token_matrix=np.zeros((len(ids), 1), dtype=bool),
             )
 
+    def test_constructor_copies_the_callers_arrays(self):
+        data = np.frombuffer("abé".encode("utf-8"), dtype=np.uint8).copy()
+        offsets = np.array([0, 1, 4])
+        ds = SurveyDataset(
+            vocabulary=make_vocab(1),
+            call_ids=CallIds(data, offsets),
+            ratings=[3, 4],
+            durations=[1.0, 2.0],
+            ptq_submitted=[False, False],
+            token_matrix=np.zeros((2, 1), dtype=bool),
+        )
+        data[:] = ord("z")
+        offsets[1] = 2
+        assert ds.call_ids.tolist() == ["a", "bé"]
+        assert ds.call_ids.offsets.dtype == np.int64
+        assert not ds.call_ids.data.flags.writeable and not ds.call_ids.offsets.flags.writeable
+
+    @pytest.mark.parametrize(
+        "data, offsets, message",
+        [
+            (b"aabbcc", [2, 4, 6], "offsets must rise from 0 to 6"),
+            (b"aabbcc", [0, 4, 2, 6], "offsets must rise from 0 to 6"),
+            (b"aabbcc", [0, 2, 5], "offsets must rise from 0 to 6"),
+            (b"ab", [0, 1, 2**64 - 1], "offsets must rise from 0 to 2"),
+            (b"a\xffb", [0, 1, 3], "call ids must be UTF-8 text"),
+            ("é".encode("utf-8"), [0, 1, 2], "must not split a UTF-8 character"),
+            (np.array([97, 98]), [0, 1, 2], "data must be 1-D uint8"),
+            (np.zeros((2, 1), dtype=np.uint8), [0, 1, 2], "data must be 1-D uint8"),
+            (b"ab", [0.0, 1.0, 2.0], "offsets must be 1-D integers"),
+            (b"", [], "offsets must be 1-D integers"),
+        ],
+    )
+    def test_constructor_rejects_inconsistent_arrays(self, data, offsets, message):
+        if isinstance(data, bytes):
+            data = np.frombuffer(data, dtype=np.uint8)
+        offsets = np.array(offsets, dtype=np.uint64 if max(offsets, default=0) >= 2**63 else None)
+        with pytest.raises(ValidationError, match=message):
+            CallIds(data, offsets)
+
     @given(
         st.one_of(
             st.lists(_DUP_TEXT, min_size=1, max_size=30),
@@ -973,9 +1012,9 @@ class TestCallIds:
     def test_select_and_write_equal_an_object_array(
         self, tmp_path_factory, ids, data, gather_bytes
     ):
-        """Ids of mixed lengths and of one length (the matrix path), gathered
-        a few bytes at a time or all at once, selected in any order, with
-        repeats, or not at all."""
+        """Ids of mixed lengths and of one length, gathered a few bytes at a
+        time or all at once, selected in any order, with repeats, or not at
+        all."""
         rows = data.draw(st.lists(st.integers(0, len(ids) - 1), max_size=40))
         ds = SurveyDataset(
             vocabulary=make_vocab(1),
