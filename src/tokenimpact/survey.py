@@ -112,15 +112,15 @@ def default_vocabulary() -> TokenVocabulary:
 
 
 def _first_violation(
-    ratings: np.ndarray, durations: np.ndarray, ptq: np.ndarray, tokens: np.ndarray
+    ratings: np.ndarray, durations: np.ndarray, ptq: np.ndarray, any_token: np.ndarray
 ) -> tuple[int, str] | None:
-    """Index and message of the first row that breaks a survey rule, or None.
+    """Index and message of the first row that breaks a survey rule, or None;
+    ``any_token`` marks the rows with at least one token.
 
     The message names the first rule that row breaks, in this order: rating
     in 1..5, finite non-negative duration, neither tokens nor a submission
     on a rating of 5, and tokens only with a submission.
     """
-    any_token = tokens.any(axis=1)
     five = ratings == 5
     rules = (
         (~np.logical_or.reduce([ratings == r for r in _RATINGS]), "rating"),
@@ -141,6 +141,15 @@ def _first_violation(
         kind = "negative" if duration < 0 else "non-finite"
         message = f"{kind} duration {duration!r}"
     return i, message
+
+
+def _check_records(call_ids, ratings, durations, ptq, any_token) -> None:
+    """Raise a ValidationError naming the first record that breaks a survey
+    rule (``_first_violation``)."""
+    bad = _first_violation(ratings, durations, ptq, any_token)
+    if bad is not None:
+        i, message = bad
+        raise ValidationError(f"record {call_ids[i]!r}: {message}")
 
 
 def _column(values, dtype, n: int, name: str) -> np.ndarray:
@@ -345,9 +354,10 @@ class SurveyDataset:
     ``call_ids``, ``ratings``, ``durations``, ``ptq_submitted`` (one entry
     per call) and ``token_matrix`` (one row per call, one column per
     vocabulary token) are the data. Construction copies them into read-only
-    arrays and rejects the first row that breaks a survey rule. ``load_csv``
-    and the transforms here build datasets from columns they have checked
-    or gathered from a valid dataset, without a second copy or check.
+    arrays and rejects the first row that breaks a survey rule. ``load_csv``,
+    the transforms here and ``synthetic.generate`` build datasets from
+    columns they have made and checked or gathered from a valid dataset,
+    without a second copy or check.
     Labels such as ``poor_mask`` are always derived, never stored.
 
     ``call_ids`` is held as ``CallIds``: one UTF-8 byte buffer with int64
@@ -381,10 +391,7 @@ class SurveyDataset:
             raise ValidationError(
                 f"token_matrix has shape {tokens.shape}, expected ({n}, {p})"
             )
-        bad = _first_violation(raw_ratings, durations, ptq, tokens)
-        if bad is not None:
-            i, message = bad
-            raise ValidationError(f"record {call_ids[i]!r}: {message}")
+        _check_records(call_ids, raw_ratings, durations, ptq, tokens.any(axis=1))
         ratings = _column(raw_ratings, np.int64, n, "ratings")
         self._freeze(self, call_ids, ratings, durations, ptq, tokens)
 
@@ -558,7 +565,7 @@ def _block_columns(rows: list[list[str]], n_fields: int, token_src, names):
             tokens[:, j] = _flag_cells(cols[len(FIXED_COLUMNS) + src], column)
         elif ptq.any():
             raise _RowError(f"token column {column} missing but ptq_submitted is true")
-    bad = _first_violation(ratings, durations, ptq, tokens)
+    bad = _first_violation(ratings, durations, ptq, tokens.any(axis=1))
     if bad is not None:
         raise _RowError(bad[1])
     return CallIds.from_strings(cols[0]), ratings, durations, ptq, tokens
@@ -683,7 +690,7 @@ def _plain_columns(buf: bytes, n_fields: int, token_src, names):
             tokens[:, j] = flags[:, 1 + src]
         elif ptq.any():
             return None
-    if _first_violation(ratings, durations, ptq, tokens) is not None:
+    if _first_violation(ratings, durations, ptq, tokens.any(axis=1)) is not None:
         return None
     return CallIds._adopt(b[part == 1], _offsets(id_len)), ratings, durations, ptq, tokens
 

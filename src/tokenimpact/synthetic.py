@@ -2,25 +2,29 @@
 
 Tokens are dichotomised from a linear factor model: a record draws a factor
 vector and independent residuals, and token j fires when its latent trait
-exceeds threshold j. The poor-call label is drawn from a logistic model on
-the planted group indicators, so every estimator in the pipeline has an
-exact oracle to recover.
+exceeds threshold j. The residuals are never drawn: each token decides its
+residual's side of the threshold by inversion from one 32-bit uniform, at
+a resolution of 2**-32 (``_token_chunks``). The poor-call label is drawn
+from a logistic model on the planted group indicators, so every estimator
+in the pipeline has an exact oracle to recover.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from .errors import ValidationError
-from .special import expit
+from .special import expit, ndtr, ndtri
 from .survey import (
     MAX_GROUPS,
     CallIds,
     SurveyDataset,
     TokenVocabulary,
+    _check_records,
     code_indicators,
     default_vocabulary,
     group_codes,
@@ -245,27 +249,77 @@ def _linear_predictor(spec: GeneratorSpec, indicators: np.ndarray) -> np.ndarray
 
 def _token_chunks(spec: GeneratorSpec, rng: np.random.Generator, n: int):
     """Tokens of ``n`` latent draws, as ``(rows, tokens)`` for each chunk of
-    rows: the whole factor matrix is drawn first, then residuals chunk by
-    chunk.
+    rows: the whole factor matrix ``F`` is drawn first, then one 32-bit
+    uniform per token cell, chunk by chunk.
 
-    ``standard_normal`` fills its output row by row from the stream, so the
-    chunked residuals are the rows one ``(n, tokens)`` draw would give, and
-    each chunk's latent rows are those of the one-shot product.
+    Token j fires when its residual ``e`` exceeds
+    ``c = tau_j / s_j - F . lambda_j / s_j``, with ``s_j`` the residual
+    scale. With ``u`` the cell's uniform, the token fires when
+    ``(u + 0.5) / 2**32 > ndtr(c)``: inversion of the normal CDF at a
+    resolution of 2**-32, which decides the sign without drawing ``e``. A
+    guide table (Chen & Asau 1974; Devroye 1986, section III.2) on the top
+    ``_GUIDE_BITS`` bits of ``u`` decides almost every cell from ``c``
+    alone (``_guide_bounds``); only a cell whose ``c`` falls inside its own
+    bin calls ``ndtr``. A token with no residual (``s_j = 0``) fires when
+    ``F . lambda_j > tau_j``.
+
+    The chunks take the stream's 64-bit words in order, each as two
+    uint32 (its low half first); every chunk but the last has an even
+    number of cells, so the uniforms are those of one ``(n, tokens)`` draw.
     """
+    lo, hi = _guide_bounds()
     loadings = spec.loadings
-    residual_scale = np.sqrt(1.0 - (loadings**2).sum(axis=1))
+    scale = np.sqrt(np.maximum(1.0 - (loadings**2).sum(axis=1), 0.0))
+    exact = scale == 0.0
+    divisor = np.where(exact, 1.0, scale)
+    weights = (loadings / -divisor[:, None]).T
+    offset = spec.thresholds / divisor
     factors = rng.standard_normal((n, spec.n_factors))
+    p = spec.n_tokens
     start = 0
     while start < n:
         # a lone last row would take numpy's matrix-vector product, which
         # rounds its sums differently, so it joins the chunk before it
         stop = n if n - start <= _DRAW_ROWS + 1 else start + _DRAW_ROWS
-        residuals = rng.standard_normal((stop - start, spec.n_tokens))
-        residuals *= residual_scale
-        latent = factors[start:stop] @ loadings.T
-        latent += residuals
-        yield slice(start, stop), latent > spec.thresholds
+        cells = (stop - start) * p
+        u = rng.bit_generator.random_raw((cells + 1) // 2).view(np.uint32)[:cells]
+        c = factors[start:stop] @ weights
+        c += offset
+        if exact.any():
+            c[:, exact] = np.where(c[:, exact] < 0.0, -np.inf, np.inf)
+        c = c.ravel()
+        bins = np.right_shift(u, 32 - _GUIDE_BITS, dtype=np.intp)
+        tokens = c < lo.take(bins)
+        inside = np.flatnonzero((c < hi.take(bins)) & ~tokens)
+        tokens[inside] = (u[inside] + 0.5) / 2.0**32 > ndtr(c[inside])
+        yield slice(start, stop), tokens.reshape(stop - start, p)
         start = stop
+
+
+# bits of a token's uniform that pick its guide-table bin
+_GUIDE_BITS = 12
+
+
+@cache
+def _guide_bounds() -> tuple[np.ndarray, np.ndarray]:
+    """Per bin k of ``2**_GUIDE_BITS``, the ``c`` below which a uniform in
+    that bin always fires and the ``c`` from which it never does.
+
+    A uniform ``(u + 0.5) / 2**32`` in bin k lies strictly between
+    ``k / 2**_GUIDE_BITS`` and ``(k + 1) / 2**_GUIDE_BITS``, so it fires when
+    ``ndtr(c)`` is at most the first and not when it is at least the second.
+    The bin edges ``ndtri(k / 2**_GUIDE_BITS)`` are widened outward by 1e-9.
+    Every finite edge lies within 3.5 of 0, where that moves the CDF by at
+    least 8e-13, far beyond the 1e-15 that ``ndtri`` and ``ndtr`` may be
+    off, so ``ndtr`` of each bound lies on its side of the edge, and so does
+    ``ndtr`` of every ``c`` beyond it. Built on the first draw, not at import,
+    and read-only, since every draw shares them.
+    """
+    edges = ndtri(np.arange(2**_GUIDE_BITS + 1) / 2**_GUIDE_BITS)
+    bounds = edges[:-1] - 1e-9, edges[1:] + 1e-9
+    for b in bounds:
+        b.setflags(write=False)
+    return bounds
 
 
 def _draw_tokens(spec: GeneratorSpec, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -319,7 +373,9 @@ def generate(spec: GeneratorSpec, truth_mc_n: int = 200_000) -> tuple[SurveyData
     tokens = _draw_tokens(spec, rng, n)
     indicators, row_pattern = _group_patterns(tokens, spec.group_partition)
     poor = rng.random(n) < expit(_linear_predictor(spec, indicators))[row_pattern]
-    has_token = tokens.any(axis=1)
+    # every token is in a group, so a row has a token when its pattern's
+    # code is not 0
+    has_token = indicators.any(axis=1)[row_pattern]
 
     ratings = np.empty(n, dtype=np.int64)
     ratings[poor] = rng.integers(1, 3, size=int(poor.sum()))
@@ -337,17 +393,18 @@ def generate(spec: GeneratorSpec, truth_mc_n: int = 200_000) -> tuple[SurveyData
             np.where(indicators > 0, penalty_row, 1.0), axis=1
         )
     sigma = spec.duration.sigma
-    noise = np.exp(sigma * rng.standard_normal(n) - 0.5 * sigma * sigma)
-    durations = spec.duration.base_mean_s * penalties[row_pattern] * noise
+    # a duration that overflows is named by the row check below
+    with np.errstate(over="ignore"):
+        noise = np.exp(sigma * rng.standard_normal(n) - 0.5 * sigma * sigma)
+        durations = spec.duration.base_mean_s * penalties[row_pattern] * noise
 
-    ds = SurveyDataset(
-        vocabulary=spec.vocabulary(),
-        call_ids=_call_ids(0, n),
-        ratings=ratings,
-        durations=durations,
-        ptq_submitted=has_token,
-        token_matrix=tokens,
-        provenance=(f"generate(seed={spec.seed}, n={n})",),
+    call_ids = _call_ids(0, n)
+    # the columns are new and only the duration model can break a survey
+    # rule, so they are checked once and handed over without a copy
+    _check_records(call_ids, ratings, durations, has_token, has_token)
+    ds = SurveyDataset._adopt(
+        spec.vocabulary(), call_ids, ratings, durations, has_token, tokens,
+        (f"generate(seed={spec.seed}, n={n})",),
     )
     rho = spec.loadings @ spec.loadings.T
     np.fill_diagonal(rho, 1.0)

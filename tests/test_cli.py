@@ -73,6 +73,9 @@ class TestSimulate:
         ('{"loadings": [[0.5]], "thresholds": [0.0], "group_partition": [0], '
          '"glm_intercept": -1.0, "glm_group_effects": [1.0], "n": 10, "seed": 1, '
          '"duration": [300.0]}', "spec key 'duration' is malformed"),
+        ('{"loadings": [[0.5]], "thresholds": [0.0], "group_partition": [0], '
+         '"glm_intercept": -1.0, "glm_group_effects": [1.0], "n": 200, "seed": 1, '
+         '"duration": {"base_mean_s": 1e308}}', "non-finite duration inf"),
     ])
     def test_bad_spec_exits_2(self, tmp_path, capsys, body, message):
         spec = tmp_path / "spec.json"

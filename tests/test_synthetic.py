@@ -1,6 +1,5 @@
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,16 +7,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, ndtr
 
+from tokenimpact import special, survey
 from tokenimpact.errors import ValidationError
 from tokenimpact.survey import write_csv
 from tokenimpact.synthetic import (
     _DRAW_ROWS,
+    _GUIDE_BITS,
     DEFAULT_PARTITION,
     DurationModel,
     GeneratorSpec,
     _call_ids,
     _draw_tokens,
     _group_patterns,
+    _guide_bounds,
     _truth_draw,
     default_world_spec,
     generate,
@@ -141,36 +143,59 @@ class TestGenerate:
         expected = 0.25 + math.asin(0.64) / (2 * math.pi)
         assert both == pytest.approx(expected, abs=0.01)
 
-    def test_token_draw_equals_one_line_expression(self):
-        class Capture:
-            """Thresholds that keep every latent block they are compared with."""
-
-            __array_ufunc__ = None  # `latent > capture` calls capture.__lt__
-
-            def __init__(self):
-                self.blocks = []
-
-            def __lt__(self, latent):
-                self.blocks.append(latent.copy())
-                return latent > spec.thresholds
-
+    @pytest.mark.parametrize(
+        # 16383, 16385 and 2 * 16384 + 3 rows of 15 tokens are odd cell counts
+        "n", [1, _DRAW_ROWS - 1, _DRAW_ROWS, _DRAW_ROWS + 1, 20_000, 2 * _DRAW_ROWS + 3]
+    )
+    def test_token_draw_inverts_one_uniform_per_cell(self, n):
         spec = default_world_spec(n=10, seed=4)
+        tokens = _draw_tokens(spec, np.random.default_rng(9), n)
+        rng = np.random.default_rng(9)
+        factors = rng.standard_normal((n, spec.n_factors))
+        cells = n * spec.n_tokens
+        words = rng.bit_generator.random_raw((cells + 1) // 2)
+        u = words.view(np.uint32)[:cells].reshape(n, spec.n_tokens)
         scale = np.sqrt(1.0 - (spec.loadings**2).sum(axis=1))
-        for n in (_DRAW_ROWS - 1, _DRAW_ROWS, _DRAW_ROWS + 1, 20_000):
-            capture = Capture()
-            view = SimpleNamespace(
-                loadings=spec.loadings, n_factors=spec.n_factors,
-                n_tokens=spec.n_tokens, thresholds=capture,
-            )
-            tokens = _draw_tokens(view, np.random.default_rng(9), n)
-            rng = np.random.default_rng(9)
-            factors = rng.standard_normal((n, spec.n_factors))
-            residuals = rng.standard_normal((n, spec.n_tokens))
-            latent = factors @ spec.loadings.T + residuals * scale
-            # a lone last row joins the chunk before it
-            assert len(capture.blocks) == (2 if n == 20_000 else 1)
-            assert np.concatenate(capture.blocks).tobytes() == latent.tobytes()
-            assert np.array_equal(tokens, latent > spec.thresholds)
+        c = factors @ (spec.loadings / -scale[:, None]).T + spec.thresholds / scale
+        assert np.array_equal(tokens, (u + 0.5) / 2**32 > ndtr(c))
+
+    def test_guide_bounds_hold_for_every_bin(self):
+        lo, hi = _guide_bounds()
+        bins = 2**_GUIDE_BITS
+        k = np.arange(bins)
+        assert lo.shape == hi.shape == (bins,)
+        assert (special.ndtr(lo) <= k / bins).all()
+        assert (special.ndtr(hi) >= (k + 1) / bins).all()
+        assert (lo < hi).all() and lo[0] == -np.inf and hi[-1] == np.inf
+
+    @pytest.mark.parametrize("loading", [1.0, math.sqrt(1.0 + 5e-13)])
+    def test_token_without_residual_fires_at_its_planted_rate(self, loading):
+        spec = GeneratorSpec(
+            loadings=np.array([[loading], [0.6]]),
+            thresholds=np.array([1.48, 1.0]),
+            group_partition=(0, 0),
+            glm_intercept=-2.0,
+            glm_group_effects=(1.0,),
+            n=50_000,
+            seed=12,
+        )
+        ds, _ = generate(spec, truth_mc_n=1000)
+        target = float(ndtr(-1.48))
+        se = math.sqrt(target * (1 - target) / spec.n)
+        assert abs(ds.token_matrix[:, 0].mean() - target) < 5 * se
+
+    def test_generate_checks_each_row_once_and_copies_none(self, monkeypatch):
+        def copy(self):
+            raise AssertionError("the public constructor copies every column")
+
+        calls = []
+        check = survey._first_violation
+        monkeypatch.setattr(
+            survey, "_first_violation", lambda *a: calls.append(len(a[0])) or check(*a)
+        )
+        monkeypatch.setattr(survey.SurveyDataset, "__post_init__", copy)
+        generate(block_world(n=300, seed=2), truth_mc_n=100)
+        assert calls == [300]
 
     @pytest.mark.parametrize("groups", [3, 18])
     def test_group_patterns_index_each_rows_indicators(self, groups):
@@ -196,6 +221,7 @@ class TestGenerate:
                 assert not any(tokens) and not ptq
             if any(tokens):
                 assert ptq
+        assert np.array_equal(ds.ptq_submitted, ds.token_matrix.any(axis=1))
 
     def test_duration_penalties_shift_means(self):
         spec = block_world(n=40000, seed=6, group_sizes=(2,), effects=(1.0,))
