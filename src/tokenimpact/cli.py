@@ -19,7 +19,7 @@ import sys
 import typing
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -172,8 +172,9 @@ def _sha256(path: Path) -> str:
 
 
 def _provenance(cfg: RunConfig, source: dict, lineage: tuple[str, ...]) -> dict:
-    # analysis parameters only; file locations must not leak into artifacts
-    # or byte-identical regeneration across directories breaks
+    # the outdir is left out, so a rerun into another directory writes the
+    # same bytes; the input path as given (in source and in the lineage) and
+    # its SHA-256 are provenance
     config = {
         k: getattr(cfg, k)
         for k in RunConfig.__dataclass_fields__
@@ -208,10 +209,23 @@ def _check_output(path: Path) -> None:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
 
 
+def _jsonable(obj) -> object:
+    """What ``json`` encodes for a value it cannot encode itself: a
+    dataclass as a dict of its fields, an array as nested lists and a numpy
+    scalar as its Python value."""
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(path: Path, payload: dict) -> None:
     # serialize before opening, so a refused payload leaves no partial file
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_jsonable)
     except ValueError as exc:
         raise ValidationError(f"{path.name} would contain a non-finite number: {exc}") from None
     with _output(path), open(path, "w", encoding="utf-8") as fh:
@@ -277,9 +291,12 @@ def _write_describe(out: Path, cfg: RunConfig, source: dict, ds: SurveyDataset) 
 
     payload = {
         "provenance": _provenance(cfg, source, ds.provenance),
-        "frequencies": report.to_dict(),
+        # the report's frequencies are written under "tokens"
+        "frequencies": {
+            "n_all": report.n_all, "n_poor": report.n_poor, "tokens": report.frequencies,
+        },
         "information_gain": ig,
-        "jaccard": jac.to_dict(),
+        "jaccard": jac,
     }
     _write_json(out / "describe_report.json", payload)
     rate_rows = []
@@ -301,7 +318,7 @@ def _write_timu(out: Path, cfg: RunConfig, source: dict, ds: SurveyDataset) -> N
     for name in kinds if cfg.metric == "both" else (cfg.metric,):
         fix_values[name] = fix = resolve_fix_value(ds, MetricSpec(kinds[name], cfg.fix_value))
         ranking = rank_tokens(ds, MetricSpec(kinds[name], fix), strict_delta=cfg.strict_delta)
-        rankings[name] = [r.to_dict() for r in ranking]
+        rankings[name] = ranking
         for r in ranking:
             plot_rows.append(
                 [name, r.token_or_set, repr(r.mean_impact), repr(r.ci95_halfwidth)]
@@ -363,21 +380,19 @@ def _write_factors(
     factors = tuple(f"factor_{j + 1}" for j in range(model.n_factors))
     _write_matrix_csv(out / "loadings.csv", model.tokens, model.loadings, factors)
     provenance = _provenance(cfg, source, ds.provenance)
-    _write_json(
-        out / "grouping.json", {"provenance": provenance, "grouping": grouping.to_dict()}
-    )
+    _write_json(out / "grouping.json", {"provenance": provenance, "grouping": grouping})
     # the matrix itself is in polychoric.csv; the report keeps its flags
-    corr_flags = corr.to_dict()
+    corr_flags = _jsonable(corr)
     del corr_flags["tokens"], corr_flags["values"]
     _write_json(
         out / "factors_report.json",
         {
             "provenance": provenance,
-            "removed_tokens": list(removed),
-            "parallel_analysis": pa.to_dict(),
+            "removed_tokens": removed,
+            "parallel_analysis": pa,
             "n_factors": k,
             **corr_flags,
-            "factor_model": model.to_dict(),
+            "factor_model": model,
         },
     )
     return ds, grouping
@@ -392,13 +407,16 @@ def _write_impact(out: Path, cfg: RunConfig, source: dict, ds: SurveyDataset) ->
     design = build_design(ds, DesignSpec(grouping=grouping, interactions=pairs))
     glm = fit_logistic(design, ridge=cfg.ridge)
     report = impact_report(glm, design, n_boot=cfg.bootstrap, seed=cfg.seed)
+    # the fit's covariance is left out of the report
+    glm_fields = _jsonable(glm)
+    del glm_fields["covariance"]
     _write_json(
         out / "impact_report.json",
         {
             "provenance": _provenance(cfg, source, ds.provenance),
-            "interactions": [list(p) for p in pairs],
-            "glm": glm.to_dict(),
-            "impact": report.to_dict(),
+            "interactions": pairs,
+            "glm": glm_fields,
+            "impact": report,
         },
     )
     by_name = {g.group: g for g in report.individual}
@@ -422,7 +440,7 @@ def _write_impact(out: Path, cfg: RunConfig, source: dict, ds: SurveyDataset) ->
     )
 
 
-def _write_summary(out: Path, cfg: RunConfig, source: dict, ds: SurveyDataset) -> None:
+def _write_summary(out: Path, cfg: RunConfig, source: dict, _: SurveyDataset) -> None:
     _write_json(
         out / "summary.json",
         {
@@ -440,7 +458,8 @@ def _write_summary(out: Path, cfg: RunConfig, source: dict, ds: SurveyDataset) -
 @dataclass(frozen=True)
 class _Stage:
     """One analysis step: the RunConfig fields it reads, whether it runs on
-    the restricted dataset, and the writer of its artifacts."""
+    the restricted dataset rather than the raw one, and the writer of its
+    artifacts."""
 
     keys: tuple[str, ...]
     write: Callable[[Path, RunConfig, dict, SurveyDataset], object]
@@ -456,7 +475,7 @@ _DESCRIBE = _Stage(_SOURCE_KEYS, _write_describe, restricted=False)
 _TIMU = _Stage(_SOURCE_KEYS + ("metric", "fix_value", "strict_delta", "restrict"), _write_timu)
 _FACTORS = _Stage(_TIMM_KEYS, _write_factors)
 _IMPACT = _Stage(_TIMM_KEYS, _write_impact)
-_SUMMARY = _Stage((), _write_summary, restricted=False)
+_SUMMARY = _Stage((), _write_summary)
 
 
 def _run(args: argparse.Namespace, *stages: _Stage) -> int:
@@ -465,7 +484,8 @@ def _run(args: argparse.Namespace, *stages: _Stage) -> int:
     Every stage's options are merged and checked, in stage order, before
     the input is read. Each stage sees only its own keys, so its artifacts
     are the ones its stand-alone command writes. The input is restricted
-    once, before the first stage that runs on restricted data. Config file
+    once, before the first stage that runs on restricted data, and the raw
+    dataset is released there: every raw-data stage comes first. Config file
     keys that no stage reads are named in one warning and otherwise ignored,
     so one file can serve every command.
     """
@@ -481,6 +501,7 @@ def _run(args: argparse.Namespace, *stages: _Stage) -> int:
     for stage, cfg in zip(stages, cfgs):
         if stage.restricted and restricted is None:
             restricted = restrict_tokened_poor(ds, cfg.seed) if cfg.restrict else ds
+            ds = None
         stage.write(out, cfg, source, restricted if stage.restricted else ds)
     return 0
 
@@ -503,10 +524,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     with _output(out):
         write_csv(ds, out)
     if args.truth:
-        _write_json(
-            Path(args.truth),
-            {"spec": spec.to_dict(), "truth": truth.to_dict(), "version": __version__},
-        )
+        _write_json(Path(args.truth), {"spec": spec, "truth": truth, "version": __version__})
     log.info("simulate: wrote %d records to %s", ds.n_records, args.out)
     return 0
 
@@ -549,6 +567,8 @@ _OPTIONS: dict[str, tuple[str, dict]] = {
 
 
 def _add_command(sub, name: str, summary: str, *stages: _Stage) -> None:
+    # _run releases the raw dataset at the first restricted stage
+    assert list(stages) == sorted(stages, key=lambda stage: stage.restricted)
     p = sub.add_parser(name, help=summary)
     keys = {"config"}.union(*(stage.keys for stage in stages))
     for key, (flag, settings) in _OPTIONS.items():

@@ -37,22 +37,6 @@ class FrequencyReport:
             raise ValidationError(f"unknown population {population!r}")
         return tuple(sorted(self.frequencies, key=key))
 
-    def to_dict(self) -> dict:
-        return {
-            "n_all": self.n_all,
-            "n_poor": self.n_poor,
-            "tokens": [
-                {
-                    "token": f.token,
-                    "count_all": f.count_all,
-                    "count_poor": f.count_poor,
-                    "rate_all_rated": f.rate_all_rated,
-                    "rate_poor": f.rate_poor,
-                }
-                for f in self.frequencies
-            ],
-        }
-
 
 def token_frequencies(ds: SurveyDataset) -> FrequencyReport:
     """Selection rate of every token over all rated calls and over poor calls.
@@ -130,13 +114,6 @@ class JaccardMatrix:
     tokens: tuple[str, ...]
     values: np.ndarray
     undefined_pairs: tuple[tuple[str, str], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "tokens": list(self.tokens),
-            "values": [[float(v) for v in row] for row in self.values],
-            "undefined_pairs": [list(p) for p in self.undefined_pairs],
-        }
 
 
 def jaccard_matrix(ds: SurveyDataset) -> JaccardMatrix:

@@ -44,20 +44,6 @@ class FactorModel:
     def n_factors(self) -> int:
         return self.loadings.shape[1]
 
-    def to_dict(self) -> dict:
-        return {
-            "tokens": list(self.tokens),
-            "loadings": [[float(v) for v in row] for row in self.loadings],
-            "communalities": [float(v) for v in self.communalities],
-            "variance_explained": [float(v) for v in self.variance_explained],
-            "rotation": self.rotation,
-            "converged": self.converged,
-            "n_iter": self.n_iter,
-            "heywood_tokens": list(self.heywood_tokens),
-            "rotation_iterations": self.rotation_iterations,
-            "rotation_converged": self.rotation_converged,
-        }
-
 
 @dataclass(frozen=True)
 class ProblemGroup:
@@ -78,20 +64,6 @@ class ProblemGrouping:
     def group_names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.groups)
 
-    def to_dict(self) -> dict:
-        return {
-            "groups": [
-                {
-                    "name": g.name,
-                    "members": list(g.members),
-                    "variance_explained": g.variance_explained,
-                }
-                for g in self.groups
-            ],
-            "unassigned": list(self.unassigned),
-            "threshold": self.threshold,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class ParallelAnalysisResult:
@@ -100,15 +72,6 @@ class ParallelAnalysisResult:
     reference_quantiles: np.ndarray
     reps: int
     quantile: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n_factors": self.n_factors,
-            "observed_eigenvalues": [float(v) for v in self.observed_eigenvalues],
-            "reference_quantiles": [float(v) for v in self.reference_quantiles],
-            "reps": self.reps,
-            "quantile": self.quantile,
-        }
 
 
 # Reference tables per root solve: enough to spread the solver's fixed

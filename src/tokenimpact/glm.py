@@ -12,7 +12,7 @@ counts, and a tie-merged ROC.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -138,16 +138,6 @@ class LogisticModel:
 
     def predict_proba(self, matrix: np.ndarray) -> np.ndarray:
         return expit(matrix @ self.coefficients)
-
-    def to_dict(self) -> dict:
-        return {
-            "terms": list(self.terms),
-            "coefficients": [float(c) for c in self.coefficients],
-            "ridge": self.ridge,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "loglik": self.loglik,
-        }
 
 
 def _unpack(design, response):
@@ -334,9 +324,6 @@ class GroupImpact:
     ci_lo: float
     ci_hi: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _relative_reduction(counts, beta, matrix, fixed_matrix) -> float:
     """Relative drop in the count-weighted mean poor probability."""
@@ -450,19 +437,6 @@ class ImpactReport:
     tpr_at_fpr: tuple[float, float]
     baseline_pcr: float
     separated_groups: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "groups": list(self.groups),
-            "individual": [g.to_dict() for g in self.individual],
-            "order": list(self.order),
-            "cumulative": list(self.cumulative),
-            "auc": self.auc,
-            "baseline_auc": self.baseline_auc,
-            "tpr_at_fpr": list(self.tpr_at_fpr),
-            "baseline_pcr": self.baseline_pcr,
-            "separated_groups": list(self.separated_groups),
-        }
 
 
 def impact_report(

@@ -36,12 +36,13 @@ from .errors import PolychoricError
 from .special import ndtr, ndtri
 from .survey import SurveyDataset
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 # (upper |rho| bound, nodes, weights) of the arcsine-path integral's tiers
 _GL_TIERS = tuple(
     (bound, *np.polynomial.legendre.leggauss(order))
     for bound, order in ((0.3, 6), (0.75, 12), (0.925, 20))
 )
+# the last tier's 20-node rule, also the one of the |r| >= 0.925 expansion
+_GL_NODES, _GL_WEIGHTS = _GL_TIERS[-1][1:]
 
 # Likelihood cells are clipped here before taking logs: next to |rho| = 1,
 # where the root solve's bracket ends, a model cell can round to zero.
@@ -355,17 +356,6 @@ class PolychoricMatrix:
     corrected_pairs: tuple[tuple[str, str], ...] = ()
     unconverged_pairs: tuple[tuple[str, str], ...] = ()
     boundary_pairs: tuple[tuple[str, str], ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "tokens": list(self.tokens),
-            "values": [[float(v) for v in row] for row in self.values],
-            "psd_repaired": self.psd_repaired,
-            "min_eigenvalue_before": self.min_eigenvalue_before,
-            "corrected_pairs": [list(pair) for pair in self.corrected_pairs],
-            "unconverged_pairs": [list(pair) for pair in self.unconverged_pairs],
-            "boundary_pairs": [list(pair) for pair in self.boundary_pairs],
-        }
 
 
 _EIG_FLOOR = 1e-8

@@ -141,28 +141,11 @@ class GeneratorSpec:
             names=tuple(f"token_{i:02d}" for i in range(self.n_tokens))
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "loadings": [[float(v) for v in row] for row in self.loadings],
-            "thresholds": [float(v) for v in self.thresholds],
-            "group_partition": list(self.group_partition),
-            "glm_intercept": self.glm_intercept,
-            "glm_group_effects": list(self.glm_group_effects),
-            "glm_interactions": [list(p) for p in self.glm_interactions],
-            "glm_interaction_effects": list(self.glm_interaction_effects),
-            "n": self.n,
-            "seed": self.seed,
-            "duration": {
-                "base_mean_s": self.duration.base_mean_s,
-                "group_penalties": list(self.duration.group_penalties),
-                "sigma": self.duration.sigma,
-            },
-            "token_names": list(self.token_names),
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorSpec":
-        """The spec of a ``to_dict`` mapping; a missing or malformed key is a
+        """The spec of a mapping of its fields, the form that ``simulate
+        --truth`` writes under ``spec``, with ``duration`` a mapping of the
+        DurationModel's fields. A missing or malformed key is a
         ValidationError that names it."""
 
         def value(key, convert, source=data, default=_REQUIRED):
@@ -221,17 +204,6 @@ class GroundTruth:
     partition: tuple[int, ...]
     n_factors: int
     group_reductions: tuple[MonteCarloImpact, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "rho": [[float(v) for v in row] for row in self.rho],
-            "partition": list(self.partition),
-            "n_factors": self.n_factors,
-            "group_reductions": [
-                {"reduction": g.reduction, "mc_se": g.mc_se, "n_mc": g.n_mc}
-                for g in self.group_reductions
-            ],
-        }
 
 
 # latent rows drawn, formed and thresholded at a time

@@ -96,14 +96,6 @@ class TimuResult:
     ci95_halfwidth: float
     n: int
 
-    def to_dict(self) -> dict:
-        return {
-            "token_or_set": self.token_or_set,
-            "mean_impact": self.mean_impact,
-            "ci95_halfwidth": self.ci95_halfwidth,
-            "n": self.n,
-        }
-
 
 def _impacts(
     ds: SurveyDataset, masks: np.ndarray, metric: MetricSpec, strict_delta: bool

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from tokenimpact.cli import _jsonable
 from tokenimpact.factors import ProblemGroup, ProblemGrouping
 from tokenimpact.survey import SurveyDataset, TokenVocabulary
 from tokenimpact.synthetic import DurationModel, GeneratorSpec
@@ -22,6 +25,11 @@ def make_dataset(rows, n_tokens: int = 2, vocabulary: TokenVocabulary | None = N
         ptq_submitted=[row[3] if len(row) > 3 else any(b) for row, b in zip(rows, bits)],
         token_matrix=np.array(bits, dtype=bool).reshape(-1, len(vocab)),
     )
+
+
+def encoded(obj):
+    """``obj`` as the JSON reports write it, read back."""
+    return json.loads(json.dumps(obj, allow_nan=False, default=_jsonable))
 
 
 def grouping_from_partition(names, partition) -> ProblemGrouping:

@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -600,6 +601,133 @@ class TestReport:
         summary = json.loads((out / "summary.json").read_text())
         for name in summary["artifacts"]:
             assert (out / name).exists(), name
+
+    def test_json_keys_are_pinned(self, tmp_path, world_csv):
+        # a field that reaches a report, or leaves it, shows here
+        def keys(value):
+            """An object's keys, each with its value's; a list of objects
+            as its first element's; None for anything else."""
+            if isinstance(value, dict):
+                return {key: keys(v) for key, v in value.items()}
+            if isinstance(value, list) and value and isinstance(value[0], dict):
+                return [keys(value[0])]
+            return None
+
+        def leaves(*names):
+            return dict.fromkeys(names)
+
+        config = leaves(
+            "seed", "metric", "strict_delta", "restrict", "min_positives", "reps",
+            "quantile", "threshold", "interactions", "bootstrap", "ridge",
+        )
+        provenance = {
+            "config": config,
+            **leaves("input", "input_sha256", "seed", "version", "dataset_lineage"),
+        }
+        information_gain = leaves("bits", "fraction", "degenerate")
+        ranking = [leaves("token_or_set", "mean_impact", "ci95_halfwidth", "n")]
+        expected = {
+            "describe_report.json": {
+                "provenance": provenance,
+                "frequencies": {
+                    **leaves("n_all", "n_poor"),
+                    "tokens": [leaves(
+                        "token", "count_all", "count_poor", "rate_all_rated", "rate_poor",
+                    )],
+                },
+                "information_gain": {
+                    "representative": information_gain, "balanced": information_gain,
+                },
+                "jaccard": leaves("tokens", "values", "undefined_pairs"),
+            },
+            "timu_report.json": {
+                "provenance": provenance,
+                "strict_delta": None,
+                "fix_values": leaves("pcr", "acd"),
+                "rankings": {"pcr": ranking, "acd": ranking},
+            },
+            "factors_report.json": {
+                "provenance": provenance,
+                **leaves(
+                    "removed_tokens", "n_factors", "psd_repaired", "min_eigenvalue_before",
+                    "corrected_pairs", "unconverged_pairs", "boundary_pairs",
+                ),
+                "parallel_analysis": leaves(
+                    "n_factors", "observed_eigenvalues", "reference_quantiles", "reps",
+                    "quantile",
+                ),
+                "factor_model": leaves(
+                    "tokens", "loadings", "communalities", "variance_explained", "rotation",
+                    "converged", "n_iter", "heywood_tokens", "rotation_iterations",
+                    "rotation_converged",
+                ),
+            },
+            "grouping.json": {
+                "provenance": provenance,
+                "grouping": {
+                    "groups": [leaves("name", "members", "variance_explained")],
+                    **leaves("unassigned", "threshold"),
+                },
+            },
+            "impact_report.json": {
+                "provenance": provenance,
+                "interactions": None,
+                "glm": leaves(
+                    "terms", "coefficients", "ridge", "converged", "iterations", "loglik",
+                ),
+                "impact": {
+                    **leaves(
+                        "groups", "order", "cumulative", "auc", "baseline_auc",
+                        "tpr_at_fpr", "baseline_pcr", "separated_groups",
+                    ),
+                    "individual": [leaves("group", "reduction", "ci_lo", "ci_hi")],
+                },
+            },
+            "summary.json": leaves("version", "artifacts"),
+            "truth.json": {
+                "spec": {
+                    **leaves(
+                        "loadings", "thresholds", "group_partition", "glm_intercept",
+                        "glm_group_effects", "glm_interactions", "glm_interaction_effects",
+                        "n", "seed", "token_names",
+                    ),
+                    "duration": leaves("base_mean_s", "group_penalties", "sigma"),
+                },
+                "truth": {
+                    **leaves("rho", "partition", "n_factors"),
+                    "group_reductions": [leaves("reduction", "mc_se", "n_mc")],
+                },
+                "version": None,
+            },
+        }
+        out = tmp_path / "out"
+        rc = run("report", "--input", world_csv, "--outdir", out,
+                 "--seed", 5, "--reps", 20, "--bootstrap", 30)
+        assert rc == 0
+        paths = {name: out / name for name in expected}
+        paths["truth.json"] = world_csv.parent / "truth.json"
+        for name, path in paths.items():
+            assert keys(json.loads(path.read_text())) == expected[name], name
+
+    def test_raw_dataset_released_before_impact_stage(self, tmp_path, world_csv, monkeypatch):
+        loaded, alive = [], []
+        write_factors = cli._write_factors
+
+        def tracked_load(path):
+            ds = tokenimpact.survey.load_csv(path)
+            loaded.append(weakref.ref(ds))
+            return ds
+
+        def first_impact_step(*args):
+            alive.append(loaded[0]() is not None)
+            return write_factors(*args)
+
+        monkeypatch.setattr(cli, "load_csv", tracked_load)
+        monkeypatch.setattr(cli, "_write_factors", first_impact_step)
+        rc = run("report", "--input", world_csv, "--outdir", tmp_path / "out",
+                 "--seed", 5, "--reps", 20, "--bootstrap", 30)
+        assert rc == 0
+        assert alive == [False]
 
     # (options of every command, timu's options, timm's options)
     @pytest.mark.parametrize("shared, timu, timm", [

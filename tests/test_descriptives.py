@@ -14,7 +14,7 @@ from tokenimpact.descriptives import (
 )
 from tokenimpact.errors import ValidationError
 
-from conftest import make_dataset
+from conftest import encoded, make_dataset
 
 
 def ig_oracle(x, y):
@@ -55,7 +55,7 @@ class TestTokenFrequencies:
     def test_no_poor_calls_rate_is_undefined(self):
         report = token_frequencies(make_dataset([(4, 1.0, (1,))] * 3, n_tokens=1))
         assert report.frequencies[0].rate_poor is None
-        assert report.to_dict()["tokens"][0]["rate_poor"] is None
+        assert encoded(report)["frequencies"][0]["rate_poor"] is None
 
     def test_empty_dataset_is_error(self):
         with pytest.raises(ValidationError):

@@ -24,7 +24,7 @@ from tokenimpact.polychoric import PolychoricMatrix, polychoric_matrix
 from tokenimpact.survey import clean_uninformative
 from tokenimpact.synthetic import default_world_spec, generate
 
-from conftest import block_world, make_dataset
+from conftest import block_world, encoded, make_dataset
 
 
 def matrix_from(values, names=None) -> PolychoricMatrix:
@@ -336,7 +336,7 @@ class TestVarimax:
         assert rotated.rotation_converged and rotated.rotation_iterations >= 2
         capped = varimax(model, max_iter=1)
         assert (capped.rotation_iterations, capped.rotation_converged) == (1, False)
-        assert capped.to_dict()["rotation_converged"] is False
+        assert encoded(capped)["rotation_converged"] is False
 
     def test_simple_structure_is_fixed_point(self):
         loadings = np.zeros((6, 2))

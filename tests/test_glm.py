@@ -29,7 +29,7 @@ from tokenimpact.glm import (
 )
 from tokenimpact.synthetic import generate
 
-from conftest import block_world, grouping_from_partition, make_dataset
+from conftest import block_world, encoded, grouping_from_partition, make_dataset
 
 
 def auc_oracle(scores, labels):
@@ -389,7 +389,7 @@ class TestImpactReport:
         model = make_model([-1.0, 2.0, 0.5, -0.5, 0.0])
         report = impact_report(model, design, n_boot=20, seed=0)
         assert report.separated_groups == ("group_1", "group_3")
-        assert report.to_dict()["separated_groups"] == ["group_1", "group_3"]
+        assert encoded(report)["separated_groups"] == ["group_1", "group_3"]
 
     def test_no_group_flagged_on_planted_world(self):
         spec = block_world(n=8000, seed=6, group_sizes=(2, 2), effects=(1.8, 1.2))

@@ -24,7 +24,7 @@ from tokenimpact.polychoric import (
 from tokenimpact.synthetic import generate
 
 import polychoric_reference
-from conftest import block_world, make_dataset
+from conftest import block_world, encoded, make_dataset
 
 
 def bvn_quadrature(a: float, b: float, rho: float) -> float:
@@ -233,7 +233,7 @@ class TestMatrix:
         pm = polychoric_matrix(ds)
         assert pm.boundary_pairs == (("tok0", "tok1"),)
         assert pm.values[0, 1] == pytest.approx(0.9, abs=1e-8)
-        assert pm.to_dict()["boundary_pairs"] == [["tok0", "tok1"]]
+        assert encoded(pm)["boundary_pairs"] == [["tok0", "tok1"]]
 
     def test_unconverged_pairs_named(self, monkeypatch):
         rng = np.random.default_rng(9)
@@ -243,7 +243,7 @@ class TestMatrix:
         monkeypatch.setattr(polychoric, "_MAX_ITER", 1)
         pm = polychoric_matrix(ds)
         assert ("tok0", "tok1") in pm.unconverged_pairs
-        assert pm.to_dict()["unconverged_pairs"] == [list(p) for p in pm.unconverged_pairs]
+        assert encoded(pm)["unconverged_pairs"] == [list(p) for p in pm.unconverged_pairs]
 
     def test_repair_on_constructed_singular_matrix(self):
         raw = np.array([[1.0, 1.0, 0.3], [1.0, 1.0, 0.3], [0.3, 0.3, 1.0]])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import expit, ndtr
 
 from tokenimpact import special, survey
+from tokenimpact.cli import main
 from tokenimpact.errors import ValidationError
 from tokenimpact.survey import write_csv
 from tokenimpact.synthetic import (
@@ -69,15 +70,21 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             DurationModel(group_penalties=(0.0,))
 
-    def test_json_round_trip(self):
-        spec = default_world_spec(n=100, seed=3)
-        data = json.loads(json.dumps(spec.to_dict()))
-        again = GeneratorSpec.from_dict(data)
-        assert np.array_equal(again.loadings, spec.loadings)
-        assert np.array_equal(again.thresholds, spec.thresholds)
-        assert again.group_partition == spec.group_partition
-        assert again.glm_interactions == spec.glm_interactions
-        assert again.duration == spec.duration
+    def test_json_round_trip(self, tmp_path):
+        # the spec written to truth.json regenerates the same CSV and truth
+        preset, spec = tmp_path / "preset", tmp_path / "spec"
+        assert main([
+            "simulate", "--preset", "default-world", "--n", "500", "--seed", "3",
+            "--out", str(preset / "data.csv"), "--truth", str(preset / "truth.json"),
+        ]) == 0
+        written = json.loads((preset / "truth.json").read_text())["spec"]
+        (tmp_path / "spec.json").write_text(json.dumps(written))
+        assert main([
+            "simulate", "--spec", str(tmp_path / "spec.json"),
+            "--out", str(spec / "data.csv"), "--truth", str(spec / "truth.json"),
+        ]) == 0
+        for name in ("data.csv", "truth.json"):
+            assert (spec / name).read_bytes() == (preset / name).read_bytes()
 
 
 class TestGenerate:
