@@ -516,6 +516,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ValidationError(f"unknown preset {args.preset!r}")
         if args.seed is None:
             raise ValidationError("--seed is required with --preset")
+        if args.seed < 0:
+            raise ValidationError("seed must be non-negative")
         spec = default_world_spec(n=args.n, seed=args.seed)
     out = Path(args.out)
     for path in (out, Path(args.truth)) if args.truth else (out,):

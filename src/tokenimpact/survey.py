@@ -74,8 +74,10 @@ _QUOTED_CHARS = b',"\r\n'
 # bytes of call ids gathered per step of an index selection; each step
 # builds int64 source positions, 8 bytes per byte gathered
 _GATHER_BYTES = 1 << 16
-# token rows per step of the co-occurrence sum
-_GRAM_ROWS = 65_536
+# cells per chunk of a row-chunked pass over a token-wide matrix (the
+# co-occurrence sum, the synthetic token draw): 512 KiB as float64, so one
+# chunk's temporaries stay within a per-core L2 cache
+_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -157,6 +159,13 @@ def _column(values, dtype, n: int, name: str) -> np.ndarray:
     if arr.shape != (n,):
         raise ValidationError(f"{name} has shape {arr.shape}, expected ({n},)")
     return arr
+
+
+def _chunk_rows(width: int) -> int:
+    """Rows per chunk of a ``width``-column pass: ``_CHUNK_CELLS // width``
+    rounded down to an even count, and at least 2, so that a chunk of an
+    odd width still has an even number of cells."""
+    return max(2, _CHUNK_CELLS // width // 2 * 2)
 
 
 def _offsets(lengths: np.ndarray) -> np.ndarray:
@@ -241,6 +250,11 @@ class CallIds:
 
     @classmethod
     def concat(cls, parts: Sequence["CallIds"]) -> "CallIds":
+        """The ids of ``parts`` in order. A lone part is returned as it is,
+        not copied, so it should not view a buffer larger than its ids:
+        the result would keep that buffer alive."""
+        if len(parts) == 1:
+            return parts[0]
         data = np.concatenate([np.empty(0, dtype=np.uint8)] + [p.data for p in parts])
         lengths = [np.diff(p.offsets) for p in parts]
         return cls._adopt(data, _offsets(np.concatenate([np.empty(0, dtype=np.int64)] + lengths)))
@@ -438,13 +452,14 @@ class SurveyDataset:
     def cooccurrence(self) -> np.ndarray:
         """Token co-occurrence counts ``X.T @ X``: the diagonal holds each
         token's count. Float64, which counts exactly below 2**53 rows and,
-        unlike int64, goes to BLAS; summed over blocks of ``_GRAM_ROWS``
-        rows, so no float copy of the whole matrix is made; computed once,
-        read-only."""
+        unlike int64, goes to BLAS; summed over chunks of ``_chunk_rows(p)``
+        rows, so no float copy of the whole matrix is made and each chunk's
+        copy stays cache-sized; computed once, read-only."""
         p = len(self.vocabulary)
         gram = np.zeros((p, p))
-        for start in range(0, self.n_records, _GRAM_ROWS):
-            x = self.token_matrix[start : start + _GRAM_ROWS].astype(np.float64)
+        rows = _chunk_rows(p)
+        for start in range(0, self.n_records, rows):
+            x = self.token_matrix[start : start + rows].astype(np.float64)
             gram += x.T @ x
         gram.setflags(write=False)
         return gram

@@ -11,6 +11,7 @@ in the pipeline has an exact oracle to recover.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from functools import cache
@@ -25,6 +26,7 @@ from .survey import (
     SurveyDataset,
     TokenVocabulary,
     _check_records,
+    _chunk_rows,
     code_indicators,
     default_vocabulary,
     group_codes,
@@ -49,12 +51,12 @@ class DurationModel:
     sigma: float = 0.5
 
     def __post_init__(self):
-        if self.base_mean_s <= 0:
-            raise ValidationError("base_mean_s must be positive")
-        if self.sigma < 0:
-            raise ValidationError("sigma must be non-negative")
-        if any(p <= 0 for p in self.group_penalties):
-            raise ValidationError("group penalties must be positive multipliers")
+        if not 0 < self.base_mean_s < math.inf:
+            raise ValidationError("base_mean_s must be positive and finite")
+        if not 0 <= self.sigma < math.inf:
+            raise ValidationError("sigma must be non-negative and finite")
+        if not all(0 < p < math.inf for p in self.group_penalties):
+            raise ValidationError("group penalties must be positive finite multipliers")
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +96,12 @@ class GeneratorSpec:
         p = loadings.shape[0]
         if thresholds.shape != (p,):
             raise ValidationError("thresholds length must match token count")
+        # every comparison with a NaN is false, so a NaN would slip past the
+        # checks below and reach the draw
+        for name in ("loadings", "thresholds", "glm_intercept", "glm_group_effects",
+                     "glm_interaction_effects"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValidationError(f"{name} must be finite")
         if len(self.group_partition) != p:
             raise ValidationError("group_partition length must match token count")
         communality = (loadings**2).sum(axis=1)
@@ -117,6 +125,8 @@ class GeneratorSpec:
             raise ValidationError("one duration penalty per group required")
         if self.n < 1:
             raise ValidationError("n must be at least 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
         if self.token_names and len(self.token_names) != p:
             raise ValidationError("token_names length must match token count")
 
@@ -145,8 +155,10 @@ class GeneratorSpec:
     def from_dict(cls, data: dict) -> "GeneratorSpec":
         """The spec of a mapping of its fields, the form that ``simulate
         --truth`` writes under ``spec``, with ``duration`` a mapping of the
-        DurationModel's fields. A missing or malformed key is a
-        ValidationError that names it."""
+        DurationModel's fields. Values are read as a config file's are: of
+        their exact JSON type, where an integer may stand for a float and
+        true or false is not a number. Unknown keys are named together, and
+        a missing or malformed key is a ValidationError that names it."""
 
         def value(key, convert, source=data, default=_REQUIRED):
             if key not in source:
@@ -155,37 +167,54 @@ class GeneratorSpec:
                 return default
             try:
                 return convert(source[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"spec key {key!r} is malformed: {exc}") from None
 
-        def floats(v):
-            return tuple(float(x) for x in v)
+        def exact(kind, name):
+            def convert(v):
+                # exact types, so that true and false are not integers
+                if type(v) is not kind:
+                    raise TypeError(f"expected {name}, got {json.dumps(v)}")
+                return v
+            return convert
 
-        def pairs(v):
-            return tuple((int(a), int(b)) for a, b in v)
+        integer, text = exact(int, "an integer"), exact(str, "a string")
+        mapping = exact(dict, "an object")
 
-        def mapping(v):
-            if not isinstance(v, dict):
-                raise TypeError("expected an object")
-            return v
+        def number(v):
+            if type(v) not in (float, int):
+                raise TypeError(f"expected a number, got {json.dumps(v)}")
+            return float(v)
+
+        def array(item, length=None):
+            def convert(v):
+                if type(v) is not list or length not in (None, len(v)):
+                    raise TypeError(f"expected an array, got {json.dumps(v)}")
+                return tuple(map(item, v))
+            return convert
 
         dur = value("duration", mapping, default={})
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__)) + sorted(
+            f"duration.{key}" for key in set(dur) - set(DurationModel.__dataclass_fields__)
+        )
+        if unknown:
+            raise ValidationError(f"unknown spec keys: {unknown}")
         return cls(
-            loadings=value("loadings", lambda v: np.asarray(v, dtype=np.float64)),
-            thresholds=value("thresholds", lambda v: np.asarray(v, dtype=np.float64)),
-            group_partition=value("group_partition", lambda v: tuple(int(g) for g in v)),
-            glm_intercept=value("glm_intercept", float),
-            glm_group_effects=value("glm_group_effects", floats),
-            glm_interactions=value("glm_interactions", pairs, default=()),
-            glm_interaction_effects=value("glm_interaction_effects", floats, default=()),
-            n=value("n", int),
-            seed=value("seed", int),
+            loadings=value("loadings", lambda v: np.array(array(array(number))(v))),
+            thresholds=value("thresholds", lambda v: np.array(array(number)(v))),
+            group_partition=value("group_partition", array(integer)),
+            glm_intercept=value("glm_intercept", number),
+            glm_group_effects=value("glm_group_effects", array(number)),
+            glm_interactions=value("glm_interactions", array(array(integer, 2)), default=()),
+            glm_interaction_effects=value("glm_interaction_effects", array(number), default=()),
+            n=value("n", integer),
+            seed=value("seed", integer),
             duration=DurationModel(
-                base_mean_s=value("base_mean_s", float, dur, 300.0),
-                group_penalties=value("group_penalties", floats, dur, ()),
-                sigma=value("sigma", float, dur, 0.5),
+                base_mean_s=value("base_mean_s", number, dur, 300.0),
+                group_penalties=value("group_penalties", array(number), dur, ()),
+                sigma=value("sigma", number, dur, 0.5),
             ),
-            token_names=value("token_names", tuple, default=()),
+            token_names=value("token_names", array(text), default=()),
         )
 
 
@@ -206,10 +235,6 @@ class GroundTruth:
     group_reductions: tuple[MonteCarloImpact, ...]
 
 
-# latent rows drawn, formed and thresholded at a time
-_DRAW_ROWS = 16_384
-
-
 def _linear_predictor(spec: GeneratorSpec, indicators: np.ndarray) -> np.ndarray:
     eta = spec.glm_intercept + indicators @ np.asarray(
         spec.glm_group_effects, dtype=np.float64
@@ -222,7 +247,9 @@ def _linear_predictor(spec: GeneratorSpec, indicators: np.ndarray) -> np.ndarray
 def _token_chunks(spec: GeneratorSpec, rng: np.random.Generator, n: int):
     """Tokens of ``n`` latent draws, as ``(rows, tokens)`` for each chunk of
     rows: the whole factor matrix ``F`` is drawn first, then one 32-bit
-    uniform per token cell, chunk by chunk.
+    uniform per token cell, chunk by chunk. A chunk is ``_chunk_rows`` rows
+    of the token count, so its float64 and index temporaries stay
+    cache-sized.
 
     Token j fires when its residual ``e`` exceeds
     ``c = tau_j / s_j - F . lambda_j / s_j``, with ``s_j`` the residual
@@ -237,7 +264,8 @@ def _token_chunks(spec: GeneratorSpec, rng: np.random.Generator, n: int):
 
     The chunks take the stream's 64-bit words in order, each as two
     uint32 (its low half first); every chunk but the last has an even
-    number of cells, so the uniforms are those of one ``(n, tokens)`` draw.
+    number of rows, hence of cells, so the uniforms are those of one
+    ``(n, tokens)`` draw, and the tokens do not depend on the chunk size.
     """
     lo, hi = _guide_bounds()
     loadings = spec.loadings
@@ -248,11 +276,12 @@ def _token_chunks(spec: GeneratorSpec, rng: np.random.Generator, n: int):
     offset = spec.thresholds / divisor
     factors = rng.standard_normal((n, spec.n_factors))
     p = spec.n_tokens
+    rows = _chunk_rows(p)
     start = 0
     while start < n:
         # a lone last row would take numpy's matrix-vector product, which
         # rounds its sums differently, so it joins the chunk before it
-        stop = n if n - start <= _DRAW_ROWS + 1 else start + _DRAW_ROWS
+        stop = n if n - start <= rows + 1 else start + rows
         cells = (stop - start) * p
         u = rng.bit_generator.random_raw((cells + 1) // 2).view(np.uint32)[:cells]
         c = factors[start:stop] @ weights

@@ -38,6 +38,18 @@ def snapshot(outdir):
     return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
 
 
+_SPEC = {
+    "loadings": [[0.5, 0.0], [0.0, 0.6]], "thresholds": [0.0, 0.5], "group_partition": [0, 1],
+    "glm_intercept": -1.0, "glm_group_effects": [1.0, 0.5], "n": 50, "seed": 1,
+}
+nan, inf = float("nan"), float("inf")
+
+
+def _spec_body(**change) -> str:
+    """The text of a valid two-group spec file with some keys changed."""
+    return json.dumps({**_SPEC, **change})
+
+
 class TestSimulate:
     def test_truth_file_contents(self, world_csv):
         truth = json.loads((world_csv.parent / "truth.json").read_text())
@@ -77,15 +89,50 @@ class TestSimulate:
         ('{"loadings": [[0.5]], "thresholds": [0.0], "group_partition": [0], '
          '"glm_intercept": -1.0, "glm_group_effects": [1.0], "n": 200, "seed": 1, '
          '"duration": {"base_mean_s": 1e308}}', "non-finite duration inf"),
+        # json writes nan and inf as NaN and Infinity, which json also reads
+        (_spec_body(loadings=[[0.5, 0.0], [nan, 0.6]]), "loadings must be finite"),
+        (_spec_body(thresholds=[0.0, inf]), "thresholds must be finite"),
+        (_spec_body(glm_intercept=-inf), "glm_intercept must be finite"),
+        (_spec_body(glm_group_effects=[1.0, nan]), "glm_group_effects must be finite"),
+        (_spec_body(glm_interactions=[[0, 1]], glm_interaction_effects=[nan]),
+         "glm_interaction_effects must be finite"),
+        (_spec_body(duration={"base_mean_s": nan}), "base_mean_s must be positive and finite"),
+        (_spec_body(duration={"sigma": inf}), "sigma must be non-negative and finite"),
+        (_spec_body(duration={"group_penalties": [1.0, nan]}), "positive finite multipliers"),
+        (_spec_body(n=2.7), "spec key 'n' is malformed: expected an integer, got 2.7"),
+        (_spec_body(n="50"), "spec key 'n' is malformed"),
+        (_spec_body(seed=True), "spec key 'seed' is malformed: expected an integer, got true"),
+        (_spec_body(seed=-1), "seed must be non-negative"),
+        (_spec_body(group_partition=[0.9, 1]), "spec key 'group_partition' is malformed"),
+        (_spec_body(glm_intercept=False), "spec key 'glm_intercept' is malformed"),
+        (_spec_body(glm_interactions=[[0, 1, 1]], glm_interaction_effects=[0.5]),
+         "spec key 'glm_interactions' is malformed"),
+        (_spec_body(token_names=["a", 2]), "spec key 'token_names' is malformed"),
+        (_spec_body(glm_interaction_effect=[-0.5], duration={"sigmaa": 0.5}),
+         "unknown spec keys: ['glm_interaction_effect', 'duration.sigmaa']"),
     ])
     def test_bad_spec_exits_2(self, tmp_path, capsys, body, message):
         spec = tmp_path / "spec.json"
         spec.write_text(body)
-        out = tmp_path / "x.csv"
-        assert run("simulate", "--spec", spec, "--out", out) == 2
+        out, truth = tmp_path / "x.csv", tmp_path / "truth.json"
+        assert run("simulate", "--spec", spec, "--out", out, "--truth", truth) == 2
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["stage"] == "validation" and message in error["message"]
-        assert not out.exists()
+        assert not out.exists() and not truth.exists()
+
+    def test_spec_integers_stand_for_floats(self, tmp_path):
+        written = []
+        for tag, numbers in (
+            ("float", {"thresholds": [0.0, 1.0], "glm_intercept": -1.0}),
+            ("int", {"thresholds": [0, 1], "glm_intercept": -1}),
+        ):
+            spec = tmp_path / f"{tag}.json"
+            spec.write_text(_spec_body(**numbers))
+            out, truth = tmp_path / tag / "x.csv", tmp_path / tag / "truth.json"
+            assert run("simulate", "--spec", spec, "--out", out, "--truth", truth,
+                       "--truth-mc", 100) == 0
+            written.append((out.read_bytes(), truth.read_bytes()))
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize("module", ["tokenimpact", "tokenimpact.cli"])
     def test_module_entry_point_writes_csv(self, tmp_path, module):
@@ -130,6 +177,12 @@ class TestSimulate:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[]", "[]"]
         assert (tmp_path / "out" / "impact_report.json").exists()
+
+    def test_preset_seed_must_be_non_negative(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run("simulate", "--preset", "default-world", "--seed", -1, "--out", out) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("draws", [0, -5])
     def test_truth_needs_a_draw(self, tmp_path, draws):

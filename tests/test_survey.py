@@ -87,8 +87,17 @@ class TestDerivedMasks:
         assert ds.cooccurrence is ds.cooccurrence
         assert not ds.cooccurrence.flags.writeable
 
+    def test_chunk_rows_are_even_and_fill_the_budget(self):
+        assert survey._chunk_rows(15) == 4368
+        for width in (1, 2, 3, 7, 15, 64, 1000, 10**6):
+            rows = survey._chunk_rows(width)
+            assert rows >= 2 and rows % 2 == 0
+            assert rows == 2 or rows * width <= survey._CHUNK_CELLS < (rows + 2) * width
+
     def test_cooccurrence_summed_over_row_blocks(self, monkeypatch):
-        monkeypatch.setattr(survey, "_GRAM_ROWS", 3)
+        # 12 cells are chunks of 4 rows of 3 tokens: 4, 4 and a last 2
+        monkeypatch.setattr(survey, "_CHUNK_CELLS", 12)
+        assert survey._chunk_rows(3) == 4
         rows = [(r % 4 + 1, 1.0, (r % 2, r % 3 == 0, r % 5 == 1)) for r in range(10)]
         ds = make_dataset(rows, n_tokens=3)
         x = ds.token_matrix.astype(np.int64)
@@ -1012,6 +1021,16 @@ class TestCallIds:
             with pytest.raises(ValidationError) as error:
                 load(path)
             assert str(error.value) == message
+
+    def test_concat_returns_a_lone_part_and_joins_several(self):
+        ids = CallIds.from_strings(["a", "é", ""])
+        assert CallIds.concat([ids]) is ids
+        parts = [ids, CallIds.from_strings([]), CallIds.from_strings(["😀", "b,c"])]
+        joined = CallIds.concat(parts)
+        assert joined.tolist() == ["a", "é", "", "😀", "b,c"]
+        assert joined.offsets.tolist() == [0, 1, 3, 3, 7, 10]
+        assert not joined.data.flags.writeable and not joined.offsets.flags.writeable
+        assert CallIds.concat([]).tolist() == []
 
     def test_from_strings_round_trips(self):
         ids = ["", "a", "é😀", "x\x00", "a,b"]

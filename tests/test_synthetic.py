@@ -10,9 +10,8 @@ from scipy.special import expit, ndtr
 from tokenimpact import special, survey
 from tokenimpact.cli import main
 from tokenimpact.errors import ValidationError
-from tokenimpact.survey import write_csv
+from tokenimpact.survey import _chunk_rows, write_csv
 from tokenimpact.synthetic import (
-    _DRAW_ROWS,
     _GUIDE_BITS,
     DEFAULT_PARTITION,
     DurationModel,
@@ -29,6 +28,9 @@ from tokenimpact.synthetic import (
 
 import synthetic_reference
 from conftest import block_world
+
+# rows per chunk of the token draw at the default world's 15 tokens
+DRAW_ROWS = _chunk_rows(len(DEFAULT_PARTITION))
 
 
 class TestSpecValidation:
@@ -69,6 +71,16 @@ class TestSpecValidation:
             DurationModel(base_mean_s=0.0)
         with pytest.raises(ValidationError):
             DurationModel(group_penalties=(0.0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_are_refused(self, bad):
+        with pytest.raises(ValidationError, match="glm_group_effects must be finite"):
+            block_world(n=10, seed=0, effects=(1.0, bad))
+        with pytest.raises(ValidationError, match="loadings must be finite"):
+            block_world(n=10, seed=0, loading=bad)
+        for field in ("base_mean_s", "sigma"):
+            with pytest.raises(ValidationError, match=f"{field} must be"):
+                DurationModel(**{field: bad})
 
     def test_json_round_trip(self, tmp_path):
         # the spec written to truth.json regenerates the same CSV and truth
@@ -151,8 +163,9 @@ class TestGenerate:
         assert both == pytest.approx(expected, abs=0.01)
 
     @pytest.mark.parametrize(
-        # 16383, 16385 and 2 * 16384 + 3 rows of 15 tokens are odd cell counts
-        "n", [1, _DRAW_ROWS - 1, _DRAW_ROWS, _DRAW_ROWS + 1, 20_000, 2 * _DRAW_ROWS + 3]
+        # DRAW_ROWS - 1, DRAW_ROWS + 1 and 2 * DRAW_ROWS + 3 rows of 15 tokens
+        # are odd cell counts
+        "n", [1, DRAW_ROWS - 1, DRAW_ROWS, DRAW_ROWS + 1, 20_000, 2 * DRAW_ROWS + 3]
     )
     def test_token_draw_inverts_one_uniform_per_cell(self, n):
         spec = default_world_spec(n=10, seed=4)
@@ -306,17 +319,18 @@ class TestGroundTruth:
             min_size=4, max_size=4,
         ),
         interaction=st.one_of(st.none(), st.floats(-1.5, 1.5)),
-        n_mc=st.one_of(
-            st.integers(1, 400), st.integers(_DRAW_ROWS - 2, _DRAW_ROWS + 2)
-        ),
+        # a draw count of its own, or one within 2 of the draw's rows per
+        # chunk at the spec's token count
+        n_mc=st.integers(1, 400),
+        edge=st.one_of(st.none(), st.integers(-2, 2)),
         seed=st.integers(0, 2**16),
     )
     @example(sizes=[2, 3], effects=[1.5, 0.8, 1, 1], interaction=None,
-             n_mc=_DRAW_ROWS - 1, seed=3)
+             n_mc=1, edge=-1, seed=3)
     @example(sizes=[3, 1, 2], effects=[1.5, 0.8, 2.0, 1], interaction=-0.6,
-             n_mc=_DRAW_ROWS + 2, seed=4)
+             n_mc=1, edge=2, seed=4)
     def test_pattern_counts_match_row_level_reference(
-        self, sizes, effects, interaction, n_mc, seed
+        self, sizes, effects, interaction, n_mc, edge, seed
     ):
         pairs = ((0, len(sizes) - 1),) if interaction is not None and len(sizes) > 1 else ()
         spec = block_world(
@@ -324,6 +338,8 @@ class TestGroundTruth:
             effects=effects[: len(sizes)], interactions=pairs,
             interaction_effects=(interaction,) * len(pairs),
         )
+        if edge is not None:
+            n_mc = _chunk_rows(spec.n_tokens) + edge
         indicators, p_orig = synthetic_reference.truth_draw(spec, n_mc, seed)
         for g in range(len(sizes)):
             want = synthetic_reference.fix_impact(spec, indicators, p_orig, g)
@@ -341,7 +357,7 @@ class TestGroundTruth:
         assert truth.n_factors == 2
         assert all(g.n_mc == 5000 for g in truth.group_reductions)
 
-    @pytest.mark.parametrize("n_mc", [1, _DRAW_ROWS + 1, 2 * _DRAW_ROWS + 5])
+    @pytest.mark.parametrize("n_mc", [1, DRAW_ROWS + 1, 2 * DRAW_ROWS + 5])
     def test_truth_draw_equals_patterns_of_the_token_matrix(self, n_mc):
         spec = default_world_spec(n=10, seed=9)
         indicators, counts = _truth_draw(spec, n_mc, seed=4)
@@ -349,6 +365,27 @@ class TestGroundTruth:
         want, row_pattern = _group_patterns(tokens, spec.group_partition)
         assert indicators.tobytes() == want.tobytes()
         assert counts.tolist() == np.bincount(row_pattern).tolist()
+
+    @pytest.mark.parametrize("group_sizes", [(5, 5, 2, 2, 1), (3, 4)])
+    def test_draws_do_not_depend_on_the_chunk_size(self, monkeypatch, group_sizes):
+        # 15 and 7 tokens; 1035 cells are 69 and 147 rows, so chunks of 68
+        # and 146 rows, an odd row count giving an odd cell count
+        spec = block_world(
+            n=10, seed=6, group_sizes=group_sizes, effects=(1.0,) * len(group_sizes)
+        )
+        n = 2 * _chunk_rows(spec.n_tokens) + 3
+
+        def draw():
+            return (
+                _draw_tokens(spec, np.random.default_rng(5), n),
+                *_truth_draw(spec, n, seed=5),
+            )
+
+        default = draw()
+        monkeypatch.setattr(survey, "_CHUNK_CELLS", 1035)
+        assert _chunk_rows(spec.n_tokens) == {15: 68, 7: 146}[spec.n_tokens]
+        for got, want in zip(draw(), default, strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_shared_truth_draw_equals_single_group_function(self):
         spec = default_world_spec(n=100, seed=9)
