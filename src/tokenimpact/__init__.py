@@ -11,10 +11,12 @@ __version__ = "0.1.0"
 
 from .descriptives import (
     FrequencyReport,
+    InformationGain,
     JaccardMatrix,
     entropy_bits,
     information_gain,
     jaccard_matrix,
+    table_information_gain,
     token_frequencies,
 )
 from .errors import (
@@ -86,8 +88,8 @@ __all__ = [
     "TokenVocabulary", "SurveyDataset", "default_vocabulary", "load_csv", "write_csv",
     "clean_uninformative", "balance_resample", "restrict_tokened_poor",
     # descriptives
-    "FrequencyReport", "JaccardMatrix", "token_frequencies", "entropy_bits",
-    "information_gain", "jaccard_matrix",
+    "FrequencyReport", "InformationGain", "JaccardMatrix", "token_frequencies",
+    "entropy_bits", "information_gain", "table_information_gain", "jaccard_matrix",
     # timu
     "Metric", "MetricSpec", "TimuResult", "timu", "rank_tokens", "resolve_fix_value",
     # polychoric

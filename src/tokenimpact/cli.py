@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .descriptives import entropy_bits, information_gain, jaccard_matrix, token_frequencies
+from .descriptives import jaccard_matrix, table_information_gain, token_frequencies
 from .errors import (
     FactorAnalysisError,
     GlmError,
@@ -45,7 +45,6 @@ from .glm import DesignSpec, build_design, fit_logistic, impact_report, select_i
 from .polychoric import polychoric_matrix
 from .survey import (
     SurveyDataset,
-    balance_resample,
     clean_uninformative,
     load_csv,
     restrict_tokened_poor,
@@ -121,10 +120,10 @@ _CONFIG_TYPES = typing.get_type_hints(RunConfig)
 
 def _read_json_object(path: Path, kind: str) -> dict:
     """The JSON object held by a ``kind`` file (config or spec)."""
-    if not path.exists():
-        raise ValidationError(f"no such {kind} file: {path}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:  # such as a missing file or a directory
+        raise ValidationError(f"cannot read {kind} file {path}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise ValidationError(f"{kind} file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
@@ -269,25 +268,16 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
-def _ig_entry(x: np.ndarray, y: np.ndarray) -> dict:
-    bits = information_gain(x, y)
-    h_y = entropy_bits(y)
-    return {
-        "bits": bits,
-        "fraction": bits / h_y if h_y > 0 else None,
-        "degenerate": h_y == 0.0 or entropy_bits(x) == 0.0,
-    }
-
-
 def _write_describe(out: Path, cfg: RunConfig, source: dict, ds: SurveyDataset) -> None:
     report = token_frequencies(ds)
     jac = jaccard_matrix(ds)
-    ig = {"representative": _ig_entry(ds.any_token_mask, ds.poor_mask)}
-    try:
-        balanced = balance_resample(ds, cfg.seed)
-        ig["balanced"] = _ig_entry(balanced.any_token_mask, balanced.poor_mask)
-    except ValidationError:
-        ig["balanced"] = None
+    counts = ds.any_token_poor
+    classes = counts.sum(axis=0)
+    ig = {
+        "representative": table_information_gain(counts),
+        # each class weighted equally: what a class-balanced resample estimates
+        "balanced": table_information_gain(counts / classes) if classes.all() else None,
+    }
 
     payload = {
         "provenance": _provenance(cfg, source, ds.provenance),
@@ -400,11 +390,12 @@ def _write_factors(
 
 def _write_impact(out: Path, cfg: RunConfig, source: dict, ds: SurveyDataset) -> None:
     ds, grouping = _write_factors(out, cfg, source, ds)
+    design = build_design(ds, DesignSpec(grouping=grouping))
     if cfg.interactions == "aic":
-        pairs = select_interactions_aic(ds, grouping, ridge=cfg.ridge)
+        pairs = select_interactions_aic(design, ridge=cfg.ridge)
     else:
         pairs = _parse_interactions(cfg.interactions)
-    design = build_design(ds, DesignSpec(grouping=grouping, interactions=pairs))
+    design = design.with_interactions(pairs)
     glm = fit_logistic(design, ridge=cfg.ridge)
     report = impact_report(glm, design, n_boot=cfg.bootstrap, seed=cfg.seed)
     # the fit's covariance is left out of the report
@@ -419,25 +410,13 @@ def _write_impact(out: Path, cfg: RunConfig, source: dict, ds: SurveyDataset) ->
             "impact": report,
         },
     )
-    by_name = {g.group: g for g in report.individual}
-    rows = []
-    for position, group_index in enumerate(report.order):
-        name = report.groups[group_index]
-        g = by_name[name]
-        rows.append(
-            [
-                name,
-                repr(g.reduction),
-                repr(report.cumulative[position]),
-                repr(g.ci_lo),
-                repr(g.ci_hi),
-            ]
-        )
-    _write_rows(
-        out / "impact_plot.csv",
-        ["group", "individual", "cumulative", "ci_lo", "ci_hi"],
-        rows,
-    )
+    # report.individual is in group order; the plot is in report.order
+    rows = [
+        [g.group, repr(g.reduction), repr(cumulative), repr(g.ci_lo), repr(g.ci_hi)]
+        for g, cumulative in zip([report.individual[i] for i in report.order], report.cumulative)
+    ]
+    header = ["group", "individual", "cumulative", "ci_lo", "ci_hi"]
+    _write_rows(out / "impact_plot.csv", header, rows)
 
 
 def _write_summary(out: Path, cfg: RunConfig, source: dict, _: SurveyDataset) -> None:

@@ -72,10 +72,8 @@ def _check_series(x) -> np.ndarray:
     return arr
 
 
-def entropy_bits(x) -> float:
-    """Shannon entropy of a boolean series in bits (0*log0 taken as 0)."""
-    arr = _check_series(x)
-    p = float(arr.mean())
+def _entropy(p) -> float:
+    """Shannon entropy in bits of a Bernoulli(p) (0*log0 taken as 0)."""
     h = 0.0
     for q in (p, 1.0 - p):
         if q > 0.0:
@@ -83,24 +81,51 @@ def entropy_bits(x) -> float:
     return float(h)
 
 
-def information_gain(x, y) -> float:
-    """Reduction in entropy of y when x is known: H(y) - H(y|x), in bits.
+def entropy_bits(x) -> float:
+    """Shannon entropy of a boolean series in bits (0*log0 taken as 0)."""
+    return _entropy(float(_check_series(x).mean()))
 
-    Tiny negative rounding noise is clamped to zero so the result is
-    always non-negative.
-    """
+
+@dataclass(frozen=True)
+class InformationGain:
+    """``bits = H(y) - H(y|x)``, its ``fraction`` of H(y) (None when y is
+    constant), and whether x or y is constant (``degenerate``)."""
+
+    bits: float
+    fraction: float | None
+    degenerate: bool
+
+
+def table_information_gain(table) -> InformationGain:
+    """Information gain of x about y under the joint distribution in
+    proportion to a 2x2 table ``table[x, y]`` of non-negative weights, such
+    as counts. Tiny negative rounding noise is clamped to zero."""
+    t = np.asarray(table, dtype=np.float64)
+    if t.shape != (2, 2) or not np.all(np.isfinite(t) & (t >= 0)) or not t.sum() > 0:
+        raise ValidationError("table must be 2x2 of finite non-negative weights, not all 0")
+    n, by_x = t.sum(), t.sum(axis=1)
+    h_y = _entropy(t[:, 1].sum() / n)
+    h_cond = 0.0
+    for x in (0, 1):
+        if by_x[x] > 0.0:
+            h_cond += by_x[x] / n * _entropy(t[x, 1] / by_x[x])
+    bits = float(max(h_y - h_cond, 0.0))
+    return InformationGain(
+        bits=bits,
+        fraction=bits / h_y if h_y > 0 else None,
+        degenerate=h_y == 0.0 or _entropy(by_x[1] / n) == 0.0,
+    )
+
+
+def information_gain(x, y) -> float:
+    """Reduction in entropy of y when x is known: H(y) - H(y|x), in bits,
+    from the 2x2 table of the two series' counts."""
     xa = _check_series(x)
     ya = _check_series(y)
     if xa.shape != ya.shape:
         raise ValidationError("series length mismatch")
-    h_y = entropy_bits(ya)
-    h_cond = 0.0
-    for value in (False, True):
-        mask = xa == value
-        weight = float(mask.mean())
-        if weight > 0.0:
-            h_cond += weight * entropy_bits(ya[mask])
-    return max(h_y - h_cond, 0.0)
+    table = np.bincount(2 * xa + ya, minlength=4).reshape(2, 2)
+    return table_information_gain(table).bits
 
 
 @dataclass(frozen=True, eq=False)

@@ -279,13 +279,9 @@ def extract_factors(
     )
 
 
-def varimax_criterion(loadings: np.ndarray, normalize: bool = False) -> float:
+def varimax_criterion(loadings: np.ndarray) -> float:
     """Sum over factors of the variance of squared loadings."""
-    lam = np.asarray(loadings, dtype=np.float64)
-    if normalize:
-        h = np.sqrt((lam**2).sum(axis=1))
-        lam = lam / np.where(h > 0, h, 1.0)[:, None]
-    sq = lam**2
+    sq = np.asarray(loadings, dtype=np.float64) ** 2
     return float(sq.var(axis=0).sum())
 
 

@@ -31,19 +31,22 @@ class DesignSpec:
     interactions: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        pairs = []
-        seen = set()
-        n = len(self.grouping.groups)
-        for a, b in self.interactions:
-            a, b = int(a), int(b)
-            if a == b or not (0 <= a < n and 0 <= b < n):
-                raise GlmError(f"bad interaction pair ({a}, {b})")
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                raise GlmError(f"duplicate interaction pair {key}")
-            seen.add(key)
-            pairs.append(key)
-        object.__setattr__(self, "interactions", tuple(pairs))
+        pairs = _checked_pairs(self.interactions, len(self.grouping.groups))
+        object.__setattr__(self, "interactions", pairs)
+
+
+def _checked_pairs(interactions, n_groups: int) -> tuple[tuple[int, int], ...]:
+    """Pairs of distinct groups below ``n_groups`` as (lower, higher); a repeat raises."""
+    pairs = []
+    for a, b in interactions:
+        a, b = int(a), int(b)
+        if a == b or not (0 <= a < n_groups and 0 <= b < n_groups):
+            raise GlmError(f"bad interaction pair ({a}, {b})")
+        key = (min(a, b), max(a, b))
+        if key in pairs:
+            raise GlmError(f"duplicate interaction pair {key}")
+        pairs.append(key)
+    return tuple(pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,6 +80,17 @@ class Design:
         indicators[:, list(fixed)] = 0.0
         return _assemble(indicators, self.interactions)
 
+    def with_interactions(self, interactions) -> "Design":
+        """This design's patterns and counts with main effects and these pairs."""
+        pairs = _checked_pairs(interactions, len(self.group_names))
+        names = self.group_names
+        return replace(
+            self,
+            columns=("intercept",) + names + tuple(f"{names[a]}:{names[b]}" for a, b in pairs),
+            matrix=_assemble(self.group_indicators, pairs),
+            interactions=pairs,
+        )
+
 
 def _assemble(indicators: np.ndarray, pairs) -> np.ndarray:
     cols = [np.ones(indicators.shape[0])]
@@ -84,16 +98,6 @@ def _assemble(indicators: np.ndarray, pairs) -> np.ndarray:
     for a, b in pairs:
         cols.append(indicators[:, a] * indicators[:, b])
     return np.column_stack(cols)
-
-
-def _with_interactions(design: Design, pairs) -> Design:
-    names = design.group_names
-    return replace(
-        design,
-        columns=("intercept",) + names + tuple(f"{names[a]}:{names[b]}" for a, b in pairs),
-        matrix=_assemble(design.group_indicators, pairs),
-        interactions=tuple(pairs),
-    )
 
 
 def build_design(ds: SurveyDataset, spec: DesignSpec) -> Design:
@@ -113,17 +117,16 @@ def build_design(ds: SurveyDataset, spec: DesignSpec) -> Design:
         ds.token_matrix,
         [[ds.vocabulary.index(tok) for tok in g.members] for g in grouping.groups],
     )
-    poor = ds.poor_mask
     base = Design(
         columns=(),
         matrix=_assemble(indicators, ()),
         trials=np.bincount(row_pattern).astype(np.float64),
-        successes=np.bincount(row_pattern, weights=poor),
-        baseline=np.bincount(2 * ds.any_token_mask + poor, minlength=4).reshape(2, 2),
+        successes=np.bincount(row_pattern, weights=ds.poor_mask),
+        baseline=ds.any_token_poor,
         group_names=grouping.group_names,
         interactions=(),
     )
-    return _with_interactions(base, spec.interactions)
+    return base.with_interactions(spec.interactions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,11 +448,10 @@ def impact_report(
     n_boot: int = 200,
     *,
     seed: int,
-    order=None,
 ) -> ImpactReport:
     """Assemble the full counterfactual report.
 
-    The cumulative order defaults to descending individual reduction. The
+    The cumulative order is descending individual reduction. The
     baseline classifier flags a record with any token; its AUC and false
     positive rate come from ``design.baseline``, and that rate anchors the
     reported model TPR so the comparison is at matched operating points.
@@ -458,8 +460,7 @@ def impact_report(
         group_fix_impact(model, design, g, n_boot=n_boot, seed=seed)
         for g in range(len(design.group_names))
     )
-    if order is None:
-        order = _descending([g.reduction for g in individual])
+    order = _descending([g.reduction for g in individual])
     cumulative = cumulative_impact(model, design, order=order)
     evaluation = evaluate(model, design)
     good, poor = design.baseline.T
@@ -478,21 +479,17 @@ def impact_report(
     )
 
 
-def select_interactions_aic(
-    ds: SurveyDataset,
-    grouping: ProblemGrouping,
-    ridge: float = 1e-6,
-) -> tuple[tuple[int, int], ...]:
-    """Greedy forward selection of interaction pairs by AIC; every candidate
-    of a round is fitted in one stacked IRLS."""
-    base = build_design(ds, DesignSpec(grouping=grouping))
-    indicators = base.group_indicators
-    candidates = list(combinations(range(len(grouping.groups)), 2))
+def select_interactions_aic(design: Design, ridge: float = 1e-6) -> tuple[tuple[int, int], ...]:
+    """Greedy forward selection of interaction pairs by AIC over a design's
+    patterns and counts, from its main effects; every candidate of a round
+    is fitted in one stacked IRLS."""
+    indicators = design.group_indicators
+    candidates = list(combinations(range(len(design.group_names)), 2))
     chosen: list[tuple[int, int]] = []
 
     def aic(stack) -> np.ndarray:
         matrices = np.stack([_assemble(indicators, pairs) for pairs in stack])
-        loglik = _irls(matrices, base.successes, base.trials, ridge, _TOL, _MAX_ITER)[3]
+        loglik = _irls(matrices, design.successes, design.trials, ridge, _TOL, _MAX_ITER)[3]
         return 2.0 * matrices.shape[2] - 2.0 * loglik
 
     best = aic([chosen])[0]

@@ -196,10 +196,6 @@ class ContingencyTable2x2:
             n11=float((xa & ya).sum()),
         )
 
-    @property
-    def total(self) -> float:
-        return self.n00 + self.n01 + self.n10 + self.n11
-
 
 @dataclass(frozen=True)
 class PolychoricEstimate:

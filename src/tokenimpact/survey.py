@@ -449,6 +449,13 @@ class SurveyDataset:
         return mask
 
     @cached_property
+    def any_token_poor(self) -> np.ndarray:
+        """2x2 call counts by any token (row 1) and poor label (column 1); read-only."""
+        table = np.bincount(2 * self.any_token_mask + self.poor_mask, minlength=4).reshape(2, 2)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
     def cooccurrence(self) -> np.ndarray:
         """Token co-occurrence counts ``X.T @ X``: the diagonal holds each
         token's count. Float64, which counts exactly below 2**53 rows and,
@@ -874,7 +881,11 @@ def load_csv(path: str | Path, vocabulary: TokenVocabulary | None = None) -> Sur
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"no such file: {path}")
-    with open(path, "rb") as src, nullcontext(src) if src.seekable() else TemporaryFile() as fh:
+    try:
+        src = open(path, "rb")
+    except OSError as exc:  # such as a directory
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
+    with src, nullcontext(src) if src.seekable() else TemporaryFile() as fh:
         if fh is not src:  # a pipe, copied to a file as the file is read more than once
             shutil.copyfileobj(src, fh)
             fh.seek(0)

@@ -339,13 +339,6 @@ def _members(partition: tuple[int, ...]) -> list[list[int]]:
     return members
 
 
-def _group_patterns(
-    tokens: np.ndarray, partition: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``group_patterns`` of the tokens grouped by a token -> group partition."""
-    return group_patterns(tokens, _members(partition))
-
-
 def _call_ids(start: int, stop: int) -> CallIds:
     """``f"c{i:07d}"`` for ``i`` in ``range(start, stop)``, its digits
     written straight into the byte buffer."""
@@ -372,7 +365,7 @@ def generate(spec: GeneratorSpec, truth_mc_n: int = 200_000) -> tuple[SurveyData
     rng = np.random.default_rng(spec.seed)
     n = spec.n
     tokens = _draw_tokens(spec, rng, n)
-    indicators, row_pattern = _group_patterns(tokens, spec.group_partition)
+    indicators, row_pattern = group_patterns(tokens, _members(spec.group_partition))
     poor = rng.random(n) < expit(_linear_predictor(spec, indicators))[row_pattern]
     # every token is in a group, so a row has a token when its pattern's
     # code is not 0

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 import tokenimpact
-from tokenimpact import cli, factors
+from tokenimpact import cli, factors, glm
 from tokenimpact.cli import main
+from tokenimpact.descriptives import InformationGain
 from tokenimpact.survey import write_csv
 
 from conftest import make_dataset
@@ -216,6 +218,25 @@ class TestSimulate:
         assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("target", ["dir", "missing"])
+@pytest.mark.parametrize("command, option", [
+    (("describe", "--outdir", "o", "--seed", 1), "--input"),
+    (("report", "--outdir", "o", "--seed", 1, "--input", "x.csv"), "--config"),
+    (("simulate", "--out", "o/x.csv"), "--spec"),
+], ids=["describe-input", "report-config", "simulate-spec"])
+def test_unreadable_input_path_exits_2(tmp_path, monkeypatch, capsys, command, option, target):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.csv").write_text("call_id,rating,duration_s,ptq_submitted,token_a\nc1,2,5,1,1\n")
+    (tmp_path / "dir").mkdir()
+    assert run(*command, option, tmp_path / target) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["stage"] == "validation"
+    assert str(tmp_path / target) in error["message"]
+    if target == "dir":
+        assert error["message"].startswith("cannot read ")
+    assert not (tmp_path / "o").exists()
+
+
 class TestDescribe:
     def test_artifacts(self, tmp_path, world_csv):
         out = tmp_path / "out"
@@ -278,8 +299,45 @@ class TestDescribe:
             assert run("describe", "--input", world_csv, "--outdir", out, "--seed", 3) == 0
         assert snapshot(a) == snapshot(b)
 
+    def test_seed_enters_only_the_provenance(self, tmp_path, world_csv):
+        artifacts = []
+        for seed in (1, 2):
+            out = tmp_path / str(seed)
+            assert run("describe", "--input", world_csv, "--outdir", out, "--seed", seed) == 0
+            files = snapshot(out)
+            report = json.loads(files.pop("describe_report.json"))
+            provenance = report["provenance"]
+            assert provenance.pop("seed") == provenance["config"].pop("seed") == seed
+            artifacts.append((report, files))
+        assert artifacts[0] == artifacts[1]
+
+    def test_balanced_gain_weights_the_classes_equally(self, tmp_path):
+        # poor: 3 calls with a token and 1 without; good: 2 with and 6 without
+        rows = ([(1, 60.0, (1, 0))] * 3 + [(2, 60.0, (0, 0))] + [(4, 60.0, (0, 1))] * 2
+                + [(3, 60.0, (0, 0))] * 6)
+        data, out = tmp_path / "data.csv", tmp_path / "out"
+
+        def gain(rows):
+            write_csv(make_dataset(rows), data)
+            assert run("describe", "--input", data, "--outdir", out, "--seed", 1) == 0
+            return json.loads((out / "describe_report.json").read_text())["information_gain"]
+
+        # each class weighs 1/2, so H(poor) is 1 bit; a token holds half the
+        # weight, and P(poor | token) = 3/4 / (3/4 + 2/8) = 3/4, P(poor | none) = 1/4
+        h = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
+        balanced = gain(rows)["balanced"]
+        assert balanced["bits"] == pytest.approx(1.0 - h, abs=1e-12)
+        assert balanced["fraction"] == pytest.approx(1.0 - h, abs=1e-12)
+        assert balanced["degenerate"] is False
+        # with one class only there is nothing to balance
+        assert gain([r for r in rows if r[0] >= 3])["balanced"] is None
+        assert gain([r for r in rows if r[0] <= 2])["balanced"] is None
+
     def test_non_finite_report_value_exits_2(self, tmp_path, world_csv, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "information_gain", lambda x, y: float("nan"))
+        monkeypatch.setattr(
+            cli, "table_information_gain",
+            lambda table: InformationGain(bits=float("nan"), fraction=None, degenerate=False),
+        )
         out = tmp_path / "out"
         assert run("describe", "--input", world_csv, "--outdir", out, "--seed", 3) == 2
         error = json.loads(capsys.readouterr().err)
@@ -654,6 +712,21 @@ class TestReport:
         summary = json.loads((out / "summary.json").read_text())
         for name in summary["artifacts"]:
             assert (out / name).exists(), name
+
+    def test_aic_report_builds_the_design_once(self, tmp_path, world_csv, monkeypatch):
+        calls = []
+        build = glm.build_design
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        for module in (cli, glm):
+            monkeypatch.setattr(module, "build_design", counted)
+        rc = run("report", "--input", world_csv, "--outdir", tmp_path / "out",
+                 "--seed", 5, "--reps", 20, "--bootstrap", 30, "--interactions", "aic")
+        assert rc == 0
+        assert len(calls) == 1
 
     def test_json_keys_are_pinned(self, tmp_path, world_csv):
         # a field that reaches a report, or leaves it, shows here

@@ -10,6 +10,7 @@ from tokenimpact.descriptives import (
     entropy_bits,
     information_gain,
     jaccard_matrix,
+    table_information_gain,
     token_frequencies,
 )
 from tokenimpact.errors import ValidationError
@@ -115,6 +116,39 @@ class TestInformationGain:
         assert information_gain(~x, ~y) == pytest.approx(ig, abs=1e-12)
         # symmetry of the mutual information itself
         assert information_gain(y, x) == pytest.approx(ig, abs=1e-10)
+
+
+class TestTableInformationGain:
+    @given(st.integers(1, 30), st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_counts_give_the_figures_of_their_series(self, length, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.random(length) < 0.3
+        y = rng.random(length) < 0.6
+        table = [[np.sum(~x & ~y), np.sum(~x & y)], [np.sum(x & ~y), np.sum(x & y)]]
+        ig = table_information_gain(table)
+        assert ig.bits == information_gain(x, y)
+        h_y = entropy_bits(y)
+        assert ig.fraction == (ig.bits / h_y if h_y > 0 else None)
+        assert ig.degenerate == (h_y == 0.0 or entropy_bits(x) == 0.0)
+
+    def test_weights_act_through_their_proportions(self):
+        table = np.array([[6.0, 1.0], [2.0, 3.0]])
+        ig = table_information_gain(table)
+        assert table_information_gain(table * 0.37).bits == pytest.approx(ig.bits, abs=1e-15)
+        # each column scaled to sum to 1: the two classes weigh the same
+        balanced = table_information_gain(table / table.sum(axis=0))
+        h = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
+        assert balanced.bits == pytest.approx(1.0 - h, abs=1e-12)
+        assert balanced.fraction == pytest.approx(1.0 - h, abs=1e-12)
+
+    @pytest.mark.parametrize("table", [
+        [[1, 2, 3], [4, 5, 6]], [1, 2, 3, 4], [[0, 0], [0, 0]], [[1, -1], [2, 3]],
+        [[1, float("nan")], [2, 3]], [[1, float("inf")], [2, 3]],
+    ], ids=["shape", "flat", "zero", "negative", "nan", "inf"])
+    def test_bad_tables_are_refused(self, table):
+        with pytest.raises(ValidationError, match="2x2"):
+            table_information_gain(table)
 
 
 class TestJaccard:

@@ -406,7 +406,7 @@ class TestImpactReport:
         )
         ds, _ = generate(spec, truth_mc_n=100)
         grouping = grouping_from_partition(ds.vocabulary.names, spec.group_partition)
-        chosen = select_interactions_aic(ds, grouping)
+        chosen = select_interactions_aic(build_design(ds, DesignSpec(grouping=grouping)))
         assert (0, 1) in chosen
 
     def test_aic_selection_matches_a_loop_of_single_fits(self):
@@ -432,7 +432,7 @@ class TestImpactReport:
             chosen.append(pair)
             candidates.remove(pair)
         assert len(chosen) >= 2
-        assert select_interactions_aic(ds, grouping) == tuple(chosen)
+        assert select_interactions_aic(base) == tuple(chosen)
 
 
 class TestStackedFit:

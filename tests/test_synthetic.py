@@ -10,7 +10,7 @@ from scipy.special import expit, ndtr
 from tokenimpact import special, survey
 from tokenimpact.cli import main
 from tokenimpact.errors import ValidationError
-from tokenimpact.survey import _chunk_rows, write_csv
+from tokenimpact.survey import _chunk_rows, group_patterns, write_csv
 from tokenimpact.synthetic import (
     _GUIDE_BITS,
     DEFAULT_PARTITION,
@@ -18,8 +18,8 @@ from tokenimpact.synthetic import (
     GeneratorSpec,
     _call_ids,
     _draw_tokens,
-    _group_patterns,
     _guide_bounds,
+    _members,
     _truth_draw,
     default_world_spec,
     generate,
@@ -222,7 +222,7 @@ class TestGenerate:
         rng = np.random.default_rng(groups)
         partition = tuple(rng.permutation(np.arange(2 * groups) % groups).tolist())
         tokens = rng.random((500, 2 * groups)) < 0.2
-        indicators, row_pattern = _group_patterns(tokens, partition)
+        indicators, row_pattern = group_patterns(tokens, _members(partition))
         want = synthetic_reference.group_matrix(tokens, partition)
         assert np.array_equal(indicators[row_pattern], want)
 
@@ -362,7 +362,7 @@ class TestGroundTruth:
         spec = default_world_spec(n=10, seed=9)
         indicators, counts = _truth_draw(spec, n_mc, seed=4)
         tokens = _draw_tokens(spec, np.random.default_rng([4, 1]), n_mc)
-        want, row_pattern = _group_patterns(tokens, spec.group_partition)
+        want, row_pattern = group_patterns(tokens, _members(spec.group_partition))
         assert indicators.tobytes() == want.tobytes()
         assert counts.tolist() == np.bincount(row_pattern).tolist()
 
