@@ -45,11 +45,12 @@ def token_frequencies(ds: SurveyDataset) -> FrequencyReport:
     """
     if ds.n_records == 0:
         raise ValidationError("empty dataset")
-    poor = ds.poor_mask
+    cells = ds.cells
     n = ds.n_records
-    n_poor = int(poor.sum())
+    poor_counts = cells.counts * cells.poor
+    n_poor = int(poor_counts.sum())
     count_all = np.diagonal(ds.cooccurrence)
-    count_poor = ds.token_matrix[poor].sum(axis=0)
+    count_poor = poor_counts @ cells.patterns
     freqs = tuple(
         TokenFrequency(
             token=name,

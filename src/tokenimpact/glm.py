@@ -102,8 +102,9 @@ def _assemble(indicators: np.ndarray, pairs) -> np.ndarray:
 
 def build_design(ds: SurveyDataset, spec: DesignSpec) -> Design:
     """Group indicators (OR of member tokens) with interactions, collapsed to
-    distinct patterns; the response is the poor-call label. The only pass
-    over the records."""
+    distinct patterns; the response is the poor-call label. The patterns
+    are those of the dataset's cells, and each pattern's record and poor
+    counts are sums of cell counts, so no record is read here."""
     grouping = spec.grouping
     if not grouping.groups:
         raise GlmError("grouping has no groups")
@@ -113,15 +114,16 @@ def build_design(ds: SurveyDataset, spec: DesignSpec) -> Design:
     for group in grouping.groups:
         if not group.members:
             raise GlmError(f"group {group.name} is empty")
-    indicators, row_pattern = group_patterns(
-        ds.token_matrix,
+    cells = ds.cells
+    indicators, cell_pattern = group_patterns(
+        cells.patterns,
         [[ds.vocabulary.index(tok) for tok in g.members] for g in grouping.groups],
     )
     base = Design(
         columns=(),
         matrix=_assemble(indicators, ()),
-        trials=np.bincount(row_pattern).astype(np.float64),
-        successes=np.bincount(row_pattern, weights=ds.poor_mask),
+        trials=np.bincount(cell_pattern, weights=cells.counts),
+        successes=np.bincount(cell_pattern, weights=cells.counts * cells.poor),
         baseline=ds.any_token_poor,
         group_names=grouping.group_names,
         interactions=(),

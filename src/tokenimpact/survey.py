@@ -7,10 +7,12 @@ questionnaire. The questionnaire is never shown for calls rated 5, so a
 
 A ``SurveyDataset`` is a table of such rows held as columns: call ids,
 ratings, durations, submission flags and a boolean token matrix. Those
-arrays are the only representation. Construction checks every row against
-the survey rules in one vectorized pass, and every transform here slices
-the arrays, each column once; a per-call predicate is a boolean mask over
-the columns.
+arrays are the data. Construction checks every row against the survey rules
+in one vectorized pass, and every transform here slices the arrays, each
+column once; a per-call predicate is a boolean mask over the columns. The
+estimators read a record only through its token pattern, its poor label and
+its duration, so they read every count from ``SurveyDataset.cells``, one
+table of the records grouped by pattern and label.
 """
 
 from __future__ import annotations
@@ -74,10 +76,6 @@ _QUOTED_CHARS = b',"\r\n'
 # bytes of call ids gathered per step of an index selection; each step
 # builds int64 source positions, 8 bytes per byte gathered
 _GATHER_BYTES = 1 << 16
-# cells per chunk of a row-chunked pass over a token-wide matrix (the
-# co-occurrence sum, the synthetic token draw): 512 KiB as float64, so one
-# chunk's temporaries stay within a per-core L2 cache
-_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -159,13 +157,6 @@ def _column(values, dtype, n: int, name: str) -> np.ndarray:
     if arr.shape != (n,):
         raise ValidationError(f"{name} has shape {arr.shape}, expected ({n},)")
     return arr
-
-
-def _chunk_rows(width: int) -> int:
-    """Rows per chunk of a ``width``-column pass: ``_CHUNK_CELLS // width``
-    rounded down to an even count, and at least 2, so that a chunk of an
-    odd width still has an even number of cells."""
-    return max(2, _CHUNK_CELLS // width // 2 * 2)
 
 
 def _offsets(lengths: np.ndarray) -> np.ndarray:
@@ -362,6 +353,62 @@ def _first_duplicate(ids: CallIds) -> tuple[int, int] | None:
 
 
 @dataclass(frozen=True, eq=False)
+class Cells:
+    """A dataset's records grouped by token pattern and poor label.
+
+    Cell ``k`` holds the ``counts[k]`` records with token pattern
+    ``patterns[k]`` and poor label ``poor[k]``, whose durations have mean
+    ``duration_mean[k]`` and centred sum of squares ``duration_m2[k]``. Each
+    (pattern, poor) pair that occurs is one cell, and no array has a row per
+    record; all are read-only.
+    """
+
+    patterns: np.ndarray
+    poor: np.ndarray
+    counts: np.ndarray
+    duration_mean: np.ndarray
+    duration_m2: np.ndarray
+
+
+def _group_cells(tokens: np.ndarray, poor: np.ndarray, durations: np.ndarray) -> Cells:
+    """``Cells`` of the rows of a token matrix, their poor labels and durations.
+
+    Each row's p token bits and its poor bit are packed into ``p // 64 + 1``
+    little-endian uint64 words; one lexsort of the words puts equal keys
+    together, and a cell starts wherever the key changes. The bits are laid
+    out in whole bytes per row and packed as one flat array, since numpy
+    packs a row of a few bytes at a time several times slower. The duration
+    moments are two bincounts over each row's cell index, the second of the
+    squared deviations from the cell's mean.
+    """
+    n, p = tokens.shape
+    width = p // 8 + 1
+    bits = np.zeros((n, 8 * width), dtype=bool)
+    bits[:, :p] = tokens
+    bits[:, p] = poor
+    words = np.zeros((n, p // 64 + 1), dtype="<u8")
+    words.view(np.uint8)[:, :width] = np.packbits(bits, bitorder="little").reshape(n, width)
+    del bits
+    order = np.lexsort(words.T[::-1])
+    keys = words[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    del words, keys
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, n))
+    row_cell = np.empty(n, dtype=np.intp)
+    row_cell[order] = np.cumsum(new) - 1
+    mean = np.bincount(row_cell, weights=durations, minlength=len(starts)) / counts
+    deviation = durations - mean[row_cell]
+    m2 = np.bincount(row_cell, weights=deviation * deviation, minlength=len(starts))
+    first = order[starts]
+    arrays = (tokens[first], poor[first], counts, mean, m2)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return Cells(*arrays)
+
+
+@dataclass(frozen=True, eq=False)
 class SurveyDataset:
     """Immutable columns of rated calls sharing one vocabulary.
 
@@ -449,25 +496,31 @@ class SurveyDataset:
         return mask
 
     @cached_property
+    def cells(self) -> Cells:
+        """The records grouped by token pattern and poor label, the one
+        table every count after the load is read from; computed once,
+        read-only."""
+        return _group_cells(self.token_matrix, self.poor_mask, self.durations)
+
+    @cached_property
     def any_token_poor(self) -> np.ndarray:
-        """2x2 call counts by any token (row 1) and poor label (column 1); read-only."""
-        table = np.bincount(2 * self.any_token_mask + self.poor_mask, minlength=4).reshape(2, 2)
+        """2x2 call counts by any token (row 1) and poor label (column 1),
+        summed over the cells; read-only."""
+        cells = self.cells
+        index = 2 * cells.patterns.any(axis=1) + cells.poor
+        table = np.bincount(index, weights=cells.counts, minlength=4).astype(np.int64).reshape(2, 2)
         table.setflags(write=False)
         return table
 
     @cached_property
     def cooccurrence(self) -> np.ndarray:
         """Token co-occurrence counts ``X.T @ X``: the diagonal holds each
-        token's count. Float64, which counts exactly below 2**53 rows and,
-        unlike int64, goes to BLAS; summed over chunks of ``_chunk_rows(p)``
-        rows, so no float copy of the whole matrix is made and each chunk's
-        copy stays cache-sized; computed once, read-only."""
-        p = len(self.vocabulary)
-        gram = np.zeros((p, p))
-        rows = _chunk_rows(p)
-        for start in range(0, self.n_records, rows):
-            x = self.token_matrix[start : start + rows].astype(np.float64)
-            gram += x.T @ x
+        token's count. Each cell's pattern ``P`` is weighted by its count,
+        ``(P * counts).T @ P``; float64, which counts exactly below 2**53
+        rows and, unlike int64, goes to BLAS; computed once, read-only."""
+        cells = self.cells
+        x = cells.patterns.astype(np.float64)
+        gram = (x * cells.counts[:, None]).T @ x
         gram.setflags(write=False)
         return gram
 

@@ -26,7 +26,6 @@ from .survey import (
     SurveyDataset,
     TokenVocabulary,
     _check_records,
-    _chunk_rows,
     code_indicators,
     default_vocabulary,
     group_codes,
@@ -36,6 +35,17 @@ from .survey import (
 DEFAULT_PARTITION = (0,) * 5 + (1,) * 5 + (2,) * 2 + (3,) * 2 + (4,)
 
 _REQUIRED = object()  # marks a GeneratorSpec.from_dict key without a default
+# cells per chunk of the token draw, which also serves the truth draw:
+# 512 KiB as float64, so one chunk's temporaries stay within a per-core L2
+# cache
+_CHUNK_CELLS = 1 << 16
+
+
+def _chunk_rows(width: int) -> int:
+    """Rows per chunk of a ``width``-token draw: ``_CHUNK_CELLS // width``
+    rounded down to an even count, and at least 2, so that a chunk of an
+    odd width still has an even number of cells."""
+    return max(2, _CHUNK_CELLS // width // 2 * 2)
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,6 @@ from .survey import SurveyDataset
 
 Z_95 = 1.96
 
-_BLOCK_ROWS = 4096  # records per block of the mask product, cast to float64
-
 
 class Metric(Enum):
     POOR_INDICATOR = "poor_indicator"
@@ -98,34 +96,38 @@ class TimuResult:
 
 
 def _impacts(
-    ds: SurveyDataset, masks: np.ndarray, metric: MetricSpec, strict_delta: bool
+    ds: SurveyDataset,
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray],
+    masks: np.ndarray,
+    metric: MetricSpec,
+    strict_delta: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Signed mean impact and CI half-width of each column of the
-    (records x sets) boolean ``masks``, in one pass over the records.
+    (cells x sets) boolean ``masks``.
 
-    With ``d`` the metric's deviations from its mean m and ``e = fix - m``,
-    the product of the masks with ``1``, ``d`` and ``d * d``, taken in blocks
-    of records, gives each set's count c, sum s1 and centred sum of squares
-    s2. The moments follow in
-    closed form from sums about m (the shifted-data form of Chan, Golub &
-    LeVeque 1983), never from E[x**2] - m**2; the fixed series' variance
-    joins the untouched rest to the c records at e by their pairwise update,
-    so a fix far from m costs no precision.
+    ``cells`` holds each cell's record count, metric mean and centred sum
+    of squares; a lone record is a cell of one with a sum of squares of 0.
+    With m the metric's mean, ``delta`` a cell's mean less m and
+    ``e = fix - m``, a cell's records sum to ``count * delta`` about m and
+    their squares to ``m2 + count * delta**2``, the pairwise update of
+    Chan, Golub & LeVeque (1983). The product of those sums with the masks
+    gives each set's count c, sum s1 and centred sum of squares s2 about m.
+    The moments follow in closed form from sums about m, never from
+    E[x**2] - m**2; the fixed series' variance joins the untouched rest to
+    the c records at e by the same update, so a fix far from m costs no
+    precision.
     """
     n = ds.n_records
     if n == 0:
         raise ValidationError("empty dataset")
-    series = metric_series(ds, metric)
-    m = series.mean()
+    counts, means, m2 = cells
+    m = (counts * means).sum() / n
     e = resolve_fix_value(ds, metric) - m
-    d = series - m
-    dd = d * d
-    d1, d2 = d.sum(), dd.sum()
-    powers = np.stack([np.ones(n), d, dd])
-    c, s1, s2 = sum(
-        powers[:, i : i + _BLOCK_ROWS] @ masks[i : i + _BLOCK_ROWS]
-        for i in range(0, n, _BLOCK_ROWS)
-    )
+    delta = means - m
+    sums = counts * delta
+    squares = m2 + sums * delta
+    d1, d2 = sums.sum(), squares.sum()
+    c, s1, s2 = np.stack([counts, sums, squares]) @ masks
     rest, rest_sum = n - c, d1 - s1  # the records the fix leaves alone
     rest_mean = rest_sum / np.maximum(rest, 1)
     shift = (c * e - s1) / n  # mean(fixed) - mean(series)
@@ -150,16 +152,26 @@ def timu(
     default; strict_delta uses the textbook variance of a difference of
     dependent means, sqrt(var_orig + var_fix - 2*cov).
     """
+    n = ds.n_records
+    records = (np.ones(n), metric_series(ds, metric), np.zeros(n))
     mask = selector_mask(ds, problem_set)[:, None]
-    (impact,), (halfwidth,) = _impacts(ds, mask, metric, strict_delta)
+    (impact,), (halfwidth,) = _impacts(ds, records, mask, metric, strict_delta)
     return TimuResult(selector_label(problem_set), float(impact), float(halfwidth), ds.n_records)
 
 
 def rank_tokens(
     ds: SurveyDataset, metric: MetricSpec, strict_delta: bool = False
 ) -> tuple[TimuResult, ...]:
-    """Per-token impacts, sorted by impact descending (ties keep vocabulary order)."""
-    impacts, halfwidths = _impacts(ds, ds.token_matrix, metric, strict_delta)
+    """Per-token impacts, sorted by impact descending (ties keep vocabulary
+    order). A token's records are the union of the cells with its bit, so
+    every token is scored from the cells at once; for the poor indicator a
+    cell's mean is its poor label and its sum of squares is 0."""
+    cells = ds.cells
+    if metric.kind is Metric.POOR_INDICATOR:
+        moments = (cells.counts, cells.poor.astype(np.float64), np.zeros(len(cells.counts)))
+    else:
+        moments = (cells.counts, cells.duration_mean, cells.duration_m2)
+    impacts, halfwidths = _impacts(ds, moments, cells.patterns, metric, strict_delta)
     results = [
         TimuResult(name, impact, halfwidth, ds.n_records)
         for name, impact, halfwidth in zip(ds.vocabulary.names, impacts.tolist(),

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import os
 import threading
 import tracemalloc
@@ -9,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tokenimpact import _float_text, survey
+from tokenimpact.descriptives import token_frequencies
 from tokenimpact.errors import ValidationError
+from tokenimpact.glm import DesignSpec, build_design
 from tokenimpact.survey import (
     CallIds,
     SurveyDataset,
@@ -23,7 +26,7 @@ from tokenimpact.survey import (
 )
 from tokenimpact.synthetic import default_world_spec, generate
 
-from conftest import make_dataset, make_vocab
+from conftest import grouping_from_partition, make_dataset, make_vocab
 from survey_reference import load_csv_reference, write_csv_reference
 
 
@@ -87,23 +90,6 @@ class TestDerivedMasks:
         assert ds.cooccurrence is ds.cooccurrence
         assert not ds.cooccurrence.flags.writeable
 
-    def test_chunk_rows_are_even_and_fill_the_budget(self):
-        assert survey._chunk_rows(15) == 4368
-        for width in (1, 2, 3, 7, 15, 64, 1000, 10**6):
-            rows = survey._chunk_rows(width)
-            assert rows >= 2 and rows % 2 == 0
-            assert rows == 2 or rows * width <= survey._CHUNK_CELLS < (rows + 2) * width
-
-    def test_cooccurrence_summed_over_row_blocks(self, monkeypatch):
-        # 12 cells are chunks of 4 rows of 3 tokens: 4, 4 and a last 2
-        monkeypatch.setattr(survey, "_CHUNK_CELLS", 12)
-        assert survey._chunk_rows(3) == 4
-        rows = [(r % 4 + 1, 1.0, (r % 2, r % 3 == 0, r % 5 == 1)) for r in range(10)]
-        ds = make_dataset(rows, n_tokens=3)
-        x = ds.token_matrix.astype(np.int64)
-        assert np.array_equal(ds.cooccurrence, x.T @ x)
-        assert np.array_equal(make_dataset([], n_tokens=3).cooccurrence, np.zeros((3, 3)))
-
     def test_subsets_get_their_own_cooccurrence(self):
         rows = [(1, 1.0, (1, 1, 0))] * 12 + [(4, 1.0, (0, 1, 0))] * 3 + [(3, 1.0, (1, 0, 0))] * 2
         ds = make_dataset(rows, n_tokens=3)
@@ -114,6 +100,110 @@ class TestDerivedMasks:
             assert np.array_equal(sub.cooccurrence, x.T @ x)
             assert not sub.cooccurrence.flags.writeable
         assert ds.cooccurrence is full
+
+
+def _row_cells(ds):
+    """(pattern, poor) -> durations of its records, grouped row by row."""
+    groups = {}
+    for bits, poor, duration in zip(
+        ds.token_matrix.tolist(), ds.poor_mask.tolist(), ds.durations.tolist()
+    ):
+        groups.setdefault((tuple(bits), poor), []).append(duration)
+    return groups
+
+
+def _assert_cells_match_rows(ds):
+    cells = ds.cells
+    keys = list(zip(map(tuple, cells.patterns.tolist()), cells.poor.tolist()))
+    groups = _row_cells(ds)
+    assert len(set(keys)) == len(keys) and set(keys) == set(groups)
+    assert int(cells.counts.sum()) == ds.n_records
+    for key, count, mean, m2 in zip(
+        keys, cells.counts.tolist(), cells.duration_mean.tolist(), cells.duration_m2.tolist()
+    ):
+        durations = np.array(groups[key])
+        assert count == len(durations)
+        want_mean = durations.mean()
+        want_m2 = ((durations - want_mean) ** 2).sum()
+        assert abs(mean - want_mean) <= 1e-12 * abs(want_mean)
+        assert abs(m2 - want_m2) <= 1e-12 * max(want_m2, want_mean**2)
+
+
+cell_rows = st.lists(
+    st.tuples(
+        st.integers(1, 4),
+        st.floats(0, 1000, allow_nan=False),
+        st.lists(st.booleans(), min_size=3, max_size=3),
+    ),
+    max_size=40,
+)
+
+
+class TestCells:
+    @given(cell_rows)
+    @settings(max_examples=50, deadline=None)
+    def test_cells_group_the_records_once_each(self, rows):
+        _assert_cells_match_rows(make_dataset(rows, n_tokens=3))
+
+    @given(cell_rows)
+    @settings(max_examples=50, deadline=None)
+    def test_counts_equal_row_level_counts(self, rows):
+        ds = make_dataset(rows, n_tokens=3)
+        x = ds.token_matrix.astype(np.int64)
+        poor = ds.poor_mask
+        assert np.array_equal(ds.cooccurrence, x.T @ x)
+        table = np.zeros((2, 2), dtype=np.int64)
+        np.add.at(table, (x.any(axis=1).astype(int), poor.astype(int)), 1)
+        assert ds.any_token_poor.dtype == np.int64
+        assert np.array_equal(ds.any_token_poor, table)
+        if ds.n_records:
+            freqs = token_frequencies(ds)
+            assert [f.count_poor for f in freqs.frequencies] == x[poor].sum(axis=0).tolist()
+            assert freqs.n_poor == int(poor.sum())
+        grouping = grouping_from_partition(ds.vocabulary.names, (0, 0, 1))
+        design = build_design(ds, DesignSpec(grouping=grouping))
+        codes = x[:, :2].any(axis=1) + 2 * x[:, 2]
+        for row, trials, successes in zip(design.group_indicators.tolist(),
+                                          design.trials.tolist(), design.successes.tolist()):
+            on = codes == row[0] + 2 * row[1]
+            assert trials == on.sum() and successes == (on & poor).sum()
+        assert design.n_records == ds.n_records
+        assert len(design.trials) == len(np.unique(codes))
+
+    def test_cells_are_cached_and_read_only(self):
+        ds = make_dataset([(1, 10.0, (1, 0)), (4, 20.0, (0, 0)), (1, 30.0, (1, 0))])
+        cells = ds.cells
+        assert ds.cells is cells
+        assert cells.counts.tolist() == [1, 2] or cells.counts.tolist() == [2, 1]
+        for arr in (cells.patterns, cells.poor, cells.counts, cells.duration_mean,
+                    cells.duration_m2):
+            assert not arr.flags.writeable
+            assert len(arr) == 2
+
+    def test_empty_dataset_has_no_cells(self):
+        ds = make_dataset([], n_tokens=3)
+        cells = ds.cells
+        assert cells.patterns.shape == (0, 3)
+        assert len(cells.poor) == len(cells.counts) == len(cells.duration_mean) == 0
+        assert np.array_equal(ds.cooccurrence, np.zeros((3, 3)))
+        assert ds.any_token_poor.tolist() == [[0, 0], [0, 0]]
+
+    def test_a_wide_key_spans_two_words(self):
+        # 70 tokens and the poor bit take two 64-bit words; these rows differ
+        # only in bits of the second word: tokens 64 and 69, and the poor bit
+        p = 70
+        rng = np.random.default_rng(2)
+        rows = []
+        for first, t64, t69, poor in itertools.product((0, 1), repeat=4):
+            bits = [0] * p
+            bits[0], bits[64], bits[69] = first, t64, t69
+            for _ in range(3):
+                rows.append((1 if poor else 4, float(rng.uniform(0, 600)), bits, True))
+        ds = make_dataset(rows, n_tokens=p)
+        _assert_cells_match_rows(ds)
+        assert len(ds.cells.counts) == 16 and ds.cells.counts.tolist() == [3] * 16
+        x = ds.token_matrix.astype(np.int64)
+        assert np.array_equal(ds.cooccurrence, x.T @ x)
 
 
 CSV_HEADER = "call_id,rating,duration_s,ptq_submitted,token_a,token_b\n"

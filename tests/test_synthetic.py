@@ -7,16 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, ndtr
 
-from tokenimpact import special, survey
+from tokenimpact import special, survey, synthetic
 from tokenimpact.cli import main
 from tokenimpact.errors import ValidationError
-from tokenimpact.survey import _chunk_rows, group_patterns, write_csv
+from tokenimpact.survey import group_patterns, write_csv
 from tokenimpact.synthetic import (
     _GUIDE_BITS,
     DEFAULT_PARTITION,
     DurationModel,
     GeneratorSpec,
     _call_ids,
+    _chunk_rows,
     _draw_tokens,
     _guide_bounds,
     _members,
@@ -366,6 +367,13 @@ class TestGroundTruth:
         assert indicators.tobytes() == want.tobytes()
         assert counts.tolist() == np.bincount(row_pattern).tolist()
 
+    def test_chunk_rows_are_even_and_fill_the_budget(self):
+        assert _chunk_rows(15) == 4368
+        for width in (1, 2, 3, 7, 15, 64, 1000, 10**6):
+            rows = _chunk_rows(width)
+            assert rows >= 2 and rows % 2 == 0
+            assert rows == 2 or rows * width <= synthetic._CHUNK_CELLS < (rows + 2) * width
+
     @pytest.mark.parametrize("group_sizes", [(5, 5, 2, 2, 1), (3, 4)])
     def test_draws_do_not_depend_on_the_chunk_size(self, monkeypatch, group_sizes):
         # 15 and 7 tokens; 1035 cells are 69 and 147 rows, so chunks of 68
@@ -382,7 +390,7 @@ class TestGroundTruth:
             )
 
         default = draw()
-        monkeypatch.setattr(survey, "_CHUNK_CELLS", 1035)
+        monkeypatch.setattr(synthetic, "_CHUNK_CELLS", 1035)
         assert _chunk_rows(spec.n_tokens) == {15: 68, 7: 146}[spec.n_tokens]
         for got, want in zip(draw(), default, strict=True):
             assert got.dtype == want.dtype and np.array_equal(got, want)

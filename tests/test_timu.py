@@ -195,10 +195,16 @@ def _reference_datasets():
     spec = block_world(n=3000, seed=6, group_sizes=(3, 2), effects=(1.4, 0.9))
     world, _ = generate(spec, truth_mc_n=1000)
     orders = [(1, 300.0, (1, 0))] * 5 + [(4, 30.0, (0, 1))] * 5 + [(4, 300.0, (0, 0))] * 10
+    # 70 tokens, so a cell's key spans two 64-bit words; rare tokens make
+    # both repeated and one-record cells
+    wide_spec = block_world(n=2000, seed=8, group_sizes=(36, 34), threshold=2.2,
+                            effects=(1.4, 0.9))
+    wide_world, _ = generate(wide_spec, truth_mc_n=1000)
     return {
         "hand": make_timu_fixture(),
         "orders": make_dataset(orders, n_tokens=2),
         "block_world": world,
+        "wide_world": wide_world,
     }
 
 
