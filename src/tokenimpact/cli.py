@@ -498,10 +498,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.seed < 0:
             raise ValidationError("seed must be non-negative")
         spec = default_world_spec(n=args.n, seed=args.seed)
+    if args.truth_mc < 1:
+        raise ValidationError("the Monte-Carlo truth needs at least 1 draw")
     out = Path(args.out)
     for path in (out, Path(args.truth)) if args.truth else (out,):
         _check_output(path)
-    ds, truth = generate(spec, truth_mc_n=args.truth_mc)
+    ds, truth = generate(spec, truth_mc_n=args.truth_mc if args.truth else None)
     with _output(out):
         write_csv(ds, out)
     if args.truth:

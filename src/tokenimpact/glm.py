@@ -351,44 +351,39 @@ def _coefficient_factor(covariance: np.ndarray) -> np.ndarray:
 def group_fix_impact(
     model: LogisticModel,
     design: Design,
-    group_index: int,
     n_boot: int = 200,
     *,
     seed: int,
-) -> GroupImpact:
-    """Relative reduction in mean predicted poor probability when one group
-    is fixed, with a percentile bootstrap CI.
+) -> tuple[GroupImpact, ...]:
+    """Relative reduction in mean predicted poor probability when each group
+    alone is fixed, with percentile bootstrap CIs, in group order.
 
     Each replicate resamples records with replacement and draws coefficients
     from the fit's asymptotic normal, so the interval carries both sampling
     and estimation noise without refitting the model. A resample enters only
     through its record count per pattern, and binning n records drawn with
     replacement gives Multinomial(n, trials / n) counts (Efron & Tibshirani
-    1993), so those counts are drawn directly. All replicates come from one
-    stream ``[seed, group_index, 2]``, counts first and coefficients second,
-    and are scored together. The tag 2 keeps group 0's stream apart from the
-    bare seed's, which the restriction and ``balance_resample`` draw from:
-    ``SeedSequence`` drops trailing zero words, so ``[seed, 0]`` would be it.
+    1993), so those counts are drawn directly. One stream ``[seed, 0, 2]``
+    draws every replicate's counts, then its coefficients, and each group's
+    fix is scored on those same replicates. The tag 2 keeps the stream apart
+    from the bare seed's, which the restriction and ``balance_resample``
+    draw from: ``SeedSequence`` drops trailing zero words, so ``[seed, 0]``
+    would be it.
     """
-    if not 0 <= group_index < len(design.group_names):
-        raise GlmError(f"group index {group_index} out of range")
-    fixed_matrix = design.fixed_matrix([group_index])
     n = design.n_records
-    rng = np.random.default_rng([seed, group_index, 2])
+    rng = np.random.default_rng([seed, 0, 2])
     counts = rng.multinomial(n, design.trials / n, size=n_boot)
     noise = rng.standard_normal((n_boot, model.coefficients.size))
     betas = model.coefficients + noise @ _coefficient_factor(model.covariance).T
-    fixed = (counts * expit(betas @ fixed_matrix.T)).sum(axis=1)
     original = (counts * expit(betas @ design.matrix.T)).sum(axis=1)
-    lo, hi = quantile(1.0 - fixed / original, (0.025, 0.975))
-    return GroupImpact(
-        group=design.group_names[group_index],
-        reduction=_relative_reduction(
-            design.trials, model.coefficients, design.matrix, fixed_matrix
-        ),
-        ci_lo=float(lo),
-        ci_hi=float(hi),
-    )
+    impacts = []
+    for g, name in enumerate(design.group_names):
+        fixed_matrix = design.fixed_matrix([g])
+        fixed = (counts * expit(betas @ fixed_matrix.T)).sum(axis=1)
+        lo, hi = quantile(1.0 - fixed / original, (0.025, 0.975))
+        point = _relative_reduction(design.trials, model.coefficients, design.matrix, fixed_matrix)
+        impacts.append(GroupImpact(name, point, float(lo), float(hi)))
+    return tuple(impacts)
 
 
 def _separated_groups(design: Design) -> tuple[str, ...]:
@@ -453,15 +448,14 @@ def impact_report(
 ) -> ImpactReport:
     """Assemble the full counterfactual report.
 
-    The cumulative order is descending individual reduction. The
+    Every group's reduction and CI come from one ``group_fix_impact`` call,
+    on one shared set of ``n_boot`` replicates. The cumulative reductions,
+    in descending order of the individual ones, carry no CI. The
     baseline classifier flags a record with any token; its AUC and false
     positive rate come from ``design.baseline``, and that rate anchors the
     reported model TPR so the comparison is at matched operating points.
     """
-    individual = tuple(
-        group_fix_impact(model, design, g, n_boot=n_boot, seed=seed)
-        for g in range(len(design.group_names))
-    )
+    individual = group_fix_impact(model, design, n_boot=n_boot, seed=seed)
     order = _descending([g.reduction for g in individual])
     cumulative = cumulative_impact(model, design, order=order)
     evaluation = evaluate(model, design)

@@ -367,11 +367,15 @@ def _call_ids(start: int, stop: int) -> CallIds:
     return CallIds.concat(chunks)
 
 
-def generate(spec: GeneratorSpec, truth_mc_n: int = 200_000) -> tuple[SurveyDataset, GroundTruth]:
-    """Draw one survey dataset plus its ground truth, deterministic per seed."""
-    # one Monte-Carlo draw serves every group's counterfactual
-    draw = _truth_draw(spec, truth_mc_n, spec.seed)
-    reductions = tuple(_fix_impact(spec, draw, g) for g in range(spec.n_groups))
+def generate(
+    spec: GeneratorSpec, truth_mc_n: int | None = 200_000
+) -> tuple[SurveyDataset, GroundTruth]:
+    """Draw one survey dataset plus its ground truth, deterministic per seed.
+    One Monte-Carlo draw of ``truth_mc_n`` calls, on its own stream, serves
+    every group's truth; ``None`` skips it and leaves ``group_reductions``
+    empty. The dataset is the same either way."""
+    draws = [] if truth_mc_n is None else [_truth_draw(spec, truth_mc_n, spec.seed)]
+    reductions = tuple(_fix_impact(spec, d, g) for d in draws for g in range(spec.n_groups))
     rng = np.random.default_rng(spec.seed)
     n = spec.n
     tokens = _draw_tokens(spec, rng, n)

@@ -85,32 +85,37 @@ def reduction(beta, matrix, fixed_matrix):
     return float(1.0 - scores(fixed_matrix, beta).mean() / scores(matrix, beta).mean())
 
 
-def bootstrap_ci(beta, covariance, indicators, pairs, group_index, n_boot, seed):
-    """Percentile CI over replicates that reweight record rows.
+def bootstrap_ci(beta, covariance, indicators, pairs, n_boot, seed):
+    """Each group's percentile CI over one set of replicates that reweight
+    record rows.
 
     Each replicate's per-pattern record counts are drawn as the library
     draws them (Multinomial(n, trials / n), patterns in the design's code
-    order, from the stream ``[seed, group_index, 2]``), then spread evenly over
-    that pattern's rows as record weights.
+    order, from the stream ``[seed, 0, 2]``), then spread evenly over that
+    pattern's rows as record weights. Every group's fix is scored on the
+    same replicates, one record row and one replicate at a time.
     """
     indicators = np.asarray(indicators, dtype=np.int64)
     matrix = assemble(indicators, pairs)
-    fixed_matrix = assemble(indicators, pairs, [group_index])
     codes = (indicators << np.arange(indicators.shape[1])).sum(axis=1)
     _, pattern = np.unique(codes, return_inverse=True)
     trials = np.bincount(pattern).astype(np.float64)
     n = matrix.shape[0]
     factor = np.linalg.cholesky(covariance)
-    rng = np.random.default_rng([seed, group_index, 2])
+    rng = np.random.default_rng([seed, 0, 2])
     counts = rng.multinomial(n, trials / n, size=n_boot)
     noise = rng.standard_normal((n_boot, len(beta)))
-    replicates = []
-    for pattern_counts, z in zip(counts, noise):
-        weights = pattern_counts[pattern] / trials[pattern]
-        draw = beta + factor @ z
-        fixed_mean = weights @ scores(fixed_matrix, draw)
-        replicates.append(1.0 - fixed_mean / (weights @ scores(matrix, draw)))
-    return tuple(np.percentile(replicates, [2.5, 97.5]))
+    cis = []
+    for g in range(indicators.shape[1]):
+        fixed_matrix = assemble(indicators, pairs, [g])
+        replicates = []
+        for pattern_counts, z in zip(counts, noise):
+            weights = pattern_counts[pattern] / trials[pattern]
+            draw = beta + factor @ z
+            fixed_mean = weights @ scores(fixed_matrix, draw)
+            replicates.append(1.0 - fixed_mean / (weights @ scores(matrix, draw)))
+        cis.append(tuple(np.percentile(replicates, [2.5, 97.5])))
+    return cis
 
 
 def cumulative(beta, indicators, pairs):

@@ -325,18 +325,15 @@ def test_criterion_10_timm_counterfactual():
     details = []
     for key in ("two_group", "three_group", "interacting"):
         spec, ds, design, model = _world(key)
-        for g in range(spec.n_groups):
-            est = group_fix_impact(model, design, g, n_boot=300, seed=50 + g)
+        impacts = group_fix_impact(model, design, n_boot=300, seed=50)
+        for g, est in enumerate(impacts):
             truth = ground_truth_impact(spec, g, n_mc=200_000, seed=999)
             lo = est.ci_lo - 3 * truth.mc_se
             hi = est.ci_hi + 3 * truth.mc_se
             covered &= lo <= truth.reduction <= hi
             details.append(f"{key}/g{g}: {est.reduction:.3f} vs {truth.reduction:.3f}")
     spec, ds, design, model = _world("interacting")
-    singles = [
-        group_fix_impact(model, design, g, n_boot=10, seed=1).reduction
-        for g in range(2)
-    ]
+    singles = [i.reduction for i in group_fix_impact(model, design, n_boot=10, seed=1)]
     final = cumulative_impact(model, design)[-1][1]
     non_additive = abs(final - sum(singles)) > 0.01
     _verdict(

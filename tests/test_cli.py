@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import tokenimpact
-from tokenimpact import cli, factors, glm
+from tokenimpact import cli, factors, glm, synthetic
 from tokenimpact.cli import main
 from tokenimpact.descriptives import InformationGain
 from tokenimpact.survey import write_csv
@@ -193,6 +193,19 @@ class TestSimulate:
                  "--out", out, "--truth-mc", draws)
         assert rc == 2
         assert not out.exists()
+
+    def test_truth_is_drawn_only_for_a_truth_file(self, tmp_path, monkeypatch):
+        args = ("simulate", "--preset", "default-world", "--n", 500, "--seed", 4,
+                "--truth-mc", 1000)
+        assert run(*args, "--out", tmp_path / "with.csv", "--truth", tmp_path / "t.json") == 0
+
+        def no_draw(*_):
+            raise AssertionError("the truth was drawn without --truth")
+
+        monkeypatch.setattr(synthetic, "_truth_draw", no_draw)
+        assert run(*args, "--out", tmp_path / "without.csv") == 0
+        # the truth has its own stream, so the data do not depend on it
+        assert (tmp_path / "without.csv").read_bytes() == (tmp_path / "with.csv").read_bytes()
 
     def test_preset_requires_seed(self, tmp_path):
         rc = run("simulate", "--preset", "default-world", "--out", tmp_path / "x.csv")
@@ -727,6 +740,24 @@ class TestReport:
                  "--seed", 5, "--reps", 20, "--bootstrap", 30, "--interactions", "aic")
         assert rc == 0
         assert len(calls) == 1
+
+    def test_every_stream_of_a_report_is_apart(self, tmp_path, world_csv, monkeypatch):
+        real = np.random.default_rng
+        seeds = []
+
+        def spy(seed):
+            seeds.append(seed if isinstance(seed, int) else tuple(seed))
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        rc = run("report", "--input", world_csv, "--outdir", tmp_path / "out",
+                 "--seed", 5, "--interactions", "aic")
+        monkeypatch.undo()
+        assert rc == 0
+        # the restriction, ten parallel-analysis blocks of 10 replicates and
+        # one bootstrap draw for every group
+        assert seeds == [5, *((5, b, 1) for b in range(10)), (5, 0, 2)]
+        assert len({real(seed).random() for seed in seeds}) == len(seeds)
 
     def test_json_keys_are_pinned(self, tmp_path, world_csv):
         # a field that reaches a report, or leaves it, shows here

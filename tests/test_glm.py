@@ -238,7 +238,7 @@ class TestCounterfactuals:
         y = np.r_[np.ones(3), np.zeros(7)]
         design = make_design(indicators, y)
         model = make_model([-1.0, 2.0])
-        impact = group_fix_impact(model, design, 0, n_boot=50, seed=0)
+        (impact,) = group_fix_impact(model, design, n_boot=50, seed=0)
         assert impact.reduction == 0.0
         assert impact.ci_lo == impact.ci_hi == 0.0
 
@@ -250,7 +250,7 @@ class TestCounterfactuals:
         model = make_model([-2.0, 3.0])
         p_orig = (4 * expit(1.0) + 6 * expit(-2.0)) / 10
         expected = 1.0 - expit(-2.0) / p_orig
-        impact = group_fix_impact(model, design, 0, n_boot=100, seed=1)
+        (impact,) = group_fix_impact(model, design, n_boot=100, seed=1)
         assert impact.reduction == pytest.approx(expected, abs=1e-12)
         assert impact.ci_lo <= impact.reduction <= impact.ci_hi
 
@@ -260,11 +260,23 @@ class TestCounterfactuals:
         y = rng.random(200) < 0.3
         design = make_design(indicators, y)
         model = make_model([-1.5, 1.0, 0.5])
-        a = group_fix_impact(model, design, 0, n_boot=80, seed=9)
-        b = group_fix_impact(model, design, 0, n_boot=80, seed=9)
-        assert (a.ci_lo, a.ci_hi) == (b.ci_lo, b.ci_hi)
+        a = group_fix_impact(model, design, n_boot=80, seed=9)
+        assert group_fix_impact(model, design, n_boot=80, seed=9) == a
 
-    def test_group_streams_are_apart_from_the_bare_seed(self, monkeypatch):
+    def test_groups_share_their_replicates(self):
+        # two groups on the same records with equal effects: fixing either
+        # moves every replicate alike, so only a shared draw gives equal CIs
+        rng = np.random.default_rng(2)
+        on = rng.random((200, 1)) < 0.3
+        design = make_design(np.c_[on, on], rng.random(200) < 0.3)
+        model = make_model([-1.5, 0.8, 0.8])
+        first, second = group_fix_impact(model, design, n_boot=50, seed=9)
+        assert first.ci_lo < first.ci_hi
+        assert (first.reduction, first.ci_lo, first.ci_hi) == (
+            second.reduction, second.ci_lo, second.ci_hi,
+        )
+
+    def test_bootstrap_stream_is_apart_from_the_bare_seed(self, monkeypatch):
         # the restriction and balance_resample draw from default_rng(seed)
         rng = np.random.default_rng(2)
         design = make_design((rng.random((200, 3)) < 0.3).astype(float), rng.random(200) < 0.3)
@@ -277,11 +289,10 @@ class TestCounterfactuals:
             return real(seed)
 
         monkeypatch.setattr(np.random, "default_rng", spy)
-        for g in range(3):
-            group_fix_impact(model, design, g, n_boot=10, seed=9)
+        group_fix_impact(model, design, n_boot=10, seed=9)
         monkeypatch.undo()
         firsts = {real(seed).random() for seed in seeds + [9]}
-        assert len(seeds) == 3 and len(firsts) == 4
+        assert len(seeds) == 1 and len(firsts) == 2
 
     def test_positive_effect_fix_never_increases_pcr(self):
         rng = np.random.default_rng(3)
@@ -298,7 +309,7 @@ class TestCounterfactuals:
         indicators = np.r_[np.ones(4), np.zeros(6)][:, None]
         design = make_design(indicators, np.r_[np.ones(4), np.zeros(6)])
         model = make_model([-2.0, 3.0])
-        single = group_fix_impact(model, design, 0, n_boot=10, seed=0)
+        (single,) = group_fix_impact(model, design, n_boot=10, seed=0)
         cumulative = cumulative_impact(model, design)
         assert cumulative == ((0, pytest.approx(single.reduction)),)
 
@@ -329,10 +340,7 @@ class TestCounterfactuals:
         y = np.tile([1, 1, 0, 0], 25).astype(float)
         design = make_design(indicators, y, pairs=((0, 1),))
         model = make_model([-2.0, 1.5, 1.2, -0.9])
-        singles = [
-            group_fix_impact(model, design, g, n_boot=10, seed=0).reduction
-            for g in (0, 1)
-        ]
+        singles = [i.reduction for i in group_fix_impact(model, design, n_boot=10, seed=0)]
         final = cumulative_impact(model, design, order=(0, 1))[-1][1]
         assert abs(final - sum(singles)) > 0.01
 
@@ -539,10 +547,11 @@ class TestPatternPathMatchesRowReference:
             model.coefficients, reference.fit(rows, y).beta, rtol=0, atol=1e-10
         )
         beta = model.coefficients
-        for g in range(indicators.shape[1]):
+        impacts = group_fix_impact(model, design, n_boot=25, seed=3)
+        cis = reference.bootstrap_ci(beta, model.covariance, indicators, pairs, 25, 3)
+        assert len(impacts) == len(cis) == indicators.shape[1]
+        for g, (impact, (lo, hi)) in enumerate(zip(impacts, cis)):
             fixed = reference.assemble(indicators, pairs, [g])
-            impact = group_fix_impact(model, design, g, n_boot=25, seed=3)
-            lo, hi = reference.bootstrap_ci(beta, model.covariance, indicators, pairs, g, 25, 3)
             np.testing.assert_allclose(
                 [impact.reduction, impact.ci_lo, impact.ci_hi],
                 [reference.reduction(beta, rows, fixed), lo, hi],

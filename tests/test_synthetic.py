@@ -357,6 +357,8 @@ class TestGroundTruth:
         assert len(truth.group_reductions) == 2
         assert truth.n_factors == 2
         assert all(g.n_mc == 5000 for g in truth.group_reductions)
+        _, skipped = generate(spec, truth_mc_n=None)
+        assert skipped.group_reductions == () and skipped.n_factors == 2
 
     @pytest.mark.parametrize("n_mc", [1, DRAW_ROWS + 1, 2 * DRAW_ROWS + 5])
     def test_truth_draw_equals_patterns_of_the_token_matrix(self, n_mc):

@@ -54,3 +54,6 @@ def test_traced_report_covers_every_per_layer_metric(tmp_path, monkeypatch):
     metrics = tracer.layer_metrics(data["spans"], data["installed"])
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert sorted({m["name"] for m in declared} - DERIVED - set(metrics)) == []
+    # every group is scored on one shared set of --bootstrap replicates
+    assert metrics["glm.bootstrap_replicates"] == 20
+    assert [s["name"] for s in data["spans"]].count("glm.group_fix_impact") == 1
