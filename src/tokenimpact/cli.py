@@ -19,7 +19,7 @@ import sys
 import typing
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -115,40 +115,85 @@ class RunConfig:
         return int(self.seed)
 
 
-_CONFIG_TYPES = typing.get_type_hints(RunConfig)
+# the JSON type of a field's type, as an error names it; any other is a dataclass
+_JSON_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+               type(None): "null", tuple: "an array", np.ndarray: "an array"}
 
 
-def _read_json_object(path: Path, kind: str) -> dict:
-    """The JSON object held by a ``kind`` file (config or spec)."""
+def _read_fields(cls, path: Path, kind: str) -> dict:
+    """The fields of dataclass ``cls`` that the JSON object of a ``kind``
+    file (config or spec) gives, each read as its annotated type
+    (``_json_value``). Unknown keys are named together, nested ones after a
+    dot, and a field without a default must be given. Value checks are the
+    dataclass's own."""
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:  # such as a missing file or a directory
         raise ValidationError(f"cannot read {kind} file {path}: {exc.strerror or exc}") from None
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # or nested too deep to parse
         raise ValidationError(f"{kind} file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{kind} file {path} must hold a JSON object")
-    return data
-
-
-def _read_config(path: Path) -> dict:
-    """The options of a JSON config file, each of its RunConfig field's type;
-    an integer stands for a float."""
-    file_cfg = _read_json_object(path, "config")
-    unknown = set(file_cfg) - set(RunConfig.__dataclass_fields__)
+    unknown = _unknown_keys(cls, data)
     if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in file_cfg.items():
-        allowed = typing.get_args(_CONFIG_TYPES[key]) or (_CONFIG_TYPES[key],)
-        if float in allowed:
-            allowed += (int,)
-        # exact types, so that true and false are not integers
-        if type(value) not in allowed:
-            raise ValidationError(
-                f"config key {key!r} must be {RunConfig.__annotations__[key]}, "
-                f"got {json.dumps(value)}"
-            )
-    return file_cfg
+        raise ValidationError(f"unknown {kind} keys: {unknown}")
+    return _field_values(cls, data, kind)
+
+
+def _unknown_keys(cls, data: dict, prefix: str = "") -> list[str]:
+    """The keys of ``data`` that name no field of ``cls``, then those of its
+    objects under dataclass fields, after the field's name and a dot."""
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(prefix + key for key in data.keys() - hints.keys())
+    for key, value in data.items():
+        if is_dataclass(hints.get(key)) and type(value) is dict:
+            unknown += _unknown_keys(hints[key], value, f"{prefix}{key}.")
+    return unknown
+
+
+def _field_values(cls, data: dict, kind: str, prefix: str = "") -> dict:
+    """``_read_fields`` of ``data``, whose keys all name fields of ``cls``."""
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        key, hint = prefix + f.name, hints[f.name]
+        if f.name not in data:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ValidationError(f"{kind} key {key!r} is missing")
+        elif is_dataclass(hint) and type(data[f.name]) is dict:
+            values[f.name] = hint(**_field_values(hint, data[f.name], kind, key + "."))
+        else:
+            try:
+                values[f.name] = _json_value(hint, data[f.name])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"{kind} key {key!r} is malformed: {exc}") from None
+    return values
+
+
+def _json_value(hint, value):
+    """A JSON value of its exact type as type ``hint``: an integer stands for
+    a float and is stored as one, true and false are never numbers, null
+    fits only ``X | None``, and a tuple or ``np.ndarray`` comes from an
+    array. A TypeError names what was expected."""
+    args = typing.get_args(hint)
+    if type(value) is list and hint is np.ndarray:
+        # each item is a number or a row of numbers; ragged rows are a ValueError
+        rows = [_json_value(tuple[float, ...] if type(v) is list else float, v) for v in value]
+        return np.array(rows, dtype=np.float64)
+    if type(value) is list and typing.get_origin(hint) is tuple:
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        if len(value) == len(args):
+            return tuple(map(_json_value, args, value))
+    allowed = args if type(None) in args else (hint,)
+    if type(value) in allowed:
+        return value
+    if float in allowed and type(value) is int:
+        return float(value)
+    expected = " or ".join(
+        _JSON_NAMES.get(typing.get_origin(t) or t, "an object") for t in allowed
+    )
+    raise TypeError(f"expected {expected}, got {json.dumps(value)}")
 
 
 def _merge_config(args: argparse.Namespace, file_cfg: dict, keys: tuple[str, ...]) -> RunConfig:
@@ -253,6 +298,9 @@ def _load_input(cfg: RunConfig) -> tuple[dict, SurveyDataset]:
     if not cfg.input:
         raise ValidationError("an --input CSV is required")
     path = Path(cfg.input)
+    if path.exists() and not path.is_file():  # a stat: opening a named pipe would block
+        raise ValidationError(f"cannot read {path}: --input must be a regular file, since "
+                              "its SHA-256 goes into every report")
     ds = load_csv(path)
     return {"input": str(path), "input_sha256": _sha256(path)}, ds
 
@@ -468,7 +516,7 @@ def _run(args: argparse.Namespace, *stages: _Stage) -> int:
     keys that no stage reads are named in one warning and otherwise ignored,
     so one file can serve every command.
     """
-    file_cfg = _read_config(Path(args.config)) if args.config else {}
+    file_cfg = _read_fields(RunConfig, Path(args.config), "config") if args.config else {}
     unread = sorted(set(file_cfg).difference(*(stage.keys for stage in stages)))
     if unread:
         log.warning("config keys not read by this command: %s", ", ".join(unread))
@@ -489,7 +537,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if bool(args.spec) == bool(args.preset):
         raise ValidationError("exactly one of --spec or --preset is required")
     if args.spec:
-        spec = GeneratorSpec.from_dict(_read_json_object(Path(args.spec), "spec"))
+        if args.seed is not None or args.n is not None:
+            raise ValidationError("--seed and --n are not read with --spec: set seed and n in it")
+        spec = GeneratorSpec(**_read_fields(GeneratorSpec, Path(args.spec), "spec"))
     else:
         if args.preset != "default-world":
             raise ValidationError(f"unknown preset {args.preset!r}")
@@ -497,7 +547,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ValidationError("--seed is required with --preset")
         if args.seed < 0:
             raise ValidationError("seed must be non-negative")
-        spec = default_world_spec(n=args.n, seed=args.seed)
+        spec = default_world_spec(n=20_000 if args.n is None else args.n, seed=args.seed)
     if args.truth_mc < 1:
         raise ValidationError("the Monte-Carlo truth needs at least 1 draw")
     out = Path(args.out)
@@ -572,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic survey with ground truth")
     p.add_argument("--spec", help="generator spec JSON")
     p.add_argument("--preset", help="built-in generator preset (default-world)")
-    p.add_argument("--n", type=int, default=20_000, help="records for --preset")
+    p.add_argument("--n", type=int, help="records for --preset (default 20000)")
     p.add_argument("--seed", type=int, help="seed for --preset")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--truth", help="ground-truth JSON path")

@@ -11,8 +11,8 @@ in the pipeline has an exact oracle to recover.
 
 from __future__ import annotations
 
-import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -34,7 +34,6 @@ from .survey import (
 
 DEFAULT_PARTITION = (0,) * 5 + (1,) * 5 + (2,) * 2 + (3,) * 2 + (4,)
 
-_REQUIRED = object()  # marks a GeneratorSpec.from_dict key without a default
 # cells per chunk of the token draw, which also serves the truth draw:
 # 512 KiB as float64, so one chunk's temporaries stay within a per-core L2
 # cache
@@ -46,6 +45,14 @@ def _chunk_rows(width: int) -> int:
     rounded down to an even count, and at least 2, so that a chunk of an
     odd width still has an even number of cells."""
     return max(2, _CHUNK_CELLS // width // 2 * 2)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a ValidationError names the field ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name}: {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -90,19 +97,25 @@ class GeneratorSpec:
         if loadings.ndim != 2:
             raise ValidationError("loadings must be a tokens x factors matrix")
         thresholds = np.asarray(self.thresholds, dtype=np.float64)
-        object.__setattr__(self, "loadings", loadings)
-        object.__setattr__(self, "thresholds", thresholds)
-        object.__setattr__(self, "group_partition", tuple(self.group_partition))
-        object.__setattr__(self, "glm_group_effects", tuple(self.glm_group_effects))
-        object.__setattr__(
-            self,
-            "glm_interactions",
-            tuple((int(a), int(b)) for a, b in self.glm_interactions),
-        )
-        object.__setattr__(
-            self, "glm_interaction_effects", tuple(self.glm_interaction_effects)
-        )
-        object.__setattr__(self, "token_names", tuple(self.token_names))
+        try:
+            pairs = tuple(
+                (_integer("glm_interactions", a), _integer("glm_interactions", b))
+                for a, b in self.glm_interactions
+            )
+        except (TypeError, ValueError):  # an item that is not a pair
+            raise ValidationError("glm_interactions must hold pairs of group indices") from None
+        for name, value in (
+            ("loadings", loadings),
+            ("thresholds", thresholds),
+            ("group_partition", tuple(_integer("group_partition", g) for g in self.group_partition)),
+            ("glm_group_effects", tuple(self.glm_group_effects)),
+            ("glm_interactions", pairs),
+            ("glm_interaction_effects", tuple(self.glm_interaction_effects)),
+            ("n", _integer("n", self.n)),
+            ("seed", _integer("seed", self.seed)),
+            ("token_names", tuple(self.token_names)),
+        ):
+            object.__setattr__(self, name, value)
         p = loadings.shape[0]
         if thresholds.shape != (p,):
             raise ValidationError("thresholds length must match token count")
@@ -159,72 +172,6 @@ class GeneratorSpec:
             return default_vocabulary()
         return TokenVocabulary(
             names=tuple(f"token_{i:02d}" for i in range(self.n_tokens))
-        )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GeneratorSpec":
-        """The spec of a mapping of its fields, the form that ``simulate
-        --truth`` writes under ``spec``, with ``duration`` a mapping of the
-        DurationModel's fields. Values are read as a config file's are: of
-        their exact JSON type, where an integer may stand for a float and
-        true or false is not a number. Unknown keys are named together, and
-        a missing or malformed key is a ValidationError that names it."""
-
-        def value(key, convert, source=data, default=_REQUIRED):
-            if key not in source:
-                if default is _REQUIRED:
-                    raise ValidationError(f"spec key {key!r} is missing")
-                return default
-            try:
-                return convert(source[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(f"spec key {key!r} is malformed: {exc}") from None
-
-        def exact(kind, name):
-            def convert(v):
-                # exact types, so that true and false are not integers
-                if type(v) is not kind:
-                    raise TypeError(f"expected {name}, got {json.dumps(v)}")
-                return v
-            return convert
-
-        integer, text = exact(int, "an integer"), exact(str, "a string")
-        mapping = exact(dict, "an object")
-
-        def number(v):
-            if type(v) not in (float, int):
-                raise TypeError(f"expected a number, got {json.dumps(v)}")
-            return float(v)
-
-        def array(item, length=None):
-            def convert(v):
-                if type(v) is not list or length not in (None, len(v)):
-                    raise TypeError(f"expected an array, got {json.dumps(v)}")
-                return tuple(map(item, v))
-            return convert
-
-        dur = value("duration", mapping, default={})
-        unknown = sorted(set(data) - set(cls.__dataclass_fields__)) + sorted(
-            f"duration.{key}" for key in set(dur) - set(DurationModel.__dataclass_fields__)
-        )
-        if unknown:
-            raise ValidationError(f"unknown spec keys: {unknown}")
-        return cls(
-            loadings=value("loadings", lambda v: np.array(array(array(number))(v))),
-            thresholds=value("thresholds", lambda v: np.array(array(number)(v))),
-            group_partition=value("group_partition", array(integer)),
-            glm_intercept=value("glm_intercept", number),
-            glm_group_effects=value("glm_group_effects", array(number)),
-            glm_interactions=value("glm_interactions", array(array(integer, 2)), default=()),
-            glm_interaction_effects=value("glm_interaction_effects", array(number), default=()),
-            n=value("n", integer),
-            seed=value("seed", integer),
-            duration=DurationModel(
-                base_mean_s=value("base_mean_s", number, dur, 300.0),
-                group_penalties=value("group_penalties", array(number), dur, ()),
-                sigma=value("sigma", number, dur, 0.5),
-            ),
-            token_names=value("token_names", array(text), default=()),
         )
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import logging
 import math
@@ -112,6 +113,14 @@ class TestSimulate:
         (_spec_body(token_names=["a", 2]), "spec key 'token_names' is malformed"),
         (_spec_body(glm_interaction_effect=[-0.5], duration={"sigmaa": 0.5}),
          "unknown spec keys: ['glm_interaction_effect', 'duration.sigmaa']"),
+        (_spec_body(duration={"penalties": [1.0, 1.0]}), "unknown spec keys: ['duration.penalties']"),
+        (_spec_body(duration={"sigma": "wide"}),
+         "spec key 'duration.sigma' is malformed: expected a number, got \"wide\""),
+        (_spec_body(duration={"group_penalties": [1.0, None]}),
+         "spec key 'duration.group_penalties' is malformed: expected a number, got null"),
+        (_spec_body(loadings=[[0.5, 0.0], [0.6]]), "spec key 'loadings' is malformed"),
+        (_spec_body(thresholds=[[[0.0]], [0.5]]),
+         "spec key 'thresholds' is malformed: expected a number, got [0.0]"),
     ])
     def test_bad_spec_exits_2(self, tmp_path, capsys, body, message):
         spec = tmp_path / "spec.json"
@@ -135,6 +144,17 @@ class TestSimulate:
                        "--truth-mc", 100) == 0
             written.append((out.read_bytes(), truth.read_bytes()))
         assert written[0] == written[1]
+
+    @pytest.mark.parametrize("option", [["--seed", 99], ["--n", 7], ["--n", 7, "--seed", 99]])
+    def test_spec_refuses_preset_options(self, tmp_path, capsys, option):
+        # the spec file holds its own seed and n
+        spec = tmp_path / "spec.json"
+        spec.write_text(_spec_body())
+        out, truth = tmp_path / "x.csv", tmp_path / "truth.json"
+        assert run("simulate", "--spec", spec, *option, "--out", out, "--truth", truth) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["message"].startswith("--seed and --n are not read with --spec")
+        assert not out.exists() and not truth.exists()
 
     @pytest.mark.parametrize("module", ["tokenimpact", "tokenimpact.cli"])
     def test_module_entry_point_writes_csv(self, tmp_path, module):
@@ -248,6 +268,43 @@ def test_unreadable_input_path_exits_2(tmp_path, monkeypatch, capsys, command, o
     if target == "dir":
         assert error["message"].startswith("cannot read ")
     assert not (tmp_path / "o").exists()
+
+
+def _run_cli(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """A CLI run in a fresh interpreter, killed after 60 s."""
+    src = str(Path(tokenimpact.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "tokenimpact", *map(str, argv)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, timeout=60, **kwargs,
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_input_that_is_not_a_regular_file_exits_2(tmp_path, world_csv):
+    # a pipe can be read only once, so its SHA-256 could not be recorded;
+    # a named pipe with no writer would block the open
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+    proc = _run_cli("describe", "--input", fifo, "--outdir", tmp_path / "o", "--seed", 1)
+    assert proc.returncode == 2
+    error = json.loads(proc.stderr)
+    assert error["message"].startswith(f"cannot read {fifo}: --input must be a regular file")
+    assert "SHA-256" in error["message"]
+    proc = _run_cli("describe", "--input", "/dev/stdin", "--outdir", tmp_path / "o",
+                    "--seed", 1, input=world_csv.read_bytes())
+    assert proc.returncode == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_input_redirected_to_stdin_records_its_hash(tmp_path, world_csv):
+    out = tmp_path / "o"
+    with open(world_csv, "rb") as stdin:
+        proc = _run_cli("describe", "--input", "/dev/stdin", "--outdir", out, "--seed", 1,
+                        stdin=stdin)
+    assert proc.returncode == 0, proc.stderr
+    provenance = json.loads((out / "describe_report.json").read_text())["provenance"]
+    assert provenance["input_sha256"] == hashlib.sha256(world_csv.read_bytes()).hexdigest()
 
 
 class TestDescribe:
@@ -555,11 +612,13 @@ class TestTimm:
         assert not out.exists()
 
     @pytest.mark.parametrize("body, message", [
-        ('{"quantile": "0.5"}', "config key 'quantile' must be float"),
-        ('{"reps": true}', "config key 'reps' must be int"),
-        ('{"reps": 20.0}', "config key 'reps' must be int"),
-        ('{"seed": "5"}', "config key 'seed' must be int | None"),
-        ('{"restrict": 0}', "config key 'restrict' must be bool"),
+        ('{"quantile": "0.5"}',
+         "config key 'quantile' is malformed: expected a number, got \"0.5\""),
+        ('{"reps": true}', "config key 'reps' is malformed: expected an integer, got true"),
+        ('{"reps": 20.0}', "config key 'reps' is malformed: expected an integer, got 20.0"),
+        ('{"seed": "5"}',
+         "config key 'seed' is malformed: expected an integer or null, got \"5\""),
+        ('{"restrict": 0}', "config key 'restrict' is malformed: expected true or false, got 0"),
         ('{"quantile": ', "is not valid JSON"),
         ("[1, 2]", "must hold a JSON object"),
     ])
@@ -623,11 +682,33 @@ class TestTimm:
         assert rc == 5
 
     def test_config_types_follow_the_options(self, tmp_path):
-        # an integer stands for a float, and null for an optional value
+        # an integer stands for a float and is stored as one, and null
+        # stands for an optional value
         cfg = tmp_path / "cfg.json"
         body = {"ridge": 0, "quantile": 1, "force_k": None, "fix_value": 2, "restrict": False}
         cfg.write_text(json.dumps(body))
-        assert cli._read_config(cfg) == body
+        read = cli._read_fields(cli.RunConfig, cfg, "config")
+        assert read == body
+        assert {key: type(value) for key, value in read.items()} == {
+            "ridge": float, "quantile": float, "force_k": type(None), "fix_value": float,
+            "restrict": bool,
+        }
+
+    def test_config_nested_too_deep_to_parse_exits_2(self, tmp_path, world_csv, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"reps": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        rc = run("report", "--input", world_csv, "--outdir", tmp_path / "o", "--seed", 5,
+                 "--config", cfg)
+        assert rc == 2
+        assert "is not valid JSON" in capsys.readouterr().err
+
+    def test_config_writes_the_bytes_of_its_flags(self, tmp_path, world_csv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"quantile": 1, "ridge": 0}))
+        args = ("timm", "factors", "--input", world_csv, "--seed", 5, "--reps", 20)
+        assert run(*args, "--outdir", tmp_path / "config", "--config", cfg) == 0
+        assert run(*args, "--outdir", tmp_path / "flags", "--quantile", 1, "--ridge", 0) == 0
+        assert snapshot(tmp_path / "config") == snapshot(tmp_path / "flags")
 
     def test_config_keys_of_other_commands_warned_and_ignored(self, tmp_path, world_csv):
         cfg = tmp_path / "cfg.json"

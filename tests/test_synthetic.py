@@ -83,6 +83,32 @@ class TestSpecValidation:
             with pytest.raises(ValidationError, match=f"{field} must be"):
                 DurationModel(**{field: bad})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", 2.5, "n: 2.5 is not an integer"),
+        ("seed", 1.5, "seed: 1.5 is not an integer"),
+        ("group_partition", (0, 1.5), "group_partition: 1.5 is not an integer"),
+        ("glm_interactions", ((0, 1.0),), "glm_interactions: 1.0 is not an integer"),
+        ("glm_interactions", ((0, 1, 1),), "glm_interactions must hold pairs"),
+        ("glm_interactions", (0, 1), "glm_interactions must hold pairs"),
+    ])
+    def test_integer_fields_refuse_other_numbers(self, field, value, message):
+        spec = dict(
+            loadings=np.array([[0.5, 0.0], [0.0, 0.6]]), thresholds=np.zeros(2),
+            group_partition=(0, 1), glm_intercept=-1.0, glm_group_effects=(1.0, 0.5),
+            glm_interactions=((0, 1),), glm_interaction_effects=(0.2,), n=10, seed=0,
+        )
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            GeneratorSpec(**{**spec, field: value})
+
+    def test_numpy_integers_are_integers(self):
+        spec = GeneratorSpec(
+            loadings=np.array([[0.5]]), thresholds=np.zeros(1),
+            group_partition=np.zeros(1, dtype=np.int64), glm_intercept=-1.0,
+            glm_group_effects=(1.0,), n=np.int64(10), seed=np.uint32(3),
+        )
+        assert (spec.n, spec.seed, spec.group_partition) == (10, 3, (0,))
+        assert all(type(v) is int for v in (spec.n, spec.seed, *spec.group_partition))
+
     def test_json_round_trip(self, tmp_path):
         # the spec written to truth.json regenerates the same CSV and truth
         preset, spec = tmp_path / "preset", tmp_path / "spec"
